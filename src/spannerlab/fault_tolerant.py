@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Collection, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     INF,
@@ -23,8 +23,9 @@ from .graphs import (
     SubgraphView,
     hop_distance,
     hop_distances,
+    shortest_path,
 )
-from .greedy import SpannerResult, _result
+from .greedy import SpannerResult, _path_union, _result
 
 __all__ = [
     "FaultSet",
@@ -58,62 +59,6 @@ class BlockingRecord:
     """Per added path, the fault witness recorded at addition time."""
 
     fault_sets: tuple[frozenset[int], ...]
-
-
-def _shortest_path_eids(
-    view: SubgraphView,
-    x: int,
-    y: int,
-    cutoff: int,
-    excluded: Collection[int] = frozenset(),
-) -> tuple[int, ...] | None:
-    """Edge ids of one shortest x-y path of hop length <= cutoff, or None.
-
-    Parent choices follow the id-sorted adjacency, so the returned path is
-    the lexicographically smallest shortest one.
-    """
-    if x == y:
-        return ()
-    host = view.host
-    adj = host._adj
-    ws = host._ws
-    incl = view.included
-    wlim = view.max_weight
-    excl = excluded if excluded else None
-    parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
-    frontier = [x]
-    depth = 0
-    found = False
-    while frontier and depth < cutoff and not found:
-        depth += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for u, eid in adj[v]:
-                if u in parent:
-                    continue
-                if excl is not None and eid in excl:
-                    continue
-                if incl is not None and eid not in incl:
-                    continue
-                if wlim is not None and ws[eid] > wlim:
-                    continue
-                parent[u] = (v, eid)
-                if u == y:
-                    found = True
-                    break
-                nxt.append(u)
-            if found:
-                break
-        frontier = nxt
-    if not found:
-        return None
-    eids: list[int] = []
-    cur = y
-    while cur != x:
-        prev, eid = parent[cur]
-        eids.append(eid)
-        cur = prev
-    return tuple(reversed(eids))
 
 
 def _lens_candidates(
@@ -153,7 +98,7 @@ def _peel_disjoint_short_paths(
     removed: set[int] = set()
     count = 0
     while count < limit:
-        path = _shortest_path_eids(view, x, y, r, excluded=removed)
+        path = shortest_path(view, x, y, r, excluded=removed)
         if path is None:
             return count
         fresh = [e for e in path if e not in protected]
@@ -294,11 +239,11 @@ def eft_modified_greedy(
         routes = 0
         while routes < f + 1:
             excl = banned | removed
-            route = _shortest_path_eids(hview, x, y, r, excluded=excl)
+            route = shortest_path(hview, x, y, r, excluded=excl)
             if route is None and e1 in included:
-                route = _shortest_path_eids(hview, mid, y, r - 1, excluded=excl)
+                route = shortest_path(hview, mid, y, r - 1, excluded=excl)
             if route is None and e2 in included:
-                route = _shortest_path_eids(hview, x, mid, r - 1, excluded=excl)
+                route = shortest_path(hview, x, mid, r - 1, excluded=excl)
             if route is None:
                 break
             removed.update(route)
@@ -373,42 +318,25 @@ def verify_blocking_set(
     """
     if len(paths) != len(record.fault_sets):
         raise ValueError("record does not align with the path collection")
-    adj: dict[int, list[tuple[int, int]]] = {}
+    n = 1 + max((v for p in paths for v in p.vertices), default=-1)
+    union = _path_union(n, paths)
+    local_ids: dict[int, list[int]] = {}
+    for local, eid in enumerate(e for p in paths for e in p.edge_ids):
+        local_ids.setdefault(eid, []).append(local)
+    included: set[int] = set()
+    uview = union.view(included)
+    start = 0
     for p, faults in zip(paths, record.fault_sets):
         if len(faults) > f:
             return False
         if faults & set(p.edge_ids):
             return False
-        if _prefix_hop_distance(adj, p.x, p.y, r, faults) <= r:
-            return False
-        for (a, b), eid in zip(zip(p.vertices, p.vertices[1:]), p.edge_ids):
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
+        # hop_distance rejects a negative cutoff, and every pair is farther
+        # apart than a negative r.
+        if r >= 0:
+            excluded = {local for eid in faults for local in local_ids.get(eid, ())}
+            if hop_distance(uview, p.x, p.y, r, excluded=excluded) <= r:
+                return False
+        included.update(range(start, start + p.hop_length))
+        start += p.hop_length
     return True
-
-
-def _prefix_hop_distance(
-    adj: dict[int, list[tuple[int, int]]],
-    x: int,
-    y: int,
-    cutoff: int,
-    excluded: Collection[int],
-) -> float:
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = [x]
-    depth = 0
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for u, eid in adj.get(v, ()):
-                if u in seen or eid in excluded:
-                    continue
-                if u == y:
-                    return depth
-                seen.add(u)
-                nxt.append(u)
-        frontier = nxt
-    return INF

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Multigraph, PathSeq, girth
+from .graphs import Multigraph, PathSeq, girth, hop_distances
 from .greedy import PathCollection
 
 __all__ = [
@@ -151,15 +151,7 @@ def gen_weighted_lower_bound(base: Multigraph, eps: float, k: int) -> InstanceBu
         raise ValueError("base graph must be unweighted")
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
-    seen = set()
-    frontier = [0] if base.n else []
-    while frontier:
-        v = frontier.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        frontier.extend(u for u, _ in base.adj(v))
-    if len(seen) != base.n:
+    if base.n and len(hop_distances(base.view(), 0, base.n)) != base.n:
         raise ValueError("base graph must be connected")
     base_girth = girth(base.view())
     if not base_girth > 2 * (k - 1) + 1:

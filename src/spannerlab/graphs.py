@@ -2,9 +2,11 @@
 
 Every construction in this package works on subgraphs of a fixed host graph,
 identified by edge-id subsets. The host graph is immutable; the kernels below
-answer bounded-radius hop/weighted distance, ball and girth queries against an
-edge-id filter, so spanners under construction never need their own adjacency
-structures.
+answer bounded-radius hop/weighted distance, lexicographic shortest path,
+ball and girth queries against an edge-id filter, so spanners under
+construction never need their own adjacency structures. This module holds
+every graph search in the package; other modules read adjacency lists only
+to enumerate neighbors, never to search.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "hop_distance",
     "hop_distances",
     "hop_ball",
+    "shortest_path",
     "weighted_dist",
     "weighted_distances",
     "weighted_ball",
@@ -152,6 +155,10 @@ class SubgraphView:
     every edge heavier than the threshold, so the effective edge set is the
     intersection of the two filters. Views hold references only; they are
     cheap to create and share.
+
+    A view is live over ``included``: it is not copied, so edge ids added to
+    the collection later are visible to every search through the view.
+    Constructions rely on this, growing one ``included`` set behind one view.
     """
 
     host: Multigraph
@@ -418,17 +425,76 @@ def hop_ball(
     return set(hop_distances(view, v, radius, excluded))
 
 
-def weighted_distances(
+def shortest_path(
     view: SubgraphView,
-    source: int,
-    cap: float | None = None,
+    x: int,
+    y: int,
+    cutoff: int,
     excluded: Collection[int] = frozenset(),
-) -> dict[int, float]:
-    """Dijkstra distances from source, pruned at ``cap`` when given."""
+) -> tuple[int, ...] | None:
+    """Edge ids of one shortest x-y path of hop length <= cutoff, or None.
+
+    Parent choices follow the (neighbor, id)-sorted adjacency, so the
+    returned path is the lexicographically smallest shortest one. The search
+    stops in the middle of a layer as soon as y is reached.
+    """
     host = view.host
-    _check_vertex(host, source)
+    _check_vertex(host, x)
+    _check_vertex(host, y)
+    if x == y:
+        return ()
     adj = host._adj
     ws = host._ws
+    incl = view.included
+    wlim = view.max_weight
+    excl = excluded if excluded else None
+    parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
+    frontier = [x]
+    depth = 0
+    found = False
+    while frontier and depth < cutoff and not found:
+        depth += 1
+        nxt: list[int] = []
+        for v in frontier:
+            for u, eid in adj[v]:
+                if u in parent:
+                    continue
+                if excl is not None and eid in excl:
+                    continue
+                if incl is not None and eid not in incl:
+                    continue
+                if wlim is not None and ws[eid] > wlim:
+                    continue
+                parent[u] = (v, eid)
+                if u == y:
+                    found = True
+                    break
+                nxt.append(u)
+            if found:
+                break
+        frontier = nxt
+    if not found:
+        return None
+    eids: list[int] = []
+    cur = y
+    while cur != x:
+        prev, eid = parent[cur]
+        eids.append(eid)
+        cur = prev
+    return tuple(reversed(eids))
+
+
+def _dijkstra(
+    view: SubgraphView,
+    source: int,
+    cap: float | None,
+    excluded: Collection[int],
+    target: int | None = None,
+) -> dict[int, float]:
+    """Settled Dijkstra distances from source, pruned at ``cap`` when given;
+    the search stops as soon as ``target`` is settled."""
+    adj = view.host._adj
+    ws = view.host._ws
     incl = view.included
     wlim = view.max_weight
     excl = excluded if excluded else None
@@ -439,6 +505,8 @@ def weighted_distances(
         if v in dist:
             continue
         dist[v] = d
+        if v == target:
+            break
         for u, eid in adj[v]:
             if u in dist:
                 continue
@@ -455,6 +523,17 @@ def weighted_distances(
     return dist
 
 
+def weighted_distances(
+    view: SubgraphView,
+    source: int,
+    cap: float | None = None,
+    excluded: Collection[int] = frozenset(),
+) -> dict[int, float]:
+    """Dijkstra distances from source, pruned at ``cap`` when given."""
+    _check_vertex(view.host, source)
+    return _dijkstra(view, source, cap, excluded)
+
+
 def weighted_dist(
     view: SubgraphView,
     x: int,
@@ -463,39 +542,9 @@ def weighted_dist(
     excluded: Collection[int] = frozenset(),
 ) -> float:
     """Weighted distance from x to y if <= cap (when given), else INF."""
-    host = view.host
-    _check_vertex(host, x)
-    _check_vertex(host, y)
-    if x == y:
-        return 0.0
-    adj = host._adj
-    ws = host._ws
-    incl = view.included
-    wlim = view.max_weight
-    excl = excluded if excluded else None
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, x)]
-    while heap:
-        d, v = heappop(heap)
-        if v == y:
-            return d
-        if v in done:
-            continue
-        done.add(v)
-        for u, eid in adj[v]:
-            if u in done:
-                continue
-            if excl is not None and eid in excl:
-                continue
-            if incl is not None and eid not in incl:
-                continue
-            if wlim is not None and ws[eid] > wlim:
-                continue
-            nd = d + ws[eid]
-            if cap is not None and nd > cap:
-                continue
-            heappush(heap, (nd, u))
-    return INF
+    _check_vertex(view.host, x)
+    _check_vertex(view.host, y)
+    return _dijkstra(view, x, cap, excluded, y).get(y, INF)
 
 
 def weighted_ball(view: SubgraphView, v: int, radius: float) -> set[int]:

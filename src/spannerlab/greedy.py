@@ -17,12 +17,12 @@ from typing import Iterable, Sequence
 
 from .clustering import cluster_level
 from .graphs import (
-    INF,
     Multigraph,
     PathSeq,
     SpannerParams,
     hop_distance,
     hop_distances,
+    shortest_path,
     weighted_dist,
 )
 
@@ -101,20 +101,20 @@ def pairs_at_distance(g: Multigraph, d: int) -> list[tuple[int, int]]:
 
 def lex_shortest_path(g: Multigraph, x: int, y: int, d: int) -> PathSeq:
     """Lexicographically smallest d-hop shortest path from x to y."""
-    dist_to_y = hop_distances(g.view(), y, d)
-    if dist_to_y.get(x) != d:
+    eids = shortest_path(g.view(), x, y, d)
+    if eids is None or len(eids) != d:
         raise ValueError(f"vertices {x},{y} are not at distance {d}")
     verts = [x]
-    eids = []
-    cur = x
-    for remaining in range(d, 0, -1):
-        for nbr, eid in g.adj(cur):
-            if dist_to_y.get(nbr) == remaining - 1:
-                verts.append(nbr)
-                eids.append(eid)
-                cur = nbr
-                break
+    for eid in eids:
+        a, b = g.endpoints(eid)
+        verts.append(b if a == verts[-1] else a)
     return PathSeq.from_graph(g, verts, eids)
+
+
+def _path_union(n: int, paths: Sequence[PathSeq]) -> Multigraph:
+    """Unweighted multigraph with one edge per path edge, in path order, so
+    path i owns the contiguous id range after the edges of paths 0..i-1."""
+    return Multigraph(n, [(a, b) for p in paths for a, b in zip(p.vertices, p.vertices[1:])])
 
 
 def _assert_distant_half(dist_fn, vertices: tuple[int, ...], r: int) -> None:
@@ -153,37 +153,6 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     return _result(g.n, paths, "greedy-dr", d=d, r=r)
 
 
-class _UnionGraph:
-    """Grow-only adjacency over a fixed vertex range, for path collections."""
-
-    def __init__(self, n: int):
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_path(self, p: PathSeq) -> None:
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-
-    def hop_distance(self, x: int, y: int, cutoff: int) -> float:
-        if x == y:
-            return 0
-        seen = {x}
-        frontier = [x]
-        depth = 0
-        while frontier and depth < cutoff:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for u in self.adj[v]:
-                    if u not in seen:
-                        if u == y:
-                            return depth
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return INF
-
-
 def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResult:
     """Greedy pass over an explicit path collection.
 
@@ -192,14 +161,20 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    union = _UnionGraph(coll.n)
+    union = _path_union(coll.n, coll.paths)
+    included: set[int] = set()
+    uview = union.view(included)
     kept: list[PathSeq] = []
+    start = 0
     for p in coll.paths:
-        if union.hop_distance(p.x, p.y, r) > r:
+        if hop_distance(uview, p.x, p.y, r) > r:
             if p.hop_length == 2:
-                _assert_distant_half(union.hop_distance, p.vertices, r)
-            union.add_path(p)
+                _assert_distant_half(
+                    lambda a, b, c: hop_distance(uview, a, b, c), p.vertices, r
+                )
+            included.update(range(start, start + p.hop_length))
             kept.append(p)
+        start += p.hop_length
     return _result(coll.n, kept, "greedy-paths", r=r, offered=len(coll.paths))
 
 

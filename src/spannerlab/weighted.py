@@ -40,6 +40,7 @@ from .graphs import (
     weighted_distances,
 )
 from .greedy import greedy_multiplicative_spanner
+from .verify import as_edge_ids
 
 __all__ = [
     "SaturationRecord",
@@ -314,20 +315,6 @@ class WeightedBoundReport:
     sampled_checked: int
 
 
-def _as_edge_set(g: Multigraph, h) -> frozenset[int]:
-    if isinstance(h, WeightedSpannerResult):
-        return h.edge_set
-    if hasattr(h, "edge_set"):
-        return h.edge_set
-    if isinstance(h, SubgraphView):
-        return frozenset(h.edge_ids())
-    ids = frozenset(int(e) for e in h)
-    for eid in ids:
-        if not 0 <= eid < g.m:
-            raise ValueError(f"edge id {eid} not in host graph")
-    return ids
-
-
 def _random_simple_path(g: Multigraph, length: int, rng: random.Random) -> PathSeq | None:
     start = rng.randrange(g.n)
     verts = [start]
@@ -363,7 +350,7 @@ def verify_weighted_bound(
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")
-    ids = _as_edge_set(g, h)
+    ids = as_edge_ids(g, h)
     hv = g.view(ids)
     dist_cache: dict[int, dict[int, float]] = {}
 

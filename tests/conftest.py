@@ -20,6 +20,7 @@ def small_graphs(
     min_n: int = 2,
     max_n: int = 8,
     max_m: int = 16,
+    min_m: int = 0,
     multigraph: bool = False,
     weighted: bool = False,
 ):
@@ -27,7 +28,7 @@ def small_graphs(
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda uv: uv[0] != uv[1]
     )
-    pairs = draw(st.lists(pair, max_size=max_m))
+    pairs = draw(st.lists(pair, min_size=min_m, max_size=max_m))
     if not multigraph:
         seen = set()
         deduped = []

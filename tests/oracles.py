@@ -92,3 +92,31 @@ def proper_subsets(ids):
     ids = sorted(ids)
     for size in range(len(ids)):
         yield from combinations(ids, size)
+
+
+def lex_shortest_path(n: int, edge_list, x: int, y: int, cutoff: int, allowed):
+    """Edge ids of the x-y path with the smallest (hop length, ((vertex,
+    edge id), ...)) key among paths of at most ``cutoff`` hops over the
+    ``allowed`` edge ids, or None. Enumerates every simple path from x."""
+    nbrs = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edge_list):
+        if eid in allowed:
+            nbrs[u].append((v, eid))
+            nbrs[v].append((u, eid))
+    best = None
+
+    def walk(v, steps, seen):
+        nonlocal best
+        if v == y:
+            key = (len(steps), steps)
+            if best is None or key < best:
+                best = key
+            return
+        if len(steps) == cutoff:
+            return
+        for u, eid in nbrs[v]:
+            if u not in seen:
+                walk(u, steps + ((u, eid),), seen | {u})
+
+    walk(x, (), {x})
+    return None if best is None else tuple(eid for _, eid in best[1])

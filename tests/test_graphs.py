@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from conftest import small_graphs
@@ -18,6 +18,7 @@ from spannerlab import (
     weighted_dist,
 )
 from spannerlab.generators import cycle_graph, path_graph, petersen_graph
+from spannerlab.graphs import shortest_path
 
 
 def test_multigraph_rejects_self_loops():
@@ -221,16 +222,49 @@ def test_excluded_equals_removed_view(g, data):
     assert d_excl == oracle
 
 
+def edge_subset(data, m: int) -> set[int]:
+    mask = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return {eid for eid, keep in enumerate(mask) if keep}
+
+
 @given(small_graphs(weighted=True), st.data())
 def test_weighted_dist_matches_oracle(g, data):
     x = data.draw(st.integers(0, g.n - 1))
     y = data.draw(st.integers(0, g.n - 1))
-    oracle = oracles.fw_weighted(g.n, oracles.weighted_edges_of(g))[x][y]
-    got = weighted_dist(g.view(), x, y)
-    if oracle == INF:
+    faults = frozenset(edge_subset(data, g.m))
+    cap = data.draw(st.none() | st.floats(0.0, 10.0))
+    oracle = oracles.fw_weighted(g.n, oracles.weighted_edges_of(g), excluded=faults)[x][y]
+    got = weighted_dist(g.view(), x, y, cap=cap, excluded=faults)
+    assert weighted_dist(g.view(), x, x, cap=cap, excluded=faults) == 0.0
+    if cap is not None and oracle != INF:
+        # Dijkstra and Floyd-Warshall may sum in different orders.
+        assume(oracle != pytest.approx(cap, rel=1e-9))
+    if oracle == INF or (cap is not None and oracle > cap):
         assert got == INF
     else:
         assert got == pytest.approx(oracle, rel=1e-9)
+
+
+@settings(max_examples=300)
+@given(small_graphs(min_n=3, max_n=7, min_m=6, max_m=16, multigraph=True, weighted=True), st.data())
+def test_shortest_path_matches_oracle(g, data):
+    x = data.draw(st.integers(0, g.n - 1))
+    y = (x + data.draw(st.integers(1, g.n - 1))) % g.n
+    cutoff = data.draw(st.integers(0, g.n))
+    included = edge_subset(data, g.m) if data.draw(st.booleans()) else None
+    max_weight = data.draw(st.none() | st.floats(0.05, 4.0))
+    excluded = frozenset(data.draw(st.lists(st.integers(0, max(g.m - 1, 0)), max_size=2)))
+    allowed = {
+        e.id
+        for e in g.edges()
+        if (included is None or e.id in included)
+        and (max_weight is None or e.weight <= max_weight)
+        and e.id not in excluded
+    }
+    view = g.view(included, max_weight)
+    got = shortest_path(view, x, y, cutoff, excluded)
+    assert got == oracles.lex_shortest_path(g.n, oracles.edges_of(g), x, y, cutoff, allowed)
+    assert shortest_path(view, x, x, cutoff, excluded) == ()
 
 
 @given(small_graphs(max_n=7, max_m=12, multigraph=True))

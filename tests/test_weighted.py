@@ -261,6 +261,14 @@ def test_verify_weighted_bound_rejects_multigraphs():
         verify_weighted_bound(g, range(g.m), 2)
 
 
+def test_verify_weighted_bound_rejects_foreign_subgraphs():
+    g = seeded_gnp(10, 0.4, 3, weighted=True)
+    other = seeded_gnp(10, 0.4, 4, weighted=True)
+    for h in (g, other.view()):
+        with pytest.raises(ValueError):
+            verify_weighted_bound(g, h, 2)
+
+
 def test_verify_weighted_bound_deterministic_sampling():
     g = seeded_gnp(20, 0.3, 13, weighted=True)
     result = build_weighted_spanner(g, 2)
