@@ -8,7 +8,7 @@ File format (one graph per file)::
 Edge ids are assigned by position among edge lines (zero-based); blank lines
 and further ``#`` comments are ignored and do not consume ids. Exit codes:
 0 success, 2 verification counterexample, 3 budget exceeded, 64 usage error,
-65 malformed input data.
+65 malformed input data, 74 a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
 
@@ -82,10 +83,13 @@ def parse_graph_text(text: str) -> Multigraph:
         multigraph = fields["multigraph"] == "1"
     except (KeyError, ValueError) as exc:
         raise GraphParseError(f"malformed header: {exc}", header_line) from exc
+    if n < 0:
+        raise GraphParseError(f"negative vertex count n={n}", header_line)
     if fields.get("weighted") not in ("0", "1") or fields.get("multigraph") not in ("0", "1"):
         raise GraphParseError("weighted and multigraph flags must be 0 or 1", header_line)
 
     edges: list[tuple[int, int, float]] = []
+    pairs: set[tuple[int, int]] = set()
     for i, raw in enumerate(lines, start=1):
         if i <= header_line:
             continue
@@ -109,11 +113,13 @@ def parse_graph_text(text: str) -> Multigraph:
             raise GraphParseError(f"vertex id out of range for n={n}", i)
         if weighted and not (w > 0 and math.isfinite(w)):
             raise GraphParseError(f"nonpositive weight {w}", i)
+        if not multigraph:
+            pair = (min(u, v), max(u, v))
+            if pair in pairs:
+                raise GraphParseError("duplicate edge in a graph declared multigraph=0", i)
+            pairs.add(pair)
         edges.append((u, v, w))
-    g = Multigraph(n, edges, weighted=weighted)
-    if not multigraph and not g.is_simple():
-        raise GraphParseError("duplicate edge in a graph declared multigraph=0", 1)
-    return g
+    return Multigraph(n, edges, weighted=weighted)
 
 
 def parse_graph(path: str) -> Multigraph:
@@ -137,14 +143,13 @@ def emit_graph(g: Multigraph, path: str) -> None:
         fh.write(format_graph(g))
 
 
-def subgraph_of(g: Multigraph, edge_ids, weighted: bool | None = None) -> Multigraph:
+def subgraph_of(g: Multigraph, edge_ids) -> Multigraph:
     """New graph over g's vertex range containing the given edges, id order."""
-    use_weighted = g.weighted if weighted is None else weighted
     rows = []
     for eid in sorted(edge_ids):
         u, v = g.endpoints(eid)
         rows.append((u, v, g.weight(eid)))
-    return Multigraph(g.n, rows, weighted=use_weighted)
+    return Multigraph(g.n, rows, weighted=g.weighted)
 
 
 def match_subgraph(g: Multigraph, h: Multigraph) -> frozenset[int]:
@@ -176,6 +181,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spanner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -183,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance family")
     gen.add_argument("family", choices=["big-clique", "hypercube", "weighted-lb", "eft-lb", "gnp"])
     gen.add_argument("-t", type=int, default=4, help="clique side for big-clique")
-    gen.add_argument("-k", type=int, default=3, help="dimension / stretch parameter")
+    gen.add_argument("-k", type=_positive_int, default=3, help="dimension / stretch parameter")
     gen.add_argument("-f", type=int, default=1, help="fault budget for eft-lb")
     gen.add_argument("-n", type=int, default=20, help="vertex count for gnp")
     gen.add_argument("-p", type=float, default=0.2, help="edge probability for gnp")
@@ -207,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "eft-union",
         ],
     )
-    span.add_argument("-k", type=int, default=2)
+    span.add_argument("-k", type=_positive_int, default=2)
     span.add_argument("-d", type=int, default=None)
     span.add_argument("-r", type=int, default=None)
     span.add_argument("-f", type=int, default=1)
@@ -223,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("-d", type=int, default=2)
     ver.add_argument("-r", type=int, default=None)
     ver.add_argument("-f", type=int, default=0)
-    ver.add_argument("-k", type=int, default=2)
+    ver.add_argument("-k", type=_positive_int, default=2)
     ver.add_argument("--alpha", type=float, default=None)
     ver.add_argument("--beta", type=float, default=None)
     ver.add_argument("--max-hops", type=int, default=2)
@@ -232,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="report size and girth of a graph file")
     stats.add_argument("-s", "--spanner", required=True)
-    stats.add_argument("-k", type=int, required=True)
+    stats.add_argument("-k", type=_positive_int, required=True)
     return parser
 
 
@@ -393,6 +408,8 @@ def _cmd_stats(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "span" and args.algo == "eft-exact" and args.d not in (None, 1, 2):
+        parser.error("span eft-exact supports only -d 1 or -d 2")
     try:
         if args.command == "gen":
             return _cmd_gen(args)
@@ -407,6 +424,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -65,6 +65,8 @@ def has_cluster(view: SubgraphView, v: int, ell: int, params: SpannerParams) -> 
     """
     if ell < 0:
         raise ValueError("cluster level must be nonnegative")
+    if params.n != view.host.n:
+        raise ValueError("params.n must match the host vertex count")
     n, k = params.n, params.k
     sizes = _ball_sizes(view, v, ell)
     for r in range(1, ell + 1):

@@ -135,12 +135,8 @@ class Multigraph:
     def is_simple(self) -> bool:
         return all(len(ids) == 1 for ids in self._pair_ids.values())
 
-    def view(
-        self,
-        included: Collection[int] | None = None,
-        max_weight: float | None = None,
-    ) -> "SubgraphView":
-        return SubgraphView(self, included, max_weight)
+    def view(self, included: Collection[int] | None = None) -> "SubgraphView":
+        return SubgraphView(self, included)
 
     def __repr__(self) -> str:
         kind = "weighted " if self.weighted else ""
@@ -151,10 +147,8 @@ class Multigraph:
 class SubgraphView:
     """Read-only restriction of a host graph to an edge-id subset.
 
-    ``included=None`` means all host edges. ``max_weight`` additionally drops
-    every edge heavier than the threshold, so the effective edge set is the
-    intersection of the two filters. Views hold references only; they are
-    cheap to create and share.
+    ``included=None`` means all host edges. Views hold references only; they
+    are cheap to create and share.
 
     A view is live over ``included``: it is not copied, so edge ids added to
     the collection later are visible to every search through the view.
@@ -163,7 +157,6 @@ class SubgraphView:
 
     host: Multigraph
     included: Collection[int] | None = None
-    max_weight: float | None = None
 
     def __post_init__(self):
         if self.included is not None:
@@ -173,18 +166,11 @@ class SubgraphView:
                     raise ValueError(f"edge id {eid} not in host graph")
 
     def edge_ids(self) -> Iterator[int]:
-        """Effective edge ids of the view, ascending."""
-        host = self.host
+        """Edge ids of the view, ascending."""
         if self.included is None:
-            ids: Iterable[int] = range(host.m)
+            yield from range(self.host.m)
         else:
-            ids = sorted(self.included)
-        if self.max_weight is None:
-            yield from ids
-        else:
-            for eid in ids:
-                if host.weight(eid) <= self.max_weight:
-                    yield eid
+            yield from sorted(self.included)
 
     @property
     def m(self) -> int:
@@ -268,7 +254,7 @@ class PathSeq:
 
 @dataclass(frozen=True)
 class SpannerParams:
-    """Shared parameter bundle (n, k, d, r, s, f) for spanner constructions.
+    """Vertex count n and stretch parameter k shared by cluster tests.
 
     ``R`` is the local growth radius ceil(k/2) and ``i_odd`` the parity flag
     of k; together they satisfy 2*R - i_odd == k.
@@ -276,22 +262,12 @@ class SpannerParams:
 
     n: int
     k: int
-    d: int = 0
-    r: int = 0
-    s: int = 0
-    f: int = 0
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.f < 0:
-            raise ValueError("f must be nonnegative")
-        if min(self.d, self.r, self.s) < 0:
-            raise ValueError("d, r, s must be nonnegative")
-        if self.r < self.d:
-            raise ValueError("r must be at least d")
 
     @property
     def R(self) -> int:
@@ -327,9 +303,7 @@ def hop_distance(
     if x == y:
         return 0
     adj = host._adj
-    ws = host._ws
     incl = view.included
-    wlim = view.max_weight
     excl = excluded if excluded else None
 
     dist_a: dict[int, int] = {x: 0}
@@ -363,8 +337,6 @@ def hop_distance(
                     continue
                 if incl is not None and eid not in incl:
                     continue
-                if wlim is not None and ws[eid] > wlim:
-                    continue
                 seen[u] = depth
                 o = other.get(u)
                 if o is not None and depth + o < best:
@@ -389,9 +361,7 @@ def hop_distances(
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     adj = host._adj
-    ws = host._ws
     incl = view.included
-    wlim = view.max_weight
     excl = excluded if excluded else None
     dist = {source: 0}
     frontier = [source]
@@ -406,8 +376,6 @@ def hop_distances(
                 if excl is not None and eid in excl:
                     continue
                 if incl is not None and eid not in incl:
-                    continue
-                if wlim is not None and ws[eid] > wlim:
                     continue
                 dist[u] = depth
                 nxt.append(u)
@@ -444,9 +412,7 @@ def shortest_path(
     if x == y:
         return ()
     adj = host._adj
-    ws = host._ws
     incl = view.included
-    wlim = view.max_weight
     excl = excluded if excluded else None
     parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
     frontier = [x]
@@ -462,8 +428,6 @@ def shortest_path(
                 if excl is not None and eid in excl:
                     continue
                 if incl is not None and eid not in incl:
-                    continue
-                if wlim is not None and ws[eid] > wlim:
                     continue
                 parent[u] = (v, eid)
                 if u == y:
@@ -496,7 +460,6 @@ def _dijkstra(
     adj = view.host._adj
     ws = view.host._ws
     incl = view.included
-    wlim = view.max_weight
     excl = excluded if excluded else None
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -513,8 +476,6 @@ def _dijkstra(
             if excl is not None and eid in excl:
                 continue
             if incl is not None and eid not in incl:
-                continue
-            if wlim is not None and ws[eid] > wlim:
                 continue
             nd = d + ws[eid]
             if cap is not None and nd > cap:

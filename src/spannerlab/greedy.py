@@ -78,9 +78,6 @@ class SpannerResult:
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edges)
 
-    def view(self, g: Multigraph):
-        return g.view(self.edge_set)
-
 
 def _result(n: int, paths: Sequence[PathSeq], algorithm: str, extra=(), **meta) -> SpannerResult:
     ids: set[int] = set(extra)
@@ -117,14 +114,15 @@ def _path_union(n: int, paths: Sequence[PathSeq]) -> Multigraph:
     return Multigraph(n, [(a, b) for p in paths for a, b in zip(p.vertices, p.vertices[1:])])
 
 
-def _assert_distant_half(dist_fn, vertices: tuple[int, ...], r: int) -> None:
+def _check_distant_half(dist_fn, vertices: tuple[int, ...], r: int) -> None:
     # Any freshly repaired 2-path has one half still far in the pre-addition
     # graph: the halves sum to more than r, so one exceeds r // 2.
     x, mid, y = vertices
     half = r // 2
     a = dist_fn(x, mid, half)
     b = dist_fn(mid, y, half)
-    assert a > half or b > half, f"2-path ({x},{mid},{y}) lost both distant halves"
+    if a <= half and b <= half:
+        raise RuntimeError(f"2-path ({x},{mid},{y}) lost both distant halves")
 
 
 def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
@@ -145,7 +143,7 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
         if hop_distance(hview, x, y, r) > r:
             p = lex_shortest_path(g, x, y, d)
             if d == 2:
-                _assert_distant_half(
+                _check_distant_half(
                     lambda a, b, c: hop_distance(hview, a, b, c), p.vertices, r
                 )
             included.update(p.edge_ids)
@@ -169,7 +167,7 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     for p in coll.paths:
         if hop_distance(uview, p.x, p.y, r) > r:
             if p.hop_length == 2:
-                _assert_distant_half(
+                _check_distant_half(
                     lambda a, b, c: hop_distance(uview, a, b, c), p.vertices, r
                 )
             included.update(range(start, start + p.hop_length))

@@ -31,7 +31,6 @@ from .graphs import (
     Multigraph,
     PathSeq,
     SpannerParams,
-    SubgraphView,
     hop_ball,
     hop_distance,
     hop_distances,
@@ -172,29 +171,38 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     hview = g.view(included)
 
     # Phase 2: greedy clustering at ascending weight thresholds. The hop and
-    # cluster tests run in the current spanner restricted to edges of weight
-    # at most the threshold; full-clustered thresholds are re-scanned after
-    # each distinct weight group.
+    # cluster tests run in ``light``, the current spanner restricted to edges
+    # of weight at most the threshold. ``light`` grows with the threshold:
+    # before each weight group the phase-1 edges up to the new threshold join
+    # it, and every edge this phase adds joins it at once. Full-clustered
+    # thresholds are re-scanned after each distinct weight group.
+    start = sorted(included, key=lambda e: (weight(e), e))
+    light: set[int] = set()
+    lview = g.view(light)
+    pos = 0
     phase2: list[int] = []
     saturated: list[int] = []
     first_clustered: dict[int, float] = {}
     idx = 0
     while idx < m:
         omega = weight(order[idx])
-        tview = SubgraphView(g, included, max_weight=omega)
+        while pos < len(start) and weight(start[pos]) <= omega:
+            light.add(start[pos])
+            pos += 1
         while idx < m and weight(order[idx]) == omega:
             eid = order[idx]
             idx += 1
             u, v = g.endpoints(eid)
-            if hop_distance(tview, u, v, k) <= k:
+            if hop_distance(lview, u, v, k) <= k:
                 continue
-            if has_cluster(tview, u, R, params) and has_cluster(tview, v, R, params):
+            if has_cluster(lview, u, R, params) and has_cluster(lview, v, R, params):
                 saturated.append(eid)
             else:
                 included.add(eid)
+                light.add(eid)
                 phase2.append(eid)
         for v in range(n):
-            if v not in first_clustered and has_cluster(tview, v, R, params):
+            if v not in first_clustered and has_cluster(lview, v, R, params):
                 first_clustered[v] = omega
     sat_set = frozenset(saturated)
 
@@ -224,15 +232,21 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
                 log3.append(Phase3Decision(v, u, eid, key, P3_CONTAINED))
 
     # Phase 4: global distance reduction, edges by ascending weight. Balls
-    # and distances are hop-based inside the weight-thresholded spanner.
+    # and distances are hop-based inside ``light``, which restarts empty and
+    # again grows with the threshold: before each edge the spanner edges of
+    # phases 1-3 up to its weight join it, and every edge this phase adds
+    # joins it at once.
     n_pow_k1 = n ** (k - 1)
+    start = sorted(included, key=lambda e: (weight(e), e))
+    light.clear()
+    pos = 0
 
-    def reduces_many(tview: SubgraphView, a: int, b: int) -> bool:
-        ball_a = sorted(hop_ball(tview, a, R - i_odd))
-        ball_b = hop_ball(tview, b, R - 1)
+    def reduces_many(a: int, b: int) -> bool:
+        ball_a = sorted(hop_ball(lview, a, R - i_odd))
+        ball_b = hop_ball(lview, b, R - 1)
         count = 0
         for p in ball_a:
-            reach = hop_distances(tview, p, k)
+            reach = hop_distances(lview, p, k)
             count += sum(1 for q in ball_b if q not in reach)
             if (10 * count) ** k > n_pow_k1:
                 return True
@@ -243,11 +257,14 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     for eid in order:
         u, v = g.endpoints(eid)
         omega = weight(eid)
-        tview = SubgraphView(g, included, max_weight=omega)
-        if hop_distance(tview, u, v, k) <= k:
+        while pos < len(start) and weight(start[pos]) <= omega:
+            light.add(start[pos])
+            pos += 1
+        if hop_distance(lview, u, v, k) <= k:
             continue
-        if reduces_many(tview, v, u) or reduces_many(tview, u, v):
+        if reduces_many(v, u) or reduces_many(u, v):
             included.add(eid)
+            light.add(eid)
             phase4.append(eid)
             log4.append((eid, P4_ADDED))
         else:
@@ -269,7 +286,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         if settled_dist(x, y) <= bound * (1 + _REL_EPS):
             continue
         sat_on = [e for e in (e1, e2) if e in sat_set]
-        assert sat_on, f"unrepaired 2-path ({x},{mid},{y}) has no saturated edge"
+        if not sat_on:
+            raise RuntimeError(f"unrepaired 2-path ({x},{mid},{y}) has no saturated edge")
         e_sat = max(sat_on, key=lambda e: (weight(e), e))
         e_lat = e2 if e_sat == e1 else e1
         key = 2 * weight(e_lat) + (k - 1) * weight(e_sat)
@@ -284,7 +302,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         if weighted_dist(hview, x, y, cap=cap) <= cap:
             continue
         for eid in (e_sat, e_lat):
-            assert eid not in included, "repair path edge already present"
+            if eid in included:
+                raise RuntimeError(f"repair path edge {eid} already present")
             included.add(eid)
             phase5.append(eid)
         adds5.append(

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import small_graphs
 from spannerlab import Multigraph
 from spannerlab.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
     EXIT_DATA,
+    EXIT_IO,
     EXIT_OK,
+    EXIT_USAGE,
     GraphParseError,
     emit_graph,
     format_graph,
@@ -59,6 +67,49 @@ def test_parse_rejects_bad_header_and_range():
         parse_graph_text("# spanner-graph v1 n=2 weighted=0 multigraph=0\n0 5\n")
     with pytest.raises(GraphParseError, match="multigraph=0"):
         parse_graph_text("# spanner-graph v1 n=2 weighted=0 multigraph=0\n0 1\n1 0\n")
+
+
+def test_parse_duplicate_edge_names_its_line():
+    text = "# spanner-graph v1 n=3 weighted=0 multigraph=0\n0 1\n1 2\n\n# c\n1 0\n"
+    with pytest.raises(GraphParseError, match="line 6") as err:
+        parse_graph_text(text)
+    assert err.value.line == 6
+    multi = parse_graph_text(text.replace("multigraph=0", "multigraph=1"))
+    assert multi.m == 3
+
+
+def test_parse_rejects_negative_vertex_count():
+    with pytest.raises(GraphParseError, match="line 2") as err:
+        parse_graph_text("\n# spanner-graph v1 n=-1 weighted=0 multigraph=0\n")
+    assert err.value.line == 2
+
+
+@given(small_graphs(max_n=7, max_m=10, multigraph=True, weighted=True) | small_graphs(max_n=7))
+def test_format_then_parse_round_trips(g):
+    back = parse_graph_text(format_graph(g))
+    assert (back.n, back.weighted) == (g.n, g.weighted)
+    assert [(e.u, e.v, e.weight) for e in back.edges()] == [
+        (e.u, e.v, e.weight) for e in g.edges()
+    ]
+
+
+_TOKENS = ["0", "1", "2", "7", "11", "12", "-1", "0.5", "1e400", "-0", "nan", "inf", "x", "#", "1_0"]
+
+
+@given(
+    st.integers(-3, 12),
+    st.sampled_from(["0", "1", "2"]),
+    st.sampled_from(["0", "1", "x"]),
+    st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4), max_size=8),
+)
+def test_parse_either_parses_or_raises_parse_error(n, weighted, multigraph, rows):
+    header = f"# spanner-graph v1 n={n} weighted={weighted} multigraph={multigraph}"
+    text = "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+    try:
+        g = parse_graph_text(text)
+    except GraphParseError:
+        return
+    assert g.n == n
 
 
 def test_round_trip_identity(tmp_path):
@@ -141,6 +192,53 @@ def test_cli_usage_error_is_64(capsys):
     with pytest.raises(SystemExit) as err:
         main(["span", "bogus", "-i", "x", "-o", "y"])
     assert err.value.code == 64
+
+
+def _run_cli(cwd, *args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "spannerlab", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("stats", "-s", "g", "-k", "0"),
+        ("span", "greedy-dr", "-k", "0", "-i", "g", "-o", "h"),
+        ("span", "weighted", "-k", "-2", "-i", "g", "-o", "h"),
+        ("verify", "dr", "-k", "0", "-i", "g", "-s", "g"),
+        ("gen", "hypercube", "-k", "0", "-o", "h"),
+        ("span", "eft-exact", "-d", "3", "-i", "g", "-o", "h"),
+        ("span", "eft-exact", "-d", "0", "-i", "g", "-o", "h"),
+    ],
+)
+def test_cli_argument_errors_are_64(tmp_path, args):
+    assert main(["gen", "hypercube", "-k", "3", "-o", str(tmp_path / "g")]) == EXIT_OK
+    proc = _run_cli(tmp_path, *args)
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "h").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("span", "greedy-dr", "-i", "missing", "-o", "h"),
+        ("stats", "-s", "missing", "-k", "2"),
+        ("verify", "dr", "-i", "g", "-s", "missing"),
+    ],
+)
+def test_cli_missing_file_is_74(tmp_path, args):
+    assert main(["gen", "hypercube", "-k", "3", "-o", str(tmp_path / "g")]) == EXIT_OK
+    proc = _run_cli(tmp_path, *args)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == "error: missing: No such file or directory\n"
 
 
 def test_cli_data_error_is_65(tmp_path, capsys):

@@ -50,6 +50,13 @@ def test_cluster_level_checks_n():
         cluster_level(g.view(), 0, SpannerParams(n=9, k=2))
 
 
+def test_has_cluster_checks_n():
+    g = star_graph(4)
+    with pytest.raises(ValueError, match="params.n"):
+        has_cluster(g.view(), 0, 1, SpannerParams(n=9, k=2))
+    assert has_cluster(g.view(), 0, 1, SpannerParams(n=g.n, k=2))
+
+
 def test_is_fully_clustered_examples():
     kn = complete_graph(8)
     params = SpannerParams(n=8, k=3)

@@ -11,6 +11,7 @@ from spannerlab import (
     build_weighted_spanner,
     greedy_clustering,
     has_cluster,
+    hop_distance,
     verify_weighted_bound,
     w_half,
     weighted_dist,
@@ -120,15 +121,33 @@ def test_saturated_edges_have_clustered_endpoints():
         result = build_weighted_spanner(g, k)
         params = SpannerParams(n=g.n, k=k)
         thresholds = result.saturation.thresholds
-        hview_ids = result.edge_set
+        ids = result.edge_set
         for eid in result.saturation.saturated:
             u, v = g.endpoints(eid)
             w = g.weight(eid)
             assert u in thresholds and thresholds[u] <= w
             assert v in thresholds and thresholds[v] <= w
-            tview = g.view(hview_ids, max_weight=w)
+            tview = g.view({e for e in ids if g.weight(e) <= w})
             assert has_cluster(tview, u, params.R, params)
             assert has_cluster(tview, v, params.R, params)
+
+
+def test_phase4_offers_edges_far_in_thresholded_spanner():
+    # phase 4 logs an edge iff its endpoints are more than k hops apart in
+    # the spanner so far, restricted to edges no heavier than it
+    for seed in (0, 2, 5):
+        g = seeded_gnp(24, 0.3, seed, weighted=True)
+        for k in (2, 3):
+            result = build_weighted_spanner(g, k)
+            logged = dict(result.phase4_log)
+            spanner = set(result.phase1) | set(result.phase2) | set(result.phase3)
+            for eid in sorted(range(g.m), key=lambda e: (g.weight(e), e)):
+                w = g.weight(eid)
+                light = g.view({e for e in spanner if g.weight(e) <= w})
+                assert (hop_distance(light, *g.endpoints(eid), k) > k) == (eid in logged)
+                if logged.get(eid) == "added":
+                    spanner.add(eid)
+            assert spanner == result.edge_set - set(result.phase5)
 
 
 def test_phase3_per_vertex_budget():
