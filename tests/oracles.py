@@ -67,6 +67,43 @@ def fw_weighted(n: int, edge_list, excluded=frozenset()):
     return dist
 
 
+def first_violation(n: int, edge_list, kept, f: int, bound_of, weighted: bool = False):
+    """First stretch violation in (fault set, x, y) order, by full enumeration.
+
+    Fault sets are every set of at most f edge ids, by size then lex order.
+    For each, every pair x < y connected in G - F with ``bound_of(dist_{G-F})``
+    not None is checked against its distance in H - F, where H keeps the
+    ``kept`` edge ids. Distances are hops on lists of ``(u, v)`` and weights
+    on ``(u, v, w)`` lists when ``weighted``. Returns ``(violation, pairs,
+    fault_sets, closest)``: violation is ``(x, y, faults, distance, bound)``
+    or None, the counts stop at the violation, and closest is the smallest
+    ``|distance - bound|`` over the finite H-side distances checked.
+    """
+    fw = fw_weighted if weighted else fw_hop
+    m = len(edge_list)
+    dropped = set(range(m)) - set(kept)
+    pairs = fault_sets = 0
+    closest = INF
+    for size in range(f + 1):
+        for faults in combinations(range(m), size):
+            fault_sets += 1
+            dg = fw(n, edge_list, set(faults))
+            dh = fw(n, edge_list, dropped | set(faults))
+            for x in range(n):
+                for y in range(x + 1, n):
+                    if dg[x][y] == INF:
+                        continue
+                    bound = bound_of(dg[x][y])
+                    if bound is None:
+                        continue
+                    pairs += 1
+                    if dh[x][y] != INF:
+                        closest = min(closest, abs(dh[x][y] - bound))
+                    if dh[x][y] > bound:
+                        return (x, y, faults, dh[x][y], bound), pairs, fault_sets, closest
+    return None, pairs, fault_sets, closest
+
+
 def brute_girth(n: int, edge_list):
     """Shortest cycle length: per-edge detours over full Floyd-Warshall."""
     best = INF

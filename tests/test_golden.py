@@ -2,8 +2,8 @@
 
 Each digest is a SHA-256 over outputs that refactors of the search kernels
 must not change: the ``span`` output file, ``--trace`` records and stdout of
-every CLI algorithm, the paths kept by the path-collection greedy, and the
-verdicts of blocking-set replay. A mismatch means behaviour changed; re-pin
+every CLI algorithm, the paths kept by the path-collection greedy, the
+verdicts of blocking-set replay, and the reports of the exhaustive oracles. A mismatch means behaviour changed; re-pin
 only when that change is intended.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,7 +23,10 @@ from spannerlab import (
     gen_big_clique,
     gen_random,
     greedy_path_collection_spanner,
+    verify_alpha_beta,
     verify_blocking_set,
+    verify_dr,
+    verify_eft,
 )
 from spannerlab.cli import emit_graph, main
 from spannerlab.greedy import PathCollection
@@ -91,6 +95,8 @@ GOLDEN_PATHS = "fd3ee4649b2031d6cb5003d745d1a5343299b7c9f9365560be45fcc13245bce3
 
 GOLDEN_BLOCKING = "3fb70e718dd160a0efe8b4cc0164cf1feb609a5631b420ad7c9179a5f5569456"
 
+GOLDEN_ORACLE = "e199e17d39fe3287a1e642d5041a89440f5fc82df46960a8a7ca096df730e12d"
+
 
 def cli_digest(tmp_path, capsys, name: str, seed: int) -> str:
     inst, span = CLI_CASES[name]
@@ -139,6 +145,37 @@ def blocking_digest() -> str:
     return sha(json.dumps(rows).encode())
 
 
+def report_row(report) -> list:
+    ce = report.counterexample
+    if ce is not None:
+        ce = [ce.x, ce.y, list(ce.faults), repr(ce.distance), repr(ce.bound)]
+    return [report.passed, report.pairs_checked, report.fault_sets_checked, ce]
+
+
+def oracle_digest() -> str:
+    """Reports of the exhaustive oracles on candidates that drop about 30% of
+    the host's edges, so that many of them fail."""
+    rows = []
+    for seed in SEEDS:
+        hosts = [
+            instance(seed, 12, 0.35),
+            instance(seed, 8, 0.4, double=True),
+            instance(seed, 10, 0.4, weighted=True),
+        ]
+        for g in hosts:
+            rng = random.Random(seed)
+            h = {e for e in range(g.m) if rng.random() >= 0.3}
+            for d in (1, 2, 3):
+                for r in (d, 2 * d):
+                    rows.append(report_row(verify_dr(g, h, d, r)))
+                    for f in (0, 1):
+                        rows.append(report_row(verify_eft(g, h, d, r, f)))
+            for alpha, beta in ((1, 0), (1.5, 0.5), (2, 1), (3, 2)):
+                for f in (0, 1):
+                    rows.append(report_row(verify_alpha_beta(g, h, alpha, beta, f)))
+    return sha(json.dumps(rows).encode())
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_span_golden(tmp_path, capsys, name, seed):
@@ -151,3 +188,7 @@ def test_path_collection_golden():
 
 def test_blocking_replay_golden():
     assert blocking_digest() == GOLDEN_BLOCKING
+
+
+def test_oracle_golden():
+    assert oracle_digest() == GOLDEN_ORACLE

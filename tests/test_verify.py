@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from conftest import seeded_gnp
+from conftest import seeded_gnp, small_graphs
+from oracles import edges_of, first_violation, weighted_edges_of
 from spannerlab import (
     INF,
     BudgetExceededError,
@@ -135,3 +137,56 @@ def test_counterexample_replay_property():
         assert hop_distance(gview, ce.x, ce.y, g.n, excluded=ce.faults) == 2
         assert hop_distance(hview, ce.x, ce.y, g.n, excluded=ce.faults) == ce.distance
         assert ce.distance > 4 or ce.distance == INF
+
+
+def _kept_ids(draw, g):
+    return {e for e, keep in enumerate(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))) if keep}
+
+
+def _matches(report, expected, exact=True):
+    violation, pairs, fault_sets, _ = expected
+    assert (report.pairs_checked, report.fault_sets_checked) == (pairs, fault_sets)
+    assert report.passed == (violation is None)
+    if violation is not None:
+        ce = report.counterexample
+        x, y, faults, distance, bound = violation
+        assert (ce.x, ce.y, ce.faults) == (x, y, faults)
+        if exact:
+            assert (ce.distance, ce.bound) == (distance, bound)
+        else:
+            assert ce.distance == pytest.approx(distance) and ce.bound == pytest.approx(bound)
+
+
+@given(
+    st.data(),
+    small_graphs(max_n=7, max_m=12, multigraph=True),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.integers(0, 1),
+)
+def test_verify_eft_matches_oracle(data, g, d, r, f):
+    kept = _kept_ids(data.draw, g)
+    expected = first_violation(g.n, edges_of(g), kept, f, lambda dist: r if dist == d else None)
+    _matches(verify_eft(g, kept, d, r, f), expected)
+    if f == 0:
+        _matches(verify_dr(g, kept, d, r), expected)
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.sampled_from([(1, 1), (1.5, 0.5), (2, 1), (3, 2)]),
+    st.integers(0, 1),
+)
+def test_verify_alpha_beta_matches_oracle(data, weighted, alpha_beta, f):
+    g = data.draw(small_graphs(max_n=7, max_m=12, multigraph=not weighted, weighted=weighted))
+    if not weighted:
+        alpha_beta = data.draw(st.sampled_from([(1, 0), alpha_beta]))
+    kept = _kept_ids(data.draw, g)
+    alpha, beta = alpha_beta
+    edge_list = weighted_edges_of(g) if weighted else edges_of(g)
+    expected = first_violation(g.n, edge_list, kept, f, lambda dist: alpha * dist + beta, weighted)
+    if weighted:
+        # Floyd-Warshall and Dijkstra may sum a path in different orders
+        assume(expected[3] > 1e-9)
+    _matches(verify_alpha_beta(g, kept, alpha, beta, f), expected, exact=not weighted)
