@@ -5,6 +5,13 @@ a candidate edge subset; nothing is shared with construction-time state, so a
 passing report is an independent certificate. Fault sets are enumerated by
 size then lexicographic edge ids, and the first counterexample in that order
 is the one reported.
+
+Both exhaustive oracles run one search per fault set and source on each
+side: one in G - F finds the pairs and their bounds, and one in H - F, cut at
+the largest bound of that source, tests them all. A cut search still gives
+the exact distance of every vertex within its cut, so the verdicts equal
+those of a search per pair. The distance of a counterexample comes from one
+more, uncut search, so it is exact.
 """
 
 from __future__ import annotations
@@ -20,9 +27,7 @@ from .graphs import (
     BudgetExceededError,
     Multigraph,
     SubgraphView,
-    hop_distance,
     hop_distances,
-    weighted_dist,
     weighted_distances,
 )
 
@@ -98,10 +103,47 @@ def _fault_sets(m: int, f: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(combinations(range(m), size) for size in range(f + 1))
 
 
-def _exact_distance(view: SubgraphView, x: int, y: int, excluded=()) -> float:
-    if view.host.weighted:
-        return weighted_dist(view, x, y, excluded=excluded)
-    return hop_distance(view, x, y, view.host.n, excluded=excluded)
+def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> VerificationReport:
+    """The loop of the exhaustive oracles. For every fault set F and source x,
+    each y > x that the search in G - F reaches (within ``reach`` hops when
+    given, else by weighted distance on a weighted host) and that
+    ``bound_of(dist_{G-F}(x, y))`` bounds must lie within that bound in H - F.
+    """
+    ids = as_edge_ids(g, h)
+    hview = g.view(ids)
+    gview = g.view()
+    n, m = g.n, g.m
+    n_fault_sets = sum(comb(m, size) for size in range(f + 1))
+    check_budget(n_fault_sets * comb(n, 2) if n >= 2 else 0, budget)
+    # a cut of None searches the whole graph
+    if g.weighted and reach is None:
+        def search(view, x, cut, faults):
+            return weighted_distances(view, x, cap=cut, excluded=faults)
+    else:
+        def search(view, x, cut, faults):
+            return hop_distances(view, x, n if cut is None else int(cut), excluded=faults)
+    pairs = 0
+    fault_sets = 0
+    for faults in _fault_sets(m, f):
+        fault_sets += 1
+        for x in range(n):
+            dist = search(gview, x, reach, faults)
+            bounds = ((y, bound_of(dist[y])) for y in sorted(dist) if y > x)
+            checks = [(y, b) for y, b in bounds if b is not None]
+            if not checks:
+                continue
+            dh = search(hview, x, max(b for _, b in checks), faults)
+            for y, bound in checks:
+                pairs += 1
+                if dh.get(y, INF) > bound:
+                    actual = search(hview, x, None, faults).get(y, INF)
+                    return VerificationReport(
+                        False,
+                        Counterexample(x, y, faults, actual, bound),
+                        pairs,
+                        fault_sets,
+                    )
+    return VerificationReport(True, None, pairs, fault_sets)
 
 
 def verify_dr(g: Multigraph, h, d: int, r: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
@@ -120,32 +162,11 @@ def verify_eft(
 ) -> VerificationReport:
     """Exhaustive fault-tolerance check: for every fault set F of at most f
     edges and every pair at distance exactly d in g - F, the candidate minus
-    F must connect the pair within r hops."""
-    ids = as_edge_ids(g, h)
-    hview = g.view(ids)
-    gview = g.view()
-    n, m = g.n, g.m
-    n_fault_sets = sum(comb(m, size) for size in range(f + 1))
-    check_budget(n_fault_sets * comb(n, 2) if n >= 2 else 0, budget)
-    pairs = 0
-    fault_sets = 0
-    for faults in _fault_sets(m, f):
-        fault_sets += 1
-        for x in range(n):
-            dist = hop_distances(gview, x, d, excluded=faults)
-            for y in sorted(dist):
-                if y <= x or dist[y] != d:
-                    continue
-                pairs += 1
-                if hop_distance(hview, x, y, r, excluded=faults) > r:
-                    actual = hop_distance(hview, x, y, n, excluded=faults)
-                    return VerificationReport(
-                        False,
-                        Counterexample(x, y, faults, actual, r),
-                        pairs,
-                        fault_sets,
-                    )
-    return VerificationReport(True, None, pairs, fault_sets)
+    F must connect the pair within r hops. Distances are hops, also on a
+    weighted host."""
+    if d < 1 or r < 0 or f < 0:
+        raise ValueError(f"need d >= 1, r >= 0 and f >= 0, got d={d}, r={r}, f={f}")
+    return _check_pairs(g, h, f, budget, reach=d, bound_of=lambda dist: r if dist == d else None)
 
 
 def verify_alpha_beta(
@@ -158,42 +179,9 @@ def verify_alpha_beta(
 ) -> VerificationReport:
     """Check dist_{H-F}(x,y) <= alpha * dist_{G-F}(x,y) + beta for all pairs
     and all fault sets of at most f edges."""
-    ids = as_edge_ids(g, h)
-    hview = g.view(ids)
-    gview = g.view()
-    n, m = g.n, g.m
-    n_fault_sets = sum(comb(m, size) for size in range(f + 1))
-    check_budget(n_fault_sets * comb(n, 2) if n >= 2 else 0, budget)
-    weighted = g.weighted
-    pairs = 0
-    fault_sets = 0
-    for faults in _fault_sets(m, f):
-        fault_sets += 1
-        for x in range(n):
-            if weighted:
-                dist = weighted_distances(gview, x, excluded=faults)
-            else:
-                dist = hop_distances(gview, x, n, excluded=faults)
-            for y in sorted(dist):
-                if y <= x:
-                    continue
-                pairs += 1
-                bound = alpha * dist[y] + beta
-                if weighted:
-                    dh = weighted_dist(hview, x, y, cap=bound, excluded=faults)
-                    ok = dh <= bound
-                else:
-                    dh = hop_distance(hview, x, y, int(bound), excluded=faults)
-                    ok = dh <= bound
-                if not ok:
-                    actual = _exact_distance(hview, x, y, excluded=faults)
-                    return VerificationReport(
-                        False,
-                        Counterexample(x, y, faults, actual, bound),
-                        pairs,
-                        fault_sets,
-                    )
-    return VerificationReport(True, None, pairs, fault_sets)
+    if not (0 <= alpha < INF and 0 <= beta < INF) or f < 0:
+        raise ValueError(f"need finite alpha, beta >= 0 and f >= 0, got {alpha}, {beta}, {f}")
+    return _check_pairs(g, h, f, budget, reach=None, bound_of=lambda dist: alpha * dist + beta)
 
 
 def size_report(h, n: int, k: float | None) -> SizeReport:
