@@ -181,14 +181,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(low: int, kind=int):
+    """Argparse type for a finite ``kind`` value of at least ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _at_least(1)
+_nonnegative_int = _at_least(0)
+_nonnegative_float = _at_least(0, float)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=["big-clique", "hypercube", "weighted-lb", "eft-lb", "gnp"])
     gen.add_argument("-t", type=int, default=4, help="clique side for big-clique")
     gen.add_argument("-k", type=_positive_int, default=3, help="dimension / stretch parameter")
-    gen.add_argument("-f", type=int, default=1, help="fault budget for eft-lb")
+    gen.add_argument("-f", type=_positive_int, default=1, help="fault budget for eft-lb")
     gen.add_argument("-n", type=int, default=20, help="vertex count for gnp")
     gen.add_argument("-p", type=float, default=0.2, help="edge probability for gnp")
     gen.add_argument("--seed", type=int, default=0)
@@ -223,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     span.add_argument("-k", type=_positive_int, default=2)
-    span.add_argument("-d", type=int, default=None)
-    span.add_argument("-r", type=int, default=None)
-    span.add_argument("-f", type=int, default=1)
+    span.add_argument("-d", type=_positive_int, default=None)
+    span.add_argument("-r", type=_nonnegative_int, default=None)
+    span.add_argument("-f", type=_nonnegative_int, default=1)
     span.add_argument("--fast", action="store_true", help="eft-union: use the polynomial 2-path pass")
     span.add_argument("-i", "--input", required=True)
     span.add_argument("-o", "--output", required=True)
@@ -235,15 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("contract", choices=["dr", "eft", "alpha-beta", "weighted"])
     ver.add_argument("-i", "--input", required=True, help="host graph file")
     ver.add_argument("-s", "--spanner", required=True, help="candidate subgraph file")
-    ver.add_argument("-d", type=int, default=2)
-    ver.add_argument("-r", type=int, default=None)
-    ver.add_argument("-f", type=int, default=0)
+    ver.add_argument("-d", type=_positive_int, default=2)
+    ver.add_argument("-r", type=_nonnegative_int, default=None)
+    ver.add_argument("-f", type=_nonnegative_int, default=0)
     ver.add_argument("-k", type=_positive_int, default=2)
-    ver.add_argument("--alpha", type=float, default=None)
-    ver.add_argument("--beta", type=float, default=None)
+    ver.add_argument("--alpha", type=_nonnegative_float, default=None)
+    ver.add_argument("--beta", type=_nonnegative_float, default=None)
     ver.add_argument("--max-hops", type=int, default=2)
-    ver.add_argument("--samples", type=int, default=200)
-    ver.add_argument("--budget", type=int, default=None)
+    ver.add_argument("--samples", type=_nonnegative_int, default=200)
+    ver.add_argument("--budget", type=_nonnegative_int, default=None)
 
     stats = sub.add_parser("stats", help="report size and girth of a graph file")
     stats.add_argument("-s", "--spanner", required=True)
@@ -362,7 +372,7 @@ def _cmd_verify(args) -> int:
     budget = args.budget if args.budget is not None else env_budget()
     if args.contract == "weighted":
         report = verify_weighted_bound(
-            g, ids, args.k, max_hops=args.max_hops, sample=args.samples
+            g, ids, args.k, max_hops=args.max_hops, sample=args.samples, budget=budget
         )
         if report.passed:
             print(

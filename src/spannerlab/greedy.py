@@ -79,8 +79,8 @@ class SpannerResult:
         return frozenset(self.edges)
 
 
-def _result(n: int, paths: Sequence[PathSeq], algorithm: str, extra=(), **meta) -> SpannerResult:
-    ids: set[int] = set(extra)
+def _result(n: int, paths: Sequence[PathSeq], algorithm: str, **meta) -> SpannerResult:
+    ids: set[int] = set()
     for p in paths:
         ids.update(p.edge_ids)
     return SpannerResult(n, tuple(sorted(ids)), tuple(paths), algorithm, dict(meta))

@@ -39,7 +39,7 @@ from .graphs import (
     weighted_distances,
 )
 from .greedy import greedy_multiplicative_spanner
-from .verify import as_edge_ids
+from .verify import DEFAULT_CHECK_BUDGET, as_edge_ids, check_budget
 
 __all__ = [
     "SaturationRecord",
@@ -359,17 +359,22 @@ def verify_weighted_bound(
     max_hops: int = 2,
     sample: int = 0,
     seed: int = 0,
+    budget: int = DEFAULT_CHECK_BUDGET,
 ) -> WeightedBoundReport:
     """Check dist_H(x, y) <= w(P) + (2k-2)*w_half(P) over paths of g.
 
     All 2-paths are checked exhaustively; for each hop length from 3 to
     ``max_hops``, up to ``sample`` random simple paths are drawn from a
     seeded generator. Distances are recomputed from scratch in the candidate
-    subgraph. Reports the worst observed ratio of distance to bound.
+    subgraph. Reports the worst observed ratio of distance to bound. Raises
+    ``BudgetExceededError`` before any search when the paths to check exceed
+    ``budget``.
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")
     ids = as_edge_ids(g, h)
+    two_paths = _two_paths(g)
+    check_budget(len(two_paths) + sample * max(0, max_hops - 2), budget)
     hv = g.view(ids)
     dist_cache: dict[int, dict[int, float]] = {}
 
@@ -381,7 +386,7 @@ def verify_weighted_bound(
     worst = 0.0
     worst_case: tuple[int, ...] | None = None
     two_checked = 0
-    for x, mid, y, e1, e2 in _two_paths(g):
+    for x, mid, y, e1, e2 in two_paths:
         bound = two_path_bound(g.weight(e1), g.weight(e2), k)
         ratio = dist(x, y) / bound
         two_checked += 1

@@ -188,6 +188,16 @@ def test_cli_budget_exit(tmp_path, monkeypatch):
     )
 
 
+def test_cli_weighted_budget_exit(tmp_path, monkeypatch):
+    g = tmp_path / "g"
+    assert main(["gen", "gnp", "-n", "12", "-p", "0.4", "--weighted", "-o", str(g)]) == EXIT_OK
+    verify = ["verify", "weighted", "-k", "2", "-i", str(g), "-s", str(g)]
+    assert main(verify) == EXIT_OK
+    assert main([*verify, "--budget", "1"]) == EXIT_BUDGET
+    monkeypatch.setenv("SPANNER_BUDGET", "1")
+    assert main(verify) == EXIT_BUDGET
+
+
 def test_cli_usage_error_is_64(capsys):
     with pytest.raises(SystemExit) as err:
         main(["span", "bogus", "-i", "x", "-o", "y"])
@@ -216,6 +226,17 @@ def _run_cli(cwd, *args):
         ("gen", "hypercube", "-k", "0", "-o", "h"),
         ("span", "eft-exact", "-d", "3", "-i", "g", "-o", "h"),
         ("span", "eft-exact", "-d", "0", "-i", "g", "-o", "h"),
+        ("span", "greedy-dr", "-d", "0", "-i", "g", "-o", "h"),
+        ("span", "greedy-dr", "-r", "-1", "-i", "g", "-o", "h"),
+        ("span", "eft-fast", "-f", "-1", "-i", "g", "-o", "h"),
+        ("verify", "dr", "-d", "0", "-i", "g", "-s", "g"),
+        ("verify", "dr", "-r", "-1", "-i", "g", "-s", "g"),
+        ("verify", "eft", "-f", "-1", "-i", "g", "-s", "g"),
+        ("verify", "eft", "--budget", "-1", "-i", "g", "-s", "g"),
+        ("verify", "weighted", "--samples", "-1", "-i", "g", "-s", "g"),
+        ("verify", "alpha-beta", "--alpha", "-1", "-i", "g", "-s", "g"),
+        ("verify", "alpha-beta", "--beta", "nan", "-i", "g", "-s", "g"),
+        ("gen", "eft-lb", "-f", "0", "-o", "h"),
     ],
 )
 def test_cli_argument_errors_are_64(tmp_path, args):

@@ -80,6 +80,29 @@ def test_verify_eft_budget():
     assert err.value.required > 100
 
 
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (verify_dr, (0, 2)),
+        (verify_dr, (2, -1)),
+        (verify_eft, (0, 4, 1)),
+        (verify_eft, (2, -1, 1)),
+        (verify_eft, (2, 4, -1)),
+        (verify_alpha_beta, (2, 1, -1)),
+        (verify_alpha_beta, (-1, 1, 0)),
+        (verify_alpha_beta, (2, -0.5, 0)),
+        (verify_alpha_beta, (float("nan"), 1, 0)),
+        (verify_alpha_beta, (2, INF, 0)),
+    ],
+)
+def test_oracles_reject_bad_parameters(oracle, args):
+    # the parameters are checked first: with budget 0 a valid call raises
+    # BudgetExceededError instead
+    g = cycle_graph(6)
+    with pytest.raises(ValueError):
+        oracle(g, range(g.m), *args, budget=0)
+
+
 def test_verify_alpha_beta_union_contract():
     g = seeded_gnp(16, 0.3, 5)
     k = 2

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from conftest import seeded_gnp
 from spannerlab import (
+    BudgetExceededError,
     Multigraph,
     PathSeq,
     SpannerParams,
@@ -272,6 +273,15 @@ def test_verify_weighted_bound_single_edges_served():
     dist = oracles.fw_weighted(g.n, kept)
     for e in g.edges():
         assert dist[e.u][e.v] <= (2 * k - 1) * e.weight * (1 + 1e-9)
+
+
+def test_verify_weighted_bound_budget():
+    g = seeded_gnp(15, 0.3, 8, weighted=True)
+    required = len(_two_paths(g)) + 50 * 2
+    assert verify_weighted_bound(g, range(g.m), 2, max_hops=4, sample=50, budget=required).passed
+    with pytest.raises(BudgetExceededError) as err:
+        verify_weighted_bound(g, range(g.m), 2, max_hops=4, sample=50, budget=required - 1)
+    assert err.value.required == required
 
 
 def test_verify_weighted_bound_rejects_multigraphs():
