@@ -105,9 +105,9 @@ def _fault_sets(m: int, f: int) -> Iterable[tuple[int, ...]]:
 
 def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> VerificationReport:
     """The loop of the exhaustive oracles. For every fault set F and source x,
-    each y > x that the search in G - F reaches (within ``reach`` hops when
-    given, else by weighted distance on a weighted host) and that
-    ``bound_of(dist_{G-F}(x, y))`` bounds must lie within that bound in H - F.
+    every y > x reached from x in G - F must lie within ``bound_of(dist)`` in
+    H - F, unless that is None. Distances are hops within ``reach`` when it is
+    given, else weights on a weighted host and hops on an unweighted one.
     """
     ids = as_edge_ids(g, h)
     hview = g.view(ids)
