@@ -162,6 +162,28 @@ def test_cluster_level_monotone_under_insertion(g, data):
     )
 
 
+@given(small_graphs(max_n=8, multigraph=True), st.data())
+def test_cluster_tests_match_ball_oracle(g, data):
+    mask = data.draw(st.none() | st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    included = None if mask is None else frozenset(e for e in range(g.m) if mask[e])
+    kept = [(e.u, e.v) for e in g.edges() if included is None or e.id in included]
+    view = g.view(included)
+    k = data.draw(st.integers(1, 4))
+    ell = data.draw(st.integers(0, k + 1))
+    v = data.draw(st.integers(0, g.n - 1))
+    params = SpannerParams(n=g.n, k=k)
+
+    def clustered(level):
+        return all(
+            len(oracles.ball(g.n, kept, v, r)) ** k >= g.n**r for r in range(1, level + 1)
+        )
+
+    assert has_cluster(view, v, ell, params) == clustered(ell)
+    assert cluster_level(view, v, params).level == max(
+        level for level in range(k + 1) if clustered(level)
+    )
+
+
 @given(small_graphs(min_n=4, max_n=9, max_m=18), st.data())
 def test_neighborhood_exchange(g, data):
     s = data.draw(st.integers(2, 5))
