@@ -2,14 +2,7 @@
 constructions with brute-force verification oracles and instance generators.
 """
 
-from .clustering import (
-    ClusterLevel,
-    ClusteringTrace,
-    cluster_level,
-    greedy_clustering,
-    has_cluster,
-    is_fully_clustered,
-)
+from .clustering import ClusteringTrace, cluster_level, greedy_clustering, has_cluster
 from .fault_tolerant import (
     BlockingRecord,
     FaultSet,
@@ -33,7 +26,6 @@ from .graphs import (
     BudgetExceededError,
     Multigraph,
     PathSeq,
-    SpannerParams,
     SubgraphView,
     girth,
     hop_ball,

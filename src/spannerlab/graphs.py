@@ -25,7 +25,6 @@ __all__ = [
     "Multigraph",
     "SubgraphView",
     "PathSeq",
-    "SpannerParams",
     "hop_distance",
     "hop_distances",
     "hop_ball",
@@ -250,32 +249,6 @@ class PathSeq:
         """Sum of the ceil(hop_length/2) largest edge weights."""
         top = (self.hop_length + 1) // 2
         return sum(sorted(self.weights, reverse=True)[:top])
-
-
-@dataclass(frozen=True)
-class SpannerParams:
-    """Vertex count n and stretch parameter k shared by cluster tests.
-
-    ``R`` is the local growth radius ceil(k/2) and ``i_odd`` the parity flag
-    of k; together they satisfy 2*R - i_odd == k.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-
-    @property
-    def R(self) -> int:
-        return (self.k + 1) // 2
-
-    @property
-    def i_odd(self) -> int:
-        return self.k % 2
 
 
 def _check_vertex(g: Multigraph, v: int) -> None:

@@ -19,7 +19,6 @@ from .clustering import cluster_level
 from .graphs import (
     Multigraph,
     PathSeq,
-    SpannerParams,
     hop_distance,
     hop_distances,
     shortest_path,
@@ -216,7 +215,6 @@ def parallel_greedy_spanner(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    params = SpannerParams(n=g.n, k=k)
     threshold = 2 * k - 1
     included: set[int] = set()
     hview = g.view(included)
@@ -241,8 +239,8 @@ def parallel_greedy_spanner(
         ]
         for eid in passing:
             u, v = g.endpoints(eid)
-            lu = cluster_level(hview, u, params).level
-            lv = cluster_level(hview, v, params).level
+            lu = cluster_level(hview, u, k)
+            lv = cluster_level(hview, v, k)
             orientation[eid] = u if (lu, u) <= (lv, v) else v
         included.update(passing)
         rounds_added.append(tuple(passing))

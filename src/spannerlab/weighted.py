@@ -30,7 +30,6 @@ from .graphs import (
     INF,
     Multigraph,
     PathSeq,
-    SpannerParams,
     hop_ball,
     hop_distance,
     hop_distances,
@@ -160,8 +159,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     if not g.is_simple():
         raise ValueError("weighted construction requires a simple graph")
     n, m = g.n, g.m
-    params = SpannerParams(n=n, k=k)
-    R, i_odd = params.R, params.i_odd
+    R, i_odd = (k + 1) // 2, k % 2  # growth radius ceil(k/2); 2*R - i_odd == k
     weight = g.weight
     order = sorted(range(m), key=lambda e: (weight(e), e))
 
@@ -195,14 +193,14 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             u, v = g.endpoints(eid)
             if hop_distance(lview, u, v, k) <= k:
                 continue
-            if has_cluster(lview, u, R, params) and has_cluster(lview, v, R, params):
+            if has_cluster(lview, u, R, k) and has_cluster(lview, v, R, k):
                 saturated.append(eid)
             else:
                 included.add(eid)
                 light.add(eid)
                 phase2.append(eid)
         for v in range(n):
-            if v not in first_clustered and has_cluster(lview, v, R, params):
+            if v not in first_clustered and has_cluster(lview, v, R, k):
                 first_clustered[v] = omega
     sat_set = frozenset(saturated)
 

@@ -12,7 +12,6 @@ from itertools import combinations
 import oracles
 from conftest import seeded_gnp
 from spannerlab import (
-    SpannerParams,
     eft_greedy_exact,
     eft_modified_greedy,
     eft_union_spanner,
@@ -120,7 +119,7 @@ def test_c06_greedy_clustering_girth():
         g = seeded_gnp(n, p, 6000 + trial)
         s = rng.choice((2, 3, 4, 5))
         k = rng.choice((2, 3, 4))
-        trace = greedy_clustering(g, s, range(g.m), SpannerParams(n=n, k=k))
+        trace = greedy_clustering(g, s, range(g.m), k)
         assert girth(g.view(frozenset(trace.added))) > s + 1
     report(6, "greedy clustering output girth > s+1 in 200 randomized trials")
 

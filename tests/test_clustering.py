@@ -9,14 +9,12 @@ import oracles
 from conftest import seeded_gnp, small_graphs
 from spannerlab import (
     Multigraph,
-    SpannerParams,
     cluster_level,
     girth,
     greedy_clustering,
     has_cluster,
     hop_ball,
     hop_distance,
-    is_fully_clustered,
 )
 from spannerlab.clustering import ACCEPTED, REJECTED_CLOSE, REJECTED_CLUSTERED
 from spannerlab.generators import complete_graph, path_graph, star_graph
@@ -24,78 +22,73 @@ from spannerlab.generators import complete_graph, path_graph, star_graph
 
 def test_cluster_level_star():
     g = star_graph(10)
-    params = SpannerParams(n=10, k=2)
-    assert cluster_level(g.view(), 0, params).level == 2
+    assert cluster_level(g.view(), 0, 2) == 2
     for leaf in range(1, 10):
-        assert cluster_level(g.view(), leaf, params).level == 0
+        assert cluster_level(g.view(), leaf, 2) == 0
 
 
 def test_cluster_level_complete_graph_caps_at_k():
     for k in (1, 2, 3):
         g = complete_graph(6)
-        params = SpannerParams(n=6, k=k)
         for v in range(6):
-            assert cluster_level(g.view(), v, params).level == k
+            assert cluster_level(g.view(), v, k) == k
 
 
 def test_cluster_level_empty_graph():
     g = Multigraph(5)
-    params = SpannerParams(n=5, k=2)
-    assert cluster_level(g.view(), 3, params).level == 0
-
-
-def test_cluster_level_checks_n():
-    g = star_graph(4)
-    with pytest.raises(ValueError):
-        cluster_level(g.view(), 0, SpannerParams(n=9, k=2))
-
-
-def test_has_cluster_checks_n():
-    g = star_graph(4)
-    with pytest.raises(ValueError, match="params.n"):
-        has_cluster(g.view(), 0, 1, SpannerParams(n=9, k=2))
-    assert has_cluster(g.view(), 0, 1, SpannerParams(n=g.n, k=2))
+    assert cluster_level(g.view(), 3, 2) == 0
 
 
 def test_is_fully_clustered_examples():
+    # fully clustered at stretch s means a ceil(s/2)-cluster: 2 for s=3, 1 for s=2
     kn = complete_graph(8)
-    params = SpannerParams(n=8, k=3)
     for v in range(8):
-        assert is_fully_clustered(kn.view(), v, params, s=3)
+        assert has_cluster(kn.view(), v, 2, 3)
 
     lonely = Multigraph(4, [(1, 2)])
-    assert not is_fully_clustered(lonely.view(), 0, SpannerParams(n=4, k=2), s=2)
+    assert not has_cluster(lonely.view(), 0, 1, 2)
 
     # endpoint of P_5 with n=5, k=2, s=2: ball of radius 1 has 2 vertices and
-    # 2**2 < 5**1, so the needed 1-cluster is missing
+    # 2**2 < 5**1, so the needed 1-cluster (ceil(s/2) = 1) is missing
     p5 = path_graph(5)
-    assert not is_fully_clustered(p5.view(), 0, SpannerParams(n=5, k=2), s=2)
+    assert not has_cluster(p5.view(), 0, 1, 2)
+
+
+def test_cluster_tests_reject_bad_parameters():
+    g = star_graph(4)
+    for call in (
+        lambda: has_cluster(g.view(), 0, -1, 2),
+        lambda: has_cluster(g.view(), 0, 1, 0),
+        lambda: cluster_level(g.view(), 0, 0),
+        lambda: greedy_clustering(g, 2, (), 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_exact_threshold_comparison_is_integer_exact():
     # 2-clustered at n=16, k=4 needs |B(v,2)|**4 >= 16**2, i.e. |B| >= 2
     g = path_graph(16)
-    params = SpannerParams(n=16, k=4)
-    assert has_cluster(g.view(), 8, 2, params)
+    assert has_cluster(g.view(), 8, 2, 4)
 
 
 def test_greedy_clustering_path_accepts_all():
     g = path_graph(5)
-    trace = greedy_clustering(g, 2, range(g.m), SpannerParams(n=5, k=2))
+    trace = greedy_clustering(g, 2, range(g.m), 2)
     assert trace.added == (0, 1, 2, 3)
     assert all(verdict == ACCEPTED for _, verdict in trace.decisions)
 
 
 def test_greedy_clustering_triangle_rejects_closing_edge():
     g = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
-    trace = greedy_clustering(g, 2, range(3), SpannerParams(n=3, k=2))
+    trace = greedy_clustering(g, 2, range(3), 2)
     assert trace.added == (0, 1)
     assert trace.decisions[2] == (2, REJECTED_CLOSE)
 
 
 def test_greedy_clustering_empty_order():
     g = path_graph(4)
-    trace = greedy_clustering(g, 3, (), SpannerParams(n=4, k=2))
+    trace = greedy_clustering(g, 3, (), 2)
     assert trace.added == ()
     assert trace.decisions == ()
 
@@ -103,14 +96,14 @@ def test_greedy_clustering_empty_order():
 def test_greedy_clustering_rejects_foreign_ids():
     g = path_graph(4)
     with pytest.raises(ValueError):
-        greedy_clustering(g, 2, (0, 12), SpannerParams(n=4, k=2))
+        greedy_clustering(g, 2, (0, 12), 2)
 
 
 def test_greedy_clustering_records_clustered_rejections():
     # dense graph, tiny threshold: once every vertex is fully clustered the
     # remaining far pairs are rejected for clustering, not distance
     g = complete_graph(6)
-    trace = greedy_clustering(g, 1, range(g.m), SpannerParams(n=6, k=6))
+    trace = greedy_clustering(g, 1, range(g.m), 6)
     reasons = {verdict for _, verdict in trace.decisions}
     assert ACCEPTED in reasons
     assert REJECTED_CLUSTERED in reasons
@@ -123,7 +116,7 @@ def test_greedy_clustering_girth_exceeds_s_plus_one():
         g = seeded_gnp(n, 0.4, seed + 100)
         s = rng.choice((2, 3, 4))
         k = rng.choice((2, 3))
-        trace = greedy_clustering(g, s, range(g.m), SpannerParams(n=n, k=k))
+        trace = greedy_clustering(g, s, range(g.m), k)
         kept = [(g.endpoints(e)) for e in trace.added]
         assert oracles.brute_girth(n, kept) > s + 1
         assert girth(g.view(frozenset(trace.added))) > s + 1
@@ -134,7 +127,7 @@ def test_greedy_clustering_size_bound():
         n = 40
         k = 2
         g = seeded_gnp(n, 0.3, seed)
-        trace = greedy_clustering(g, k, range(g.m), SpannerParams(n=n, k=k))
+        trace = greedy_clustering(g, k, range(g.m), k)
         assert len(trace.added) <= 4 * n ** (1 + 1 / k)
 
 
@@ -142,11 +135,10 @@ def test_k_clustered_vertex_sees_everything():
     # whenever the level reaches k, every vertex is within k hops
     for seed in range(20):
         g = seeded_gnp(9, 0.5, seed)
-        params = SpannerParams(n=9, k=2)
         view = g.view()
         for v in range(g.n):
-            if cluster_level(view, v, params).level == params.k:
-                assert len(hop_ball(view, v, params.k)) == g.n
+            if cluster_level(view, v, 2) == 2:
+                assert len(hop_ball(view, v, 2)) == g.n
 
 
 @given(small_graphs(min_n=3, max_n=8), st.data())
@@ -154,12 +146,9 @@ def test_cluster_level_monotone_under_insertion(g, data):
     u = data.draw(st.integers(0, g.n - 1))
     w = data.draw(st.integers(0, g.n - 1).filter(lambda z: z != u))
     bigger = Multigraph(g.n, [(e.u, e.v) for e in g.edges()] + [(u, w)])
-    params = SpannerParams(n=g.n, k=data.draw(st.integers(1, 4)))
+    k = data.draw(st.integers(1, 4))
     v = data.draw(st.integers(0, g.n - 1))
-    assert (
-        cluster_level(bigger.view(), v, params).level
-        >= cluster_level(g.view(), v, params).level
-    )
+    assert cluster_level(bigger.view(), v, k) >= cluster_level(g.view(), v, k)
 
 
 @given(small_graphs(max_n=8, multigraph=True), st.data())
@@ -171,15 +160,14 @@ def test_cluster_tests_match_ball_oracle(g, data):
     k = data.draw(st.integers(1, 4))
     ell = data.draw(st.integers(0, k + 1))
     v = data.draw(st.integers(0, g.n - 1))
-    params = SpannerParams(n=g.n, k=k)
 
     def clustered(level):
         return all(
             len(oracles.ball(g.n, kept, v, r)) ** k >= g.n**r for r in range(1, level + 1)
         )
 
-    assert has_cluster(view, v, ell, params) == clustered(ell)
-    assert cluster_level(view, v, params).level == max(
+    assert has_cluster(view, v, ell, k) == clustered(ell)
+    assert cluster_level(view, v, k) == max(
         level for level in range(k + 1) if clustered(level)
     )
 

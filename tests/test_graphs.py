@@ -9,7 +9,6 @@ from spannerlab import (
     INF,
     Multigraph,
     PathSeq,
-    SpannerParams,
     girth,
     hop_ball,
     hop_distance,
@@ -125,14 +124,6 @@ def test_pathseq_validation_and_aggregates():
         PathSeq.from_graph(g, (0, 2))
     with pytest.raises(ValueError):
         PathSeq.from_graph(g, (0, 1), (2,))
-
-
-def test_spanner_params_invariants():
-    for k in range(1, 9):
-        p = SpannerParams(n=10, k=k)
-        assert 2 * p.R - p.i_odd == k
-    with pytest.raises(ValueError):
-        SpannerParams(n=10, k=0)
 
 
 @given(small_graphs(), st.data())

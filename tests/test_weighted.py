@@ -8,7 +8,6 @@ from spannerlab import (
     BudgetExceededError,
     Multigraph,
     PathSeq,
-    SpannerParams,
     build_weighted_spanner,
     greedy_clustering,
     has_cluster,
@@ -111,7 +110,7 @@ def test_phase2_replays_through_greedy_clustering():
         g = seeded_gnp(22, 0.3, seed, weighted=True)
         k = 2
         result = build_weighted_spanner(g, k)
-        trace = greedy_clustering(g, k, result.phase2, SpannerParams(n=g.n, k=k))
+        trace = greedy_clustering(g, k, result.phase2, k)
         assert trace.added == result.phase2
 
 
@@ -120,7 +119,6 @@ def test_saturated_edges_have_clustered_endpoints():
         g = seeded_gnp(22, 0.35, seed, weighted=True)
         k = 2
         result = build_weighted_spanner(g, k)
-        params = SpannerParams(n=g.n, k=k)
         thresholds = result.saturation.thresholds
         ids = result.edge_set
         for eid in result.saturation.saturated:
@@ -129,8 +127,8 @@ def test_saturated_edges_have_clustered_endpoints():
             assert u in thresholds and thresholds[u] <= w
             assert v in thresholds and thresholds[v] <= w
             tview = g.view({e for e in ids if g.weight(e) <= w})
-            assert has_cluster(tview, u, params.R, params)
-            assert has_cluster(tview, v, params.R, params)
+            assert has_cluster(tview, u, (k + 1) // 2, k)
+            assert has_cluster(tview, v, (k + 1) // 2, k)
 
 
 def test_phase4_offers_edges_far_in_thresholded_spanner():
