@@ -181,24 +181,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(low: int, kind=int):
-    """Argparse type for a finite ``kind`` value of at least ``low``."""
+def _checked(kind, ok, wanted: str):
+    """Argparse type for a ``kind`` value that satisfies ``ok``; text that
+    does not parse is tested as NaN, which fails every comparison."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not low <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__} >= {low}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
         return value
 
     return parse
 
 
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"int >= {low}")
+
+
 _positive_int = _at_least(1)
 _nonnegative_int = _at_least(0)
-_nonnegative_float = _at_least(0, float)
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
+_unit_closed = _checked(float, lambda v: 0 <= v <= 1, "float in [0, 1]")
+_unit_open = _checked(float, lambda v: 0 < v < 1, "float in (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,14 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance family")
     gen.add_argument("family", choices=["big-clique", "hypercube", "weighted-lb", "eft-lb", "gnp"])
-    gen.add_argument("-t", type=int, default=4, help="clique side for big-clique")
+    gen.add_argument("-t", type=_at_least(2), default=4, help="clique side for big-clique")
     gen.add_argument("-k", type=_positive_int, default=3, help="dimension / stretch parameter")
     gen.add_argument("-f", type=_positive_int, default=1, help="fault budget for eft-lb")
-    gen.add_argument("-n", type=int, default=20, help="vertex count for gnp")
-    gen.add_argument("-p", type=float, default=0.2, help="edge probability for gnp")
+    gen.add_argument("-n", type=_nonnegative_int, default=20, help="vertex count for gnp")
+    gen.add_argument("-p", type=_unit_closed, default=0.2, help="edge probability for gnp")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--weighted", action="store_true")
-    gen.add_argument("--eps", type=float, default=0.5, help="leaf weight for weighted-lb")
+    gen.add_argument("--eps", type=_unit_open, default=0.5, help="leaf weight for weighted-lb")
     gen.add_argument("--base", default="cycle:5", help="base graph spec for *-lb families")
     gen.add_argument("-o", "--output", required=True)
 
@@ -233,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     span.add_argument("-k", type=_positive_int, default=2)
-    span.add_argument("-d", type=_positive_int, default=None)
-    span.add_argument("-r", type=_nonnegative_int, default=None)
+    span.add_argument("-d", type=_positive_int, default=2)
+    span.add_argument("-r", type=_nonnegative_int, default=None, help="default 2k")
     span.add_argument("-f", type=_nonnegative_int, default=1)
     span.add_argument("--fast", action="store_true", help="eft-union: use the polynomial 2-path pass")
     span.add_argument("-i", "--input", required=True)
@@ -246,12 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("-i", "--input", required=True, help="host graph file")
     ver.add_argument("-s", "--spanner", required=True, help="candidate subgraph file")
     ver.add_argument("-d", type=_positive_int, default=2)
-    ver.add_argument("-r", type=_nonnegative_int, default=None)
+    ver.add_argument("-r", type=_nonnegative_int, default=None, help="default 2k")
     ver.add_argument("-f", type=_nonnegative_int, default=0)
     ver.add_argument("-k", type=_positive_int, default=2)
     ver.add_argument("--alpha", type=_nonnegative_float, default=None)
     ver.add_argument("--beta", type=_nonnegative_float, default=None)
-    ver.add_argument("--max-hops", type=int, default=2)
+    ver.add_argument("--max-hops", type=_at_least(2), default=2)
     ver.add_argument("--samples", type=_nonnegative_int, default=200)
     ver.add_argument("--budget", type=_nonnegative_int, default=None)
 
@@ -332,9 +339,7 @@ def _cmd_span(args) -> int:
     k = args.k
     blocking = None
     if args.algo == "greedy-dr":
-        d = 2 if args.d is None else args.d
-        r = 2 * k if args.r is None else args.r
-        result = greedy_dr_spanner(g, d, r)
+        result = greedy_dr_spanner(g, args.d, args.r)
     elif args.algo == "parallel":
         result = parallel_greedy_spanner(g, k, matching_rounds(g))
     elif args.algo == "sqrt-k":
@@ -344,9 +349,7 @@ def _cmd_span(args) -> int:
     elif args.algo == "weighted":
         result = build_weighted_spanner(g, k)
     elif args.algo == "eft-exact":
-        d = 2 if args.d is None else args.d
-        r = 2 * k if args.r is None else args.r
-        result, blocking = eft_greedy_exact(g, d, r, args.f)
+        result, blocking = eft_greedy_exact(g, args.d, args.r, args.f)
     elif args.algo == "eft-fast":
         result, blocking = eft_modified_greedy(g, k, args.f)
     else:
@@ -383,11 +386,9 @@ def _cmd_verify(args) -> int:
         print(f"VIOLATED: ratio {report.worst_ratio:.6f} on path {report.worst_case}")
         return EXIT_COUNTEREXAMPLE
     if args.contract == "dr":
-        r = 2 * args.k if args.r is None else args.r
-        report = verify_dr(g, ids, args.d, r, budget)
+        report = verify_dr(g, ids, args.d, args.r, budget)
     elif args.contract == "eft":
-        r = 2 * args.k if args.r is None else args.r
-        report = verify_eft(g, ids, args.d, r, args.f, budget)
+        report = verify_eft(g, ids, args.d, args.r, args.f, budget)
     else:
         alpha = args.k if args.alpha is None else args.alpha
         beta = (args.k - 1) if args.beta is None else args.beta
@@ -418,7 +419,12 @@ def _cmd_stats(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "span" and args.algo == "eft-exact" and args.d not in (None, 1, 2):
+    if args.command in ("span", "verify"):
+        if args.r is None:
+            args.r = 2 * args.k
+        if args.r < args.d:
+            parser.error(f"need r >= d, got d={args.d} and r={args.r} (r defaults to 2k)")
+    if args.command == "span" and args.algo == "eft-exact" and args.d not in (1, 2):
         parser.error("span eft-exact supports only -d 1 or -d 2")
     try:
         if args.command == "gen":

@@ -365,14 +365,17 @@ def verify_weighted_bound(
     ``max_hops``, up to ``sample`` random simple paths are drawn from a
     seeded generator. Distances are recomputed from scratch in the candidate
     subgraph. Reports the worst observed ratio of distance to bound. Raises
+    ``ValueError`` for ``max_hops < 2`` or ``sample < 0``, and
     ``BudgetExceededError`` before any search when the paths to check exceed
     ``budget``.
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")
+    if max_hops < 2 or sample < 0:
+        raise ValueError("need max_hops >= 2 and sample >= 0")
     ids = as_edge_ids(g, h)
     two_paths = _two_paths(g)
-    check_budget(len(two_paths) + sample * max(0, max_hops - 2), budget)
+    check_budget(len(two_paths) + sample * (max_hops - 2), budget)
     hv = g.view(ids)
     dist_cache: dict[int, dict[int, float]] = {}
 

@@ -237,6 +237,18 @@ def _run_cli(cwd, *args):
         ("verify", "alpha-beta", "--alpha", "-1", "-i", "g", "-s", "g"),
         ("verify", "alpha-beta", "--beta", "nan", "-i", "g", "-s", "g"),
         ("gen", "eft-lb", "-f", "0", "-o", "h"),
+        ("gen", "gnp", "-n", "-1", "-o", "h"),
+        ("gen", "gnp", "-p", "2", "-o", "h"),
+        ("gen", "gnp", "-p", "-0.5", "-o", "h"),
+        ("gen", "big-clique", "-t", "0", "-o", "h"),
+        ("gen", "weighted-lb", "--eps", "-1", "-o", "h"),
+        ("gen", "weighted-lb", "--eps", "1", "-o", "h"),
+        ("span", "greedy-dr", "-d", "2", "-r", "1", "-i", "g", "-o", "h"),
+        ("span", "eft-exact", "-d", "2", "-r", "1", "-i", "g", "-o", "h"),
+        ("span", "greedy-dr", "-d", "5", "-k", "2", "-i", "g", "-o", "h"),
+        ("verify", "dr", "-d", "3", "-r", "2", "-i", "g", "-s", "g"),
+        ("verify", "weighted", "--max-hops", "-1", "-i", "g", "-s", "g"),
+        ("verify", "weighted", "--max-hops", "1", "-i", "g", "-s", "g"),
     ],
 )
 def test_cli_argument_errors_are_64(tmp_path, args):

@@ -16,6 +16,7 @@ from spannerlab import (
     verify_alpha_beta,
     verify_dr,
     verify_eft,
+    verify_weighted_bound,
 )
 from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound
 
@@ -93,6 +94,9 @@ def test_verify_eft_budget():
         (verify_alpha_beta, (2, -0.5, 0)),
         (verify_alpha_beta, (float("nan"), 1, 0)),
         (verify_alpha_beta, (2, INF, 0)),
+        (verify_weighted_bound, (2, 1, 0)),
+        (verify_weighted_bound, (2, -1, 0)),
+        (verify_weighted_bound, (2, 4, -1)),
     ],
 )
 def test_oracles_reject_bad_parameters(oracle, args):
