@@ -175,7 +175,7 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     return _result(coll.n, kept, "greedy-paths", r=r, offered=len(coll.paths))
 
 
-def matching_rounds(g: Multigraph, edge_order: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+def matching_rounds(g: Multigraph) -> list[tuple[int, ...]]:
     """Greedy matching decomposition of the edge set, scanning ids in order.
 
     Each round collects the maximal matching formed by taking every remaining
@@ -183,7 +183,7 @@ def matching_rounds(g: Multigraph, edge_order: Iterable[int] | None = None) -> l
     dimension-ordered hypercube edge lists it recovers the dimension
     matchings exactly.
     """
-    remaining = list(edge_order) if edge_order is not None else list(range(g.m))
+    remaining = list(range(g.m))
     rounds: list[tuple[int, ...]] = []
     while remaining:
         used: set[int] = set()

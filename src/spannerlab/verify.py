@@ -203,11 +203,11 @@ def size_report(h, n: int, k: float | None) -> SizeReport:
     return SizeReport(edges, n, k, edges / (n**exponent))
 
 
-def env_budget(default: int = DEFAULT_CHECK_BUDGET) -> int:
+def env_budget() -> int:
     """Verification budget, honoring the SPANNER_BUDGET environment variable."""
     raw = os.environ.get("SPANNER_BUDGET")
     if raw is None:
-        return default
+        return DEFAULT_CHECK_BUDGET
     try:
         return int(raw)
     except ValueError as exc:
