@@ -5,7 +5,6 @@ constructions with brute-force verification oracles and instance generators.
 from .clustering import ClusteringTrace, cluster_level, greedy_clustering, has_cluster
 from .fault_tolerant import (
     BlockingRecord,
-    FaultSet,
     eft_edge_greedy_2k1,
     eft_greedy_exact,
     eft_modified_greedy,
@@ -28,7 +27,6 @@ from .graphs import (
     PathSeq,
     SubgraphView,
     girth,
-    hop_ball,
     hop_distance,
     hop_distances,
     weighted_ball,
@@ -61,7 +59,6 @@ from .weighted import (
     WeightedSpannerResult,
     build_weighted_spanner,
     verify_weighted_bound,
-    w_half,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

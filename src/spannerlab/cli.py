@@ -6,7 +6,8 @@ File format (one graph per file)::
     u v [w]
 
 Edge ids are assigned by position among edge lines (zero-based); blank lines
-and further ``#`` comments are ignored and do not consume ids. Exit codes:
+and further ``#`` comments are ignored and do not consume ids; n may not
+exceed ``MAX_VERTICES`` (2**24), checked before any allocation. Exit codes:
 0 success, 2 verification counterexample, 3 budget exceeded, 64 usage error,
 65 malformed input data, 74 a file that cannot be read or written.
 """
@@ -52,6 +53,7 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
+MAX_VERTICES = 2**24  # Multigraph allocates n adjacency lists before any edge
 
 
 class GraphParseError(ValueError):
@@ -85,6 +87,8 @@ def parse_graph_text(text: str) -> Multigraph:
         raise GraphParseError(f"malformed header: {exc}", header_line) from exc
     if n < 0:
         raise GraphParseError(f"negative vertex count n={n}", header_line)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"vertex count n={n} exceeds the cap of {MAX_VERTICES}", header_line)
     if fields.get("weighted") not in ("0", "1") or fields.get("multigraph") not in ("0", "1"):
         raise GraphParseError("weighted and multigraph flags must be 0 or 1", header_line)
 
@@ -426,6 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"need r >= d, got d={args.d} and r={args.r} (r defaults to 2k)")
     if args.command == "span" and args.algo == "eft-exact" and args.d not in (1, 2):
         parser.error("span eft-exact supports only -d 1 or -d 2")
+    if args.command == "gen" and args.family == "hypercube" and args.k > 16:
+        parser.error(f"gen hypercube supports -k up to 16, got {args.k}")
     try:
         if args.command == "gen":
             return _cmd_gen(args)

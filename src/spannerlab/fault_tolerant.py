@@ -28,7 +28,6 @@ from .graphs import (
 from .greedy import SpannerResult, _path_union, _result
 
 __all__ = [
-    "FaultSet",
     "BlockingRecord",
     "DEFAULT_SUBSET_BUDGET",
     "find_fault_set",
@@ -40,18 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class FaultSet:
-    """An admissible fault pattern: at most ``f`` edge ids."""
-
-    edges: frozenset[int]
-    f: int
-
-    def __post_init__(self):
-        if len(self.edges) > self.f:
-            raise ValueError("fault set exceeds its bound")
 
 
 @dataclass(frozen=True)
@@ -117,9 +104,10 @@ def find_fault_set(
     r: int,
     f: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
-) -> FaultSet | None:
-    """First fault set (size-then-lexicographic) disjoint from p that pushes
-    the endpoints of p beyond distance r in the view, or None.
+) -> frozenset[int] | None:
+    """First fault set of at most f edge ids (size-then-lexicographic),
+    disjoint from p, that pushes the endpoints of p beyond distance r in the
+    view, or None. ``frozenset()`` means already beyond r: test ``is not None``.
 
     Raises BudgetExceededError when the subset enumeration would exceed
     ``budget`` tested subsets; it never falls back silently.
@@ -129,7 +117,7 @@ def find_fault_set(
     x, y = p.x, p.y
     banned = frozenset(p.edge_ids)
     if hop_distance(view, x, y, r) > r:
-        return FaultSet(frozenset(), f)
+        return frozenset()
     if f == 0:
         return None
     if _peel_disjoint_short_paths(view, x, y, r, f + 1, banned) >= f + 1:
@@ -144,7 +132,7 @@ def find_fault_set(
     for size in range(1, f + 1):
         for combo in combinations(cands, size):
             if hop_distance(view, x, y, r, excluded=combo) > r:
-                return FaultSet(frozenset(combo), f)
+                return frozenset(combo)
     return None
 
 
@@ -199,7 +187,7 @@ def eft_greedy_exact(
         if fs is not None:
             included.update(p.edge_ids)
             paths.append(p)
-            witnesses.append(fs.edges)
+            witnesses.append(fs)
     return (
         _result(g.n, paths, "eft-exact", d=d, r=r, f=f),
         BlockingRecord(tuple(witnesses)),

@@ -27,7 +27,6 @@ __all__ = [
     "PathSeq",
     "hop_distance",
     "hop_distances",
-    "hop_ball",
     "shortest_path",
     "weighted_dist",
     "weighted_distances",
@@ -114,19 +113,13 @@ class Multigraph:
     def weight(self, eid: int) -> float:
         return self._ws[eid]
 
-    def edge(self, eid: int) -> EdgeRecord:
-        return EdgeRecord(eid, self._us[eid], self._vs[eid], self._ws[eid])
-
     def edges(self) -> Iterator[EdgeRecord]:
         for eid in range(self.m):
-            yield self.edge(eid)
+            yield EdgeRecord(eid, self._us[eid], self._vs[eid], self._ws[eid])
 
     def adj(self, v: int) -> tuple[tuple[int, int], ...]:
         """Neighbors of v as (neighbor, edge id) pairs, sorted ascending."""
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
         return self._pair_ids.get((min(u, v), max(u, v)), ())
@@ -171,17 +164,13 @@ class SubgraphView:
         else:
             yield from sorted(self.included)
 
-    @property
-    def m(self) -> int:
-        return sum(1 for _ in self.edge_ids())
-
 
 @dataclass(frozen=True)
 class PathSeq:
     """A concrete path: vertex sequence plus the edge ids joining it.
 
     ``weights[i]`` is the weight of ``edge_ids[i]``; the aggregates used by
-    the weighted stretch bound (total, max, min, and the sum of the largest
+    the weighted stretch bound (the total, and the sum of the largest
     ceil(len/2) weights) are derived properties.
     """
 
@@ -235,14 +224,6 @@ class PathSeq:
     @property
     def w(self) -> float:
         return sum(self.weights)
-
-    @property
-    def w_max(self) -> float:
-        return max(self.weights)
-
-    @property
-    def w_min(self) -> float:
-        return min(self.weights)
 
     @property
     def w_half(self) -> float:
@@ -354,16 +335,6 @@ def hop_distances(
                 nxt.append(u)
         frontier = nxt
     return dist
-
-
-def hop_ball(
-    view: SubgraphView,
-    v: int,
-    radius: int,
-    excluded: Collection[int] = frozenset(),
-) -> set[int]:
-    """Vertices within the given hop radius of v (always contains v)."""
-    return set(hop_distances(view, v, radius, excluded))
 
 
 def shortest_path(

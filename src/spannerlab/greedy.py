@@ -19,6 +19,7 @@ from .clustering import cluster_level
 from .graphs import (
     Multigraph,
     PathSeq,
+    SubgraphView,
     hop_distance,
     hop_distances,
     shortest_path,
@@ -57,10 +58,6 @@ class PathCollection:
                 raise ValueError("path vertices must be pairwise distinct")
             if any(not 0 <= v < self.n for v in p.vertices):
                 raise ValueError("path vertex outside collection range")
-
-    @property
-    def hop_length(self) -> int:
-        return self.paths[0].hop_length if self.paths else 0
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,13 @@ def _path_union(n: int, paths: Sequence[PathSeq]) -> Multigraph:
     return Multigraph(n, [(a, b) for p in paths for a, b in zip(p.vertices, p.vertices[1:])])
 
 
-def _check_distant_half(dist_fn, vertices: tuple[int, ...], r: int) -> None:
+def _check_distant_half(view: SubgraphView, vertices: tuple[int, ...], r: int) -> None:
     # Any freshly repaired 2-path has one half still far in the pre-addition
     # graph: the halves sum to more than r, so one exceeds r // 2.
     x, mid, y = vertices
     half = r // 2
-    a = dist_fn(x, mid, half)
-    b = dist_fn(mid, y, half)
+    a = hop_distance(view, x, mid, half)
+    b = hop_distance(view, mid, y, half)
     if a <= half and b <= half:
         raise RuntimeError(f"2-path ({x},{mid},{y}) lost both distant halves")
 
@@ -142,9 +139,7 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
         if hop_distance(hview, x, y, r) > r:
             p = lex_shortest_path(g, x, y, d)
             if d == 2:
-                _check_distant_half(
-                    lambda a, b, c: hop_distance(hview, a, b, c), p.vertices, r
-                )
+                _check_distant_half(hview, p.vertices, r)
             included.update(p.edge_ids)
             paths.append(p)
     return _result(g.n, paths, "greedy-dr", d=d, r=r)
@@ -166,9 +161,7 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     for p in coll.paths:
         if hop_distance(uview, p.x, p.y, r) > r:
             if p.hop_length == 2:
-                _check_distant_half(
-                    lambda a, b, c: hop_distance(uview, a, b, c), p.vertices, r
-                )
+                _check_distant_half(uview, p.vertices, r)
             included.update(range(start, start + p.hop_length))
             kept.append(p)
         start += p.hop_length

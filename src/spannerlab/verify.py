@@ -193,8 +193,6 @@ def size_report(h, n: int, k: float | None) -> SizeReport:
         edges = h.m
     elif hasattr(h, "edges") and not callable(getattr(h, "edges")):
         edges = len(h.edges)
-    elif isinstance(h, SubgraphView):
-        edges = h.m
     else:
         edges = len(set(int(e) for e in h))
     if n <= 0:

@@ -30,7 +30,6 @@ from .graphs import (
     INF,
     Multigraph,
     PathSeq,
-    hop_ball,
     hop_distance,
     hop_distances,
     weighted_ball,
@@ -46,7 +45,6 @@ __all__ = [
     "Phase5Addition",
     "WeightedSpannerResult",
     "WeightedBoundReport",
-    "w_half",
     "build_weighted_spanner",
     "verify_weighted_bound",
     "two_path_bound",
@@ -61,13 +59,6 @@ P4_CLOSE = "roughly-close-clusters"
 # Equal-weight paths can overshoot the bound by float-sum ulps; distances
 # within this relative slack count as meeting it.
 _REL_EPS = 1e-12
-
-
-def w_half(p: PathSeq) -> float:
-    """Sum of the ceil(len/2) largest edge weights of a path."""
-    if p.hop_length < 1:
-        raise ValueError("path must have at least one edge")
-    return p.w_half
 
 
 def two_path_bound(w1: float, w2: float, k: int) -> float:
@@ -240,8 +231,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     pos = 0
 
     def reduces_many(a: int, b: int) -> bool:
-        ball_a = sorted(hop_ball(lview, a, R - i_odd))
-        ball_b = hop_ball(lview, b, R - 1)
+        ball_a = sorted(hop_distances(lview, a, R - i_odd))
+        ball_b = hop_distances(lview, b, R - 1)
         count = 0
         for p in ball_a:
             reach = hop_distances(lview, p, k)

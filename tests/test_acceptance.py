@@ -19,7 +19,6 @@ from spannerlab import (
     greedy_clustering,
     greedy_dr_spanner,
     greedy_path_collection_spanner,
-    hop_ball,
     hop_distance,
     matching_rounds,
     parallel_greedy_spanner,
@@ -142,9 +141,10 @@ def test_c07_neighborhood_exchange_suite():
             continue
         u, v = far[rng.randrange(len(far))]
         ell = rng.randrange((s + 1) // 2)
-        assert not (hop_ball(view, u, ell) & hop_ball(view, v, ell + 1))
-        joined = Multigraph(n, [(e.u, e.v) for e in g.edges()] + [(u, v)])
-        assert hop_ball(joined.view(), u, ell) <= hop_ball(joined.view(), v, ell + 1)
+        edges = oracles.edges_of(g)
+        assert not (oracles.ball(n, edges, u, ell) & oracles.ball(n, edges, v, ell + 1))
+        joined = edges + [(u, v)]
+        assert oracles.ball(n, joined, u, ell) <= oracles.ball(n, joined, v, ell + 1)
         checked += 1
     report(7, "neighborhood-exchange lemma verified on 1000 randomized cases")
 

@@ -204,7 +204,7 @@ def test_cli_usage_error_is_64(capsys):
     assert err.value.code == 64
 
 
-def _run_cli(cwd, *args):
+def _run_cli(cwd, *args, timeout=None):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
@@ -213,6 +213,7 @@ def _run_cli(cwd, *args):
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -224,6 +225,7 @@ def _run_cli(cwd, *args):
         ("span", "weighted", "-k", "-2", "-i", "g", "-o", "h"),
         ("verify", "dr", "-k", "0", "-i", "g", "-s", "g"),
         ("gen", "hypercube", "-k", "0", "-o", "h"),
+        ("gen", "hypercube", "-k", "17", "-o", "h"),
         ("span", "eft-exact", "-d", "3", "-i", "g", "-o", "h"),
         ("span", "eft-exact", "-d", "0", "-i", "g", "-o", "h"),
         ("span", "greedy-dr", "-d", "0", "-i", "g", "-o", "h"),
@@ -272,6 +274,21 @@ def test_cli_missing_file_is_74(tmp_path, args):
     proc = _run_cli(tmp_path, *args)
     assert proc.returncode == EXIT_IO
     assert proc.stderr == "error: missing: No such file or directory\n"
+
+
+def test_cli_directory_input_is_74(tmp_path):
+    (tmp_path / "d").mkdir()
+    proc = _run_cli(tmp_path, "span", "greedy-dr", "-i", "d", "-o", "h")
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == "error: d: Is a directory\n"
+
+
+def test_cli_header_over_vertex_cap_is_65(tmp_path):
+    # Rejected at the header, before the host graph allocates n adjacency lists.
+    (tmp_path / "g").write_text("\n# spanner-graph v1 n=1000000000000 weighted=0 multigraph=0\n0 1\n")
+    proc = _run_cli(tmp_path, "stats", "-s", "g", "-k", "2", timeout=30)
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("error: line 2: vertex count")
 
 
 def test_cli_data_error_is_65(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_find_fault_set_empty_view():
     view = g.view(frozenset())
     p = PathSeq.from_graph(g, (0, 2, 1))
     fs = find_fault_set(view, p, 4, 2)
-    assert fs is not None and fs.edges == frozenset()
+    assert fs == frozenset()
 
 
 def test_find_fault_set_two_disjoint_routes_is_none():
@@ -52,7 +52,7 @@ def test_find_fault_set_single_route_returns_first_edge():
     view = g.view({0, 1})  # only the route through vertex 2
     p = PathSeq.from_graph(g, (0, 4, 1))
     fs = find_fault_set(view, p, 4, 1)
-    assert fs is not None and fs.edges == frozenset({0})
+    assert fs == frozenset({0})
 
 
 def test_find_fault_set_excludes_own_edges():
@@ -302,7 +302,7 @@ def test_find_fault_set_matches_exhaustive_reference():
             continue
         ids = frozenset(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
         view = g.view(ids)
-        mids = [v for v in range(g.n) if g.degree(v) >= 2]
+        mids = [v for v in range(g.n) if len(g.adj(v)) >= 2]
         if not mids:
             continue
         mid = rng.choice(mids)
@@ -318,6 +318,6 @@ def test_find_fault_set_matches_exhaustive_reference():
         if want is None:
             assert got is None
         else:
-            assert got is not None and got.edges == want
+            assert got == want
         agree += 1
     assert agree >= 100

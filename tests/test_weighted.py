@@ -13,7 +13,6 @@ from spannerlab import (
     has_cluster,
     hop_distance,
     verify_weighted_bound,
-    w_half,
     weighted_dist,
 )
 from spannerlab.generators import cycle_graph, gen_weighted_lower_bound
@@ -29,15 +28,9 @@ def wpath(*weights):
 
 
 def test_w_half_examples():
-    assert w_half(wpath(3, 1, 2)) == 5
-    assert w_half(wpath(7)) == 7
-    assert w_half(wpath(1, 1, 1, 1)) == 2
-
-
-def test_w_half_empty_path():
-    g = Multigraph(1)
-    with pytest.raises(ValueError):
-        w_half(PathSeq((0,), (), ()))
+    assert wpath(3, 1, 2).w_half == 5
+    assert wpath(7).w_half == 7
+    assert wpath(1, 1, 1, 1).w_half == 2
 
 
 def test_build_rejects_bad_inputs():
