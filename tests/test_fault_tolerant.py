@@ -291,28 +291,34 @@ def brute_fault_set(g, view_ids, p, r, f):
 
 
 def test_find_fault_set_matches_exhaustive_reference():
-    # the lens restriction and the disjoint-path fast reject must never
-    # change the outcome relative to plain subset enumeration, including
+    # the lens restriction and the disjoint-path peel must never change the
+    # outcome relative to plain subset enumeration: for f = 0 as well, for
+    # single-edge and 2-path candidates, on simple and doubled hosts, and
     # when the query path partially overlaps the view
     rng = random.Random(99)
     agree = 0
-    for trial in range(150):
+    for trial in range(300):
         g = seeded_gnp(rng.randrange(5, 9), rng.choice((0.3, 0.5, 0.7)), trial)
+        if rng.random() < 0.5:
+            g = Multigraph(g.n, [(e.u, e.v) for e in g.edges()] * 2)
         if g.m < 3:
             continue
         ids = frozenset(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
         view = g.view(ids)
-        mids = [v for v in range(g.n) if len(g.adj(v)) >= 2]
-        if not mids:
-            continue
-        mid = rng.choice(mids)
-        nbrs = sorted({u for u, _ in g.adj(mid)})
-        if len(nbrs) < 2:
-            continue
-        x, y = rng.sample(nbrs, 2)
-        p = PathSeq.from_graph(g, (min(x, y), mid, max(x, y)))
-        r = rng.choice((2, 3, 4))
-        f = rng.choice((1, 2))
+        if rng.random() < 0.3:
+            eid = rng.randrange(g.m)
+            p = PathSeq.from_graph(g, g.endpoints(eid), (eid,))
+        else:
+            mids = [v for v in range(g.n) if len({u for u, _ in g.adj(v)}) >= 2]
+            if not mids:
+                continue
+            mid = rng.choice(mids)
+            x, y = sorted(rng.sample(sorted({u for u, _ in g.adj(mid)}), 2))
+            e1 = rng.choice(g.edge_ids_between(x, mid))
+            e2 = rng.choice(g.edge_ids_between(mid, y))
+            p = PathSeq.from_graph(g, (x, mid, y), (e1, e2))
+        r = rng.randrange(1, 5)
+        f = rng.randrange(3)
         got = find_fault_set(view, p, r, f)
         want = brute_fault_set(g, ids, p, r, f)
         if want is None:

@@ -244,6 +244,17 @@ def test_greedy_multiplicative_weighted_keeps_high_girth_cycle():
     assert len(greedy_multiplicative_spanner(g, 3).edges) == 5
 
 
+def test_greedy_multiplicative_unweighted_fractional_stretch():
+    # on unit weights only whole hop counts exist, so t = 2.5 acts as t = 2
+    # and t = 3.0 as t = 3
+    for seed in range(4):
+        g = seeded_gnp(14, 0.35, 300 + seed)
+        for frac, whole in ((2.5, 2), (3.0, 3)):
+            a = greedy_multiplicative_spanner(g, frac)
+            b = greedy_multiplicative_spanner(g, whole)
+            assert (a.edges, a.paths) == (b.edges, b.paths)
+
+
 def test_two_to_2k_size_trend_small():
     for k, n in ((2, 60), (2, 150), (3, 60), (3, 150)):
         for seed in (0, 1):

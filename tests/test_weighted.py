@@ -295,3 +295,22 @@ def test_verify_weighted_bound_deterministic_sampling():
     a = verify_weighted_bound(g, result, 2, max_hops=4, sample=100, seed=5)
     b = verify_weighted_bound(g, result, 2, max_hops=4, sample=100, seed=5)
     assert a == b
+
+
+def naive_two_paths(g):
+    """(x, mid, y, e_xm, e_my) for every pair of edges sharing mid, x < y,
+    ordered by (mid, x, y); built from the edge list alone."""
+    ends = [(e.u, e.v, e.id) for e in g.edges()] + [(e.v, e.u, e.id) for e in g.edges()]
+    out = [
+        (x, mid, y, e1, e2)
+        for x, mid, e1 in ends
+        for mid2, y, e2 in ends
+        if mid2 == mid and x < y
+    ]
+    return sorted(out, key=lambda t: (t[1], t[0], t[2]))
+
+
+def test_two_paths_match_naive_enumeration():
+    for seed in range(6):
+        g = seeded_gnp(9 + seed, 0.4, 500 + seed, weighted=True)
+        assert _two_paths(g) == naive_two_paths(g)
