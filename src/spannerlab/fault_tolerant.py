@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     INF,
@@ -109,18 +109,20 @@ def find_fault_set(
     disjoint from p, that pushes the endpoints of p beyond distance r in the
     view, or None. ``frozenset()`` means already beyond r: test ``is not None``.
 
-    Raises BudgetExceededError when the subset enumeration would exceed
-    ``budget`` tested subsets; it never falls back silently.
+    The first search of the disjoint-path peel is the far test: no route
+    within r means the endpoints are already beyond r, and f + 1 peeled
+    routes mean no f edges can separate them. Only in between are fault
+    sets enumerated. Raises BudgetExceededError when that enumeration would
+    exceed ``budget`` tested subsets; it never falls back silently.
     """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
+    if r < 0 or f < 0:
+        raise ValueError("need r >= 0 and f >= 0")
     x, y = p.x, p.y
     banned = frozenset(p.edge_ids)
-    if hop_distance(view, x, y, r) > r:
+    routes = _peel_disjoint_short_paths(view, x, y, r, f + 1, banned)
+    if routes == 0:
         return frozenset()
-    if f == 0:
-        return None
-    if _peel_disjoint_short_paths(view, x, y, r, f + 1, banned) >= f + 1:
+    if routes > f:
         return None
     cands = _lens_candidates(view, x, y, r, banned)
     total = sum(comb(len(cands), size) for size in range(1, f + 1))
@@ -165,6 +167,25 @@ def _distinct_neighbors(g: Multigraph, v: int) -> list[tuple[int, int]]:
     return sorted(seen.items())
 
 
+def _guarded_greedy(
+    g: Multigraph, candidates: Iterable[PathSeq], r: int, f: int, budget: int
+) -> tuple[list[PathSeq], list[frozenset[int]]]:
+    """Keep each candidate for which some admissible fault set still
+    separates its endpoints beyond r in the kept paths; return the kept
+    paths and their fault witnesses."""
+    included: set[int] = set()
+    hview = g.view(included)
+    paths: list[PathSeq] = []
+    witnesses: list[frozenset[int]] = []
+    for p in candidates:
+        fs = find_fault_set(hview, p, r, f, budget)
+        if fs is not None:
+            included.update(p.edge_ids)
+            paths.append(p)
+            witnesses.append(fs)
+    return paths, witnesses
+
+
 def eft_greedy_exact(
     g: Multigraph,
     d: int,
@@ -178,16 +199,7 @@ def eft_greedy_exact(
         raise ValueError("fault-tolerant constructions expect unweighted graphs")
     if r < d:
         raise ValueError("r must be at least d")
-    included: set[int] = set()
-    hview = g.view(included)
-    paths: list[PathSeq] = []
-    witnesses: list[frozenset[int]] = []
-    for p in _d_paths(g, d):
-        fs = find_fault_set(hview, p, r, f, budget)
-        if fs is not None:
-            included.update(p.edge_ids)
-            paths.append(p)
-            witnesses.append(fs)
+    paths, witnesses = _guarded_greedy(g, _d_paths(g, d), r, f, budget)
     return (
         _result(g.n, paths, "eft-exact", d=d, r=r, f=f),
         BlockingRecord(tuple(witnesses)),
@@ -255,15 +267,8 @@ def eft_edge_greedy_2k1(
     if g.weighted:
         raise ValueError("fault-tolerant constructions expect unweighted graphs")
     r = 2 * k - 1
-    included: set[int] = set()
-    hview = g.view(included)
-    paths: list[PathSeq] = []
-    for eid in range(g.m):
-        u, v = g.endpoints(eid)
-        p = PathSeq.from_graph(g, (u, v), (eid,))
-        if find_fault_set(hview, p, r, f, budget) is not None:
-            included.add(eid)
-            paths.append(p)
+    edges = (PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in range(g.m))
+    paths, _ = _guarded_greedy(g, edges, r, f, budget)
     return _result(g.n, paths, "eft-edge-greedy", k=k, r=r, f=f)
 
 
@@ -282,13 +287,8 @@ def eft_union_spanner(
         two, _ = eft_modified_greedy(g, k, f)
     else:
         two, _ = eft_greedy_exact(g, 2, 2 * k, f, budget)
-    ids = sorted(set(one.edges) | set(two.edges))
-    return SpannerResult(
-        g.n,
-        tuple(ids),
-        one.paths + two.paths,
-        "eft-union",
-        {"k": k, "f": f, "fast": fast, "alpha": k, "beta": k - 1},
+    return _result(
+        g.n, one.paths + two.paths, "eft-union", k=k, f=f, fast=fast, alpha=k, beta=k - 1
     )
 
 

@@ -261,8 +261,7 @@ def sqrt_k_spanner(g: Multigraph, k: int) -> SpannerResult:
     if k < 1:
         raise ValueError("k must be at least 1")
     d, r = sqrt_k_stretch(k)
-    base = greedy_dr_spanner(g, d, r)
-    return SpannerResult(base.n, base.edges, base.paths, "sqrt-k", {"k": k, "d": d, "r": r})
+    return _result(g.n, greedy_dr_spanner(g, d, r).paths, "sqrt-k", k=k, d=d, r=r)
 
 
 def union_hybrid_spanner(g: Multigraph, k: int) -> SpannerResult:
@@ -271,13 +270,14 @@ def union_hybrid_spanner(g: Multigraph, k: int) -> SpannerResult:
         raise ValueError("k must be at least 1")
     one = greedy_dr_spanner(g, 1, 2 * k - 1)
     two = greedy_dr_spanner(g, 2, 2 * k)
-    ids = sorted(set(one.edges) | set(two.edges))
-    return SpannerResult(
+    return _result(
         g.n,
-        tuple(ids),
         one.paths + two.paths,
         "union-hybrid",
-        {"k": k, "alpha": k, "beta": k - 1, "parts": ["greedy-dr:1", "greedy-dr:2"]},
+        k=k,
+        alpha=k,
+        beta=k - 1,
+        parts=["greedy-dr:1", "greedy-dr:2"],
     )
 
 
@@ -292,12 +292,8 @@ def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
     order = sorted(range(g.m), key=lambda e: (g.weight(e), e))
     for eid in order:
         u, v = g.endpoints(eid)
-        if g.weighted:
-            cap = t * g.weight(eid)
-            far = weighted_dist(hview, u, v, cap=cap) > cap
-        else:
-            far = hop_distance(hview, u, v, int(t)) > t
-        if far:
+        cap = t * g.weight(eid)
+        if weighted_dist(hview, u, v, cap=cap) > cap:
             included.add(eid)
             paths.append(PathSeq.from_graph(g, (u, v), (eid,)))
     return _result(g.n, paths, "greedy-multiplicative", t=t)

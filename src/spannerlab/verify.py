@@ -61,7 +61,6 @@ class VerificationReport:
     counterexample: Counterexample | None
     pairs_checked: int
     fault_sets_checked: int
-    size_ratio: float | None = None
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Mapping
 
 from .clustering import has_cluster
@@ -132,14 +133,14 @@ class WeightedSpannerResult:
 
 
 def _two_paths(g: Multigraph) -> list[tuple[int, int, int, int, int]]:
-    """All unordered 2-paths (x, mid, y, e_xm, e_my) with x < y, lex order."""
+    """All unordered 2-paths (x, mid, y, e_xm, e_my) with x < y, ordered by
+    (mid, x, y). g must be simple, so each neighbor has one edge id."""
     out = []
     for mid in range(g.n):
-        nbrs = sorted({u for u, _ in g.adj(mid)})
-        for i, x in enumerate(nbrs):
-            e1 = g.edge_ids_between(x, mid)[0]
-            for y in nbrs[i + 1 :]:
-                out.append((x, mid, y, e1, g.edge_ids_between(mid, y)[0]))
+        nbrs = g.adj(mid)
+        for i, (x, e1) in enumerate(nbrs):
+            for y, e2 in nbrs[i + 1 :]:
+                out.append((x, mid, y, e1, e2))
     return out
 
 
@@ -261,18 +262,11 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
 
     # Phase 5: greedy repair of the 2-paths that still miss the bound,
     # by ascending key, re-checked at processing time.
-    two_paths = _two_paths(g)
-    dist_cache: dict[int, dict[int, float]] = {}
-
-    def settled_dist(x: int, y: int) -> float:
-        if x not in dist_cache:
-            dist_cache[x] = weighted_distances(hview, x)
-        return dist_cache[x].get(y, INF)
-
+    settled = cache(partial(weighted_distances, hview))
     bad: list[tuple[float, int, int, int, int, int]] = []
-    for x, mid, y, e1, e2 in two_paths:
+    for x, mid, y, e1, e2 in _two_paths(g):
         bound = two_path_bound(weight(e1), weight(e2), k)
-        if settled_dist(x, y) <= bound * (1 + _REL_EPS):
+        if settled(x).get(y, INF) <= bound * (1 + _REL_EPS):
             continue
         sat_on = [e for e in (e1, e2) if e in sat_set]
         if not sat_on:
@@ -367,21 +361,12 @@ def verify_weighted_bound(
     ids = as_edge_ids(g, h)
     two_paths = _two_paths(g)
     check_budget(len(two_paths) + sample * (max_hops - 2), budget)
-    hv = g.view(ids)
-    dist_cache: dict[int, dict[int, float]] = {}
-
-    def dist(x: int, y: int) -> float:
-        if x not in dist_cache:
-            dist_cache[x] = weighted_distances(hv, x)
-        return dist_cache[x].get(y, INF)
-
+    settled = cache(partial(weighted_distances, g.view(ids)))
     worst = 0.0
     worst_case: tuple[int, ...] | None = None
-    two_checked = 0
     for x, mid, y, e1, e2 in two_paths:
         bound = two_path_bound(g.weight(e1), g.weight(e2), k)
-        ratio = dist(x, y) / bound
-        two_checked += 1
+        ratio = settled(x).get(y, INF) / bound
         if ratio > worst:
             worst = ratio
             worst_case = (x, mid, y)
@@ -398,7 +383,7 @@ def verify_weighted_bound(
             drawn += 1
             sampled += 1
             bound = p.w + (2 * k - 2) * p.w_half
-            ratio = dist(p.x, p.y) / bound
+            ratio = settled(p.x).get(p.y, INF) / bound
             if ratio > worst:
                 worst = ratio
                 worst_case = p.vertices
@@ -406,6 +391,6 @@ def verify_weighted_bound(
         passed=worst <= 1 + 1e-9,
         worst_ratio=worst,
         worst_case=worst_case,
-        two_paths_checked=two_checked,
+        two_paths_checked=len(two_paths),
         sampled_checked=sampled,
     )
