@@ -6,8 +6,9 @@ File format (one graph per file)::
     u v [w]
 
 Edge ids are assigned by position among edge lines (zero-based); blank lines
-and further ``#`` comments are ignored and do not consume ids; n may not
-exceed ``MAX_VERTICES`` (2**24), checked before any allocation. Exit codes:
+and further ``#`` comments are ignored and do not consume ids; numbers are
+ASCII, without underscores; n may not exceed ``MAX_VERTICES`` (2**24),
+checked before any allocation. Exit codes:
 0 success, 2 verification counterexample, 3 budget exceeded, 64 usage error,
 65 malformed input data, 74 a file that cannot be read or written.
 """
@@ -53,13 +54,20 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
-MAX_VERTICES = 2**24  # Multigraph allocates n adjacency lists before any edge
+MAX_VERTICES = 2**24  # Multigraph holds an adjacency slot per vertex, edges or not
 
 
 class GraphParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _number(kind, token: str):
+    # int() and float() also take underscores and non-ASCII digits
+    if "_" in token or not token.isascii():
+        raise ValueError(f"invalid number {token!r}")
+    return kind(token)
 
 
 def parse_graph_text(text: str) -> Multigraph:
@@ -80,7 +88,7 @@ def parse_graph_text(text: str) -> Multigraph:
             raise GraphParseError(f"malformed header token {token!r}", header_line)
         fields[key] = value
     try:
-        n = int(fields["n"])
+        n = _number(int, fields["n"])
         weighted = fields["weighted"] == "1"
         multigraph = fields["multigraph"] == "1"
     except (KeyError, ValueError) as exc:
@@ -107,8 +115,8 @@ def parse_graph_text(text: str) -> Multigraph:
         elif len(parts) != 2:
             raise GraphParseError("expected 'u v' on unweighted edge line", i)
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if weighted else 1.0
+            u, v = _number(int, parts[0]), _number(int, parts[1])
+            w = _number(float, parts[2]) if weighted else 1.0
         except ValueError as exc:
             raise GraphParseError(str(exc), i)
         if u == v:
@@ -272,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_records(result, algo: str) -> list[dict]:
+def _trace_records(result) -> list[dict]:
     records: list[dict] = []
     if hasattr(result, "phase1"):
         records.append({"event": "phase", "phase": 1, "edges": sorted(result.phase1)})
@@ -361,7 +369,7 @@ def _cmd_span(args) -> int:
     edges = tuple(result.edges)
     emit_graph(subgraph_of(g, edges), args.output)
     if args.trace:
-        records = _trace_records(result, args.algo)
+        records = _trace_records(result)
         if blocking is not None:
             for rec, faults in zip(records, blocking.fault_sets):
                 rec["fault_set"] = sorted(faults)

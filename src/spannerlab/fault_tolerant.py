@@ -109,11 +109,9 @@ def find_fault_set(
     disjoint from p, that pushes the endpoints of p beyond distance r in the
     view, or None. ``frozenset()`` means already beyond r: test ``is not None``.
 
-    The first search of the disjoint-path peel is the far test: no route
-    within r means the endpoints are already beyond r, and f + 1 peeled
-    routes mean no f edges can separate them. Only in between are fault
-    sets enumerated. Raises BudgetExceededError when that enumeration would
-    exceed ``budget`` tested subsets; it never falls back silently.
+    The first search of the disjoint-path peel is the far test. Raises
+    BudgetExceededError when the subset enumeration would exceed ``budget``
+    tested subsets; it never falls back silently.
     """
     if r < 0 or f < 0:
         raise ValueError("need r >= 0 and f >= 0")
@@ -170,9 +168,10 @@ def _distinct_neighbors(g: Multigraph, v: int) -> list[tuple[int, int]]:
 def _guarded_greedy(
     g: Multigraph, candidates: Iterable[PathSeq], r: int, f: int, budget: int
 ) -> tuple[list[PathSeq], list[frozenset[int]]]:
-    """Keep each candidate for which some admissible fault set still
-    separates its endpoints beyond r in the kept paths; return the kept
-    paths and their fault witnesses."""
+    """Keep each candidate that some admissible fault set still separates
+    beyond r in the kept paths; return the kept paths and their witnesses."""
+    if g.weighted:
+        raise ValueError("fault-tolerant constructions expect unweighted graphs")
     included: set[int] = set()
     hview = g.view(included)
     paths: list[PathSeq] = []
@@ -195,8 +194,6 @@ def eft_greedy_exact(
 ) -> tuple[SpannerResult, BlockingRecord]:
     """Exact fault-tolerant greedy: add a d-path whenever some admissible
     fault set still separates its endpoints beyond r."""
-    if g.weighted:
-        raise ValueError("fault-tolerant constructions expect unweighted graphs")
     if r < d:
         raise ValueError("r must be at least d")
     paths, witnesses = _guarded_greedy(g, _d_paths(g, d), r, f, budget)
@@ -264,8 +261,6 @@ def eft_edge_greedy_2k1(
     """Multigraph fault-tolerant greedy over single edges with stretch 2k-1."""
     if k < 1 or f < 0:
         raise ValueError("need k >= 1 and f >= 0")
-    if g.weighted:
-        raise ValueError("fault-tolerant constructions expect unweighted graphs")
     r = 2 * k - 1
     edges = (PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in range(g.m))
     paths, _ = _guarded_greedy(g, edges, r, f, budget)
@@ -287,9 +282,7 @@ def eft_union_spanner(
         two, _ = eft_modified_greedy(g, k, f)
     else:
         two, _ = eft_greedy_exact(g, 2, 2 * k, f, budget)
-    return _result(
-        g.n, one.paths + two.paths, "eft-union", k=k, f=f, fast=fast, alpha=k, beta=k - 1
-    )
+    return _result(g.n, one.paths + two.paths, "eft-union", k=k, f=f, fast=fast, alpha=k, beta=k - 1)
 
 
 def verify_blocking_set(

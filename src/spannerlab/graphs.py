@@ -12,6 +12,7 @@ to enumerate neighbors, never to search.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Collection, Iterable, Iterator
@@ -93,14 +94,15 @@ class Multigraph:
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # lists only for vertices with edges; isolated vertices share ()
+        adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         pair_ids: dict[tuple[int, int], list[int]] = {}
         for eid in range(len(us)):
             a, b = us[eid], vs[eid]
             adj[a].append((b, eid))
             adj[b].append((a, eid))
             pair_ids.setdefault((min(a, b), max(a, b)), []).append(eid)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(tuple(sorted(adj[v])) if v in adj else () for v in range(n))
         self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
 
     @property

@@ -270,15 +270,8 @@ def union_hybrid_spanner(g: Multigraph, k: int) -> SpannerResult:
         raise ValueError("k must be at least 1")
     one = greedy_dr_spanner(g, 1, 2 * k - 1)
     two = greedy_dr_spanner(g, 2, 2 * k)
-    return _result(
-        g.n,
-        one.paths + two.paths,
-        "union-hybrid",
-        k=k,
-        alpha=k,
-        beta=k - 1,
-        parts=["greedy-dr:1", "greedy-dr:2"],
-    )
+    parts = ["greedy-dr:1", "greedy-dr:2"]
+    return _result(g.n, one.paths + two.paths, "union-hybrid", k=k, alpha=k, beta=k - 1, parts=parts)
 
 
 def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:

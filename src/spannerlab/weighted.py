@@ -135,13 +135,12 @@ class WeightedSpannerResult:
 def _two_paths(g: Multigraph) -> list[tuple[int, int, int, int, int]]:
     """All unordered 2-paths (x, mid, y, e_xm, e_my) with x < y, ordered by
     (mid, x, y). g must be simple, so each neighbor has one edge id."""
-    out = []
-    for mid in range(g.n):
-        nbrs = g.adj(mid)
-        for i, (x, e1) in enumerate(nbrs):
-            for y, e2 in nbrs[i + 1 :]:
-                out.append((x, mid, y, e1, e2))
-    return out
+    return [
+        (x, mid, y, e1, e2)
+        for mid in range(g.n)
+        for i, (x, e1) in enumerate(g.adj(mid))
+        for y, e2 in g.adj(mid)[i + 1 :]
+    ]
 
 
 def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:

@@ -93,7 +93,9 @@ def test_format_then_parse_round_trips(g):
     ]
 
 
-_TOKENS = ["0", "1", "2", "7", "11", "12", "-1", "0.5", "1e400", "-0", "nan", "inf", "x", "#", "1_0"]
+_TOKENS = [
+    "0", "1", "2", "7", "11", "12", "-1", "0.5", "1e400", "-0", "nan", "inf", "x", "#", "1_0", "١",
+]
 
 
 @given(
@@ -105,11 +107,44 @@ _TOKENS = ["0", "1", "2", "7", "11", "12", "-1", "0.5", "1e400", "-0", "nan", "i
 def test_parse_either_parses_or_raises_parse_error(n, weighted, multigraph, rows):
     header = f"# spanner-graph v1 n={n} weighted={weighted} multigraph={multigraph}"
     text = "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+    edge_tokens = [t for row in rows if row and row[0] != "#" for t in row]
+    odd_number = any("_" in t or not t.isascii() for t in edge_tokens)
     try:
         g = parse_graph_text(text)
     except GraphParseError:
         return
+    assert not odd_number
     assert g.n == n
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# spanner-graph v1 n=1_2 weighted=0 multigraph=0\n", 1),
+        ("# spanner-graph v1 n=\u0661\u0662 weighted=0 multigraph=0\n", 1),
+        ("# spanner-graph v1 n=12 weighted=0 multigraph=0\n0 1\n0 1_1\n", 3),
+        ("# spanner-graph v1 n=12 weighted=0 multigraph=0\n\u0660 1\n", 2),
+        ("# spanner-graph v1 n=3 weighted=1 multigraph=0\n0 1 0.5\n1 2 1_0.5\n", 3),
+        ("# spanner-graph v1 n=3 weighted=1 multigraph=0\n0 1 \u0662.5\n", 2),
+    ],
+)
+def test_parse_rejects_underscores_and_non_ascii_digits(text, line):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# spanner-graph v1 n=1_2 weighted=0 multigraph=0\n", "line 1:"),
+        ("# spanner-graph v1 n=12 weighted=0 multigraph=0\n0 1_1\n", "line 2:"),
+    ],
+)
+def test_cli_underscore_number_is_65(tmp_path, capsys, text, where):
+    (tmp_path / "g").write_text(text)
+    assert main(["stats", "-s", str(tmp_path / "g"), "-k", "2"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {where} ")
 
 
 def test_round_trip_identity(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -259,3 +261,15 @@ def test_hop_distances_map_consistent(g, data):
             assert dist[v] == oracle[src][v]
         else:
             assert v not in dist
+
+
+def test_isolated_vertices_cost_no_adjacency_list():
+    # a one-edge header asking for 2**20 vertices must stay cheap
+    tracemalloc.start()
+    try:
+        g = Multigraph(1 << 20, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert g.adj(0) == ((1, 0),) and g.adj(1) == ((0, 0),) and g.adj(2) == ()
