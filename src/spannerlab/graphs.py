@@ -94,7 +94,7 @@ class Multigraph:
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
-        # lists only for vertices with edges; isolated vertices share ()
+        # a file may declare many isolated vertices: they share () instead of a list
         adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         pair_ids: dict[tuple[int, int], list[int]] = {}
         for eid in range(len(us)):
