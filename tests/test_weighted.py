@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 import oracles
@@ -13,6 +15,7 @@ from spannerlab import (
     has_cluster,
     hop_distance,
     verify_weighted_bound,
+    weighted_ball,
     weighted_dist,
 )
 from spannerlab.generators import cycle_graph, gen_weighted_lower_bound
@@ -140,6 +143,75 @@ def test_phase4_offers_edges_far_in_thresholded_spanner():
                 if logged.get(eid) == "added":
                     spanner.add(eid)
             assert spanner == result.edge_set - set(result.phase5)
+
+
+def test_phase2_matches_full_rescan():
+    # phase 2 replayed with a fresh cluster test of every unclustered vertex
+    # after each weight group, in a light view rebuilt from phase 1 and the
+    # phase-2 additions so far
+    for seed, n, p in ((0, 30, 0.3), (3, 40, 0.25), (5, 40, 0.4)):
+        g = seeded_gnp(n, p, seed, weighted=True)
+        for k in (2, 3, 4):
+            R = (k + 1) // 2
+            result = build_weighted_spanner(g, k)
+            phase2: list[int] = []
+            saturated: set[int] = set()
+            thresholds: dict[int, float] = {}
+            for w in sorted({g.weight(e) for e in range(g.m)}):
+                light = {e for e in result.phase1 if g.weight(e) <= w} | set(phase2)
+                view = g.view(light)
+                for eid in sorted(e for e in range(g.m) if g.weight(e) == w):
+                    u, v = g.endpoints(eid)
+                    if hop_distance(view, u, v, k) <= k:
+                        continue
+                    if has_cluster(view, u, R, k) and has_cluster(view, v, R, k):
+                        saturated.add(eid)
+                    else:
+                        phase2.append(eid)
+                        light.add(eid)
+                for x in range(g.n):
+                    if x not in thresholds and has_cluster(view, x, R, k):
+                        thresholds[x] = w
+            assert result.phase2 == tuple(phase2)
+            assert result.saturation.saturated == saturated
+            assert result.saturation.thresholds == thresholds
+
+
+def test_phase3_matches_fresh_balls():
+    # phase 3 replayed with a fresh weighted ball per candidate in the
+    # spanner of phases 1-2 plus the phase-3 additions so far
+    added = 0
+    for seed, n, p, k in ((3, 30, 0.3, 2), (5, 30, 0.3, 4), (0, 40, 0.25, 2), (1, 40, 0.4, 2)):
+        g = seeded_gnp(n, p, seed, weighted=True)
+        R = (k + 1) // 2
+        result = build_weighted_spanner(g, k)
+        first = result.saturation.thresholds
+        spanner = set(result.phase1) | set(result.phase2)
+        view = g.view(spanner)
+        phase3: list[int] = []
+        log: list[tuple[int, int, int, float, str]] = []
+        for v in range(g.n):
+            cands = sorted(
+                ((R - 1) * first[u] + g.weight(eid), u, eid)
+                for u, eid in g.adj(v)
+                if u in first
+            )
+            for key, u, eid in cands:
+                ball_v = weighted_ball(view, v, key)
+                if len(ball_v) ** k >= g.n**R:
+                    log.append((v, u, eid, key, "saturated-candidate"))
+                    continue
+                ball_u = weighted_ball(view, u, (R - 1) * first[u])
+                if (10 * len(ball_u - ball_v)) ** k > g.n ** (R - 1):
+                    spanner.add(eid)
+                    phase3.append(eid)
+                    log.append((v, u, eid, key, "added"))
+                else:
+                    log.append((v, u, eid, key, "roughly-contained"))
+        assert result.phase3 == tuple(phase3)
+        assert [astuple(d) for d in result.phase3_log] == log
+        added += len(phase3)
+    assert added >= 8
 
 
 def test_phase3_per_vertex_budget():
