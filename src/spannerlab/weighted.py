@@ -17,6 +17,13 @@ graph, each with its own scan order:
    processed by ascending 2*w(lat) + (k-1)*w(sat).
 
 The spanner is the disjoint union of the five phase edge sets.
+
+Phases 2 and 3 are incremental. After each weight group, phase 2 re-tests
+full clustering only for vertices within R - 1 hops of an endpoint of an edge
+that joined the thresholded spanner during the group; the test is monotone in
+that spanner, so every other vertex keeps its verdict. Phase 3 runs one
+Dijkstra per vertex, cut at its largest candidate key, caches the neighbors'
+balls, and drops both when it adds an edge.
 """
 
 from __future__ import annotations
@@ -163,8 +170,12 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # cluster tests run in ``light``, the current spanner restricted to edges
     # of weight at most the threshold. ``light`` grows with the threshold:
     # before each weight group the phase-1 edges up to the new threshold join
-    # it, and every edge this phase adds joins it at once. Full-clustered
-    # thresholds are re-scanned after each distinct weight group.
+    # it, and every edge this phase adds joins it at once. After each group
+    # only dirty vertices get a fresh cluster test: those within R - 1 hops,
+    # in the grown ``light``, of an endpoint of an edge that joined it during
+    # the group (before the first group, every vertex). This is exact because
+    # clustering is monotone in ``light``: a new edge (a, b) can grow B(x, r),
+    # r <= R, only if x reaches a or b within r - 1 hops.
     start = sorted(included, key=lambda e: (weight(e), e))
     light: set[int] = set()
     lview = g.view(light)
@@ -172,11 +183,14 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     phase2: list[int] = []
     saturated: list[int] = []
     first_clustered: dict[int, float] = {}
+    dirty: set[int] = set(range(n))
     idx = 0
     while idx < m:
         omega = weight(order[idx])
+        touched: set[int] = set()
         while pos < len(start) and weight(start[pos]) <= omega:
             light.add(start[pos])
+            touched.update(g.endpoints(start[pos]))
             pos += 1
         while idx < m and weight(order[idx]) == omega:
             eid = order[idx]
@@ -189,34 +203,50 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             else:
                 included.add(eid)
                 light.add(eid)
+                touched.update((u, v))
                 phase2.append(eid)
-        for v in range(n):
+        for a in touched:
+            dirty.update(hop_distances(lview, a, R - 1))
+        for v in dirty:
             if v not in first_clustered and has_cluster(lview, v, R, k):
                 first_clustered[v] = omega
+        dirty.clear()
     sat_set = frozenset(saturated)
 
     # Phase 3: lateral clustering, vertices in ascending id, candidates in
-    # ascending (key, neighbor id). Balls are weighted and unthresholded.
+    # ascending (key, neighbor id). Balls are weighted and unthresholded. Per
+    # vertex one Dijkstra, cut at its largest key, gives every candidate's
+    # ball: a larger cap makes the same pushes at or below a key, so the
+    # vertices within it get the same distances. The u-balls are cached per
+    # u. An addition changes ``hview`` and drops both.
     n_pow_R = n**R
     n_pow_R1 = n ** (R - 1)
     phase3: list[int] = []
     log3: list[Phase3Decision] = []
+    balls_u: dict[int, set[int]] = {}
     for v in range(n):
-        cands = []
-        for u, eid in g.adj(v):
-            if u in first_clustered:
-                cands.append(((R - 1) * first_clustered[u] + weight(eid), u, eid))
-        for key, u, eid in sorted(cands):
-            ball_v = weighted_ball(hview, v, key)
+        cands = sorted(
+            ((R - 1) * first_clustered[u] + weight(eid), u, eid)
+            for u, eid in g.adj(v)
+            if u in first_clustered
+        )
+        dist_v = None
+        for key, u, eid in cands:
+            if dist_v is None:
+                dist_v = weighted_distances(hview, v, cap=cands[-1][0])
+            ball_v = {x for x, d in dist_v.items() if d <= key}
             if len(ball_v) ** k >= n_pow_R:
                 log3.append(Phase3Decision(v, u, eid, key, P3_SATURATED))
                 continue
-            ball_u = weighted_ball(hview, u, (R - 1) * first_clustered[u])
-            grown = len(ball_u - ball_v)
+            if u not in balls_u:
+                balls_u[u] = weighted_ball(hview, u, (R - 1) * first_clustered[u])
+            grown = len(balls_u[u] - ball_v)
             if (10 * grown) ** k > n_pow_R1:
                 included.add(eid)
                 phase3.append(eid)
                 log3.append(Phase3Decision(v, u, eid, key, P3_ADDED))
+                dist_v = None
+                balls_u.clear()
             else:
                 log3.append(Phase3Decision(v, u, eid, key, P3_CONTAINED))
 
