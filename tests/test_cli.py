@@ -117,6 +117,40 @@ def test_parse_either_parses_or_raises_parse_error(n, weighted, multigraph, rows
     assert g.n == n
 
 
+_ZEROS = ("\u0660", "\u0966", "\uff10")  # Arabic-Indic, Devanagari, fullwidth
+
+
+@given(
+    small_graphs(max_n=7, max_m=6, weighted=True) | small_graphs(max_n=12, max_m=6),
+    st.data(),
+)
+def test_parse_rejects_odd_numeral_in_valid_text(g, data):
+    # int() and float() read each variant as the same number, so only the
+    # parser's own check can reject it
+    lines = format_graph(g).splitlines()
+    # the header's n=... token, then every token of every edge line
+    fields = [(0, 3)] + [
+        (i, j) for i in range(1, len(lines)) for j in range(len(lines[i].split()))
+    ]
+    i, j = data.draw(st.sampled_from(fields))
+    tokens = lines[i].split()
+    token = tokens[j]
+    digits = [c for c, ch in enumerate(token) if ch.isdigit()]
+    choices = [("digit", c) for c in digits] + [
+        ("underscore", c) for c in digits if c + 1 in digits
+    ]
+    kind, c = data.draw(st.sampled_from(choices))
+    if kind == "underscore":
+        tokens[j] = token[: c + 1] + "_" + token[c + 1 :]
+    else:
+        zero = data.draw(st.sampled_from(_ZEROS))
+        tokens[j] = token[:c] + chr(ord(zero) + int(token[c])) + token[c + 1 :]
+    lines[i] = " ".join(tokens)
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("\n".join(lines) + "\n")
+    assert err.value.line == i + 1
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
