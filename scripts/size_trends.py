@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spannerlab import (  # noqa: E402
     Multigraph,
+    build_weighted_spanner,
     eft_greedy_exact,
     greedy_dr_spanner,
     matching_rounds,
@@ -71,6 +72,15 @@ def eft_trend(n, fault_budgets, k=2):
         row(f"eft exact (f={f})", n, k, len(result.edges), f * n ** (1 + 1 / k), time.time() - t0)
 
 
+def weighted_trend(sizes, k=3):
+    print(f"\n== weighted spanner on G(n, 15/n): size vs n^(1+1/{k}) ==")
+    for n in sizes:
+        g = gen_random(n, 15 / n, 13_000 + n, True).graph
+        t0 = time.time()
+        result = build_weighted_spanner(g, k)
+        row("weighted (k=3)", n, k, len(result.edges), n ** (1 + 1 / k), time.time() - t0)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="smaller instance schedule")
@@ -79,10 +89,12 @@ def main() -> int:
         two_path_greedy_trend((100, 200), seeds=5)
         parallel_trend((2, 3, 4))
         eft_trend(100, (1, 2))
+        weighted_trend((60, 120))
     else:
         two_path_greedy_trend((100, 200, 400), seeds=20)
         parallel_trend((2, 3, 4, 5, 6))
         eft_trend(150, (1, 2, 3))
+        weighted_trend((125, 250, 500, 1000))
     return 0
 
 
