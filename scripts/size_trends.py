@@ -78,7 +78,7 @@ def weighted_trend(sizes, k=3):
         g = gen_random(n, 15 / n, 13_000 + n, True).graph
         t0 = time.time()
         result = build_weighted_spanner(g, k)
-        row("weighted (k=3)", n, k, len(result.edges), n ** (1 + 1 / k), time.time() - t0)
+        row("weighted", n, k, len(result.edges), n ** (1 + 1 / k), time.time() - t0)
 
 
 def main() -> int:
