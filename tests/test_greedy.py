@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import seeded_gnp
+from conftest import seeded_gnp, small_graphs
 from spannerlab import (
     Multigraph,
     PathCollection,
@@ -91,6 +92,32 @@ def test_greedy_dr_contract_on_random_instances():
         for k in (2, 3):
             result = greedy_dr_spanner(g, 2, 2 * k)
             assert spanner_ok(g, result, 2, 2 * k)
+
+
+@settings(max_examples=300)
+@given(small_graphs(multigraph=True), st.data())
+def test_greedy_dr_matches_naive_replay(g, data):
+    """The greedy equals a replay that re-tests every pair from scratch: an
+    all-pairs Floyd-Warshall over the kept edges, and the enumerated lex
+    smallest d-path of the host when the pair is still far."""
+    d = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(d, 2 * d + 2))
+    edges = oracles.edges_of(g)
+    every = set(range(g.m))
+    kept: set[int] = set()
+    expected = []
+    for x, y in oracles.pairs_at_distance(g.n, edges, d):
+        if oracles.fw_hop(g.n, edges, every - kept)[x][y] <= r:
+            continue
+        eids = oracles.lex_shortest_path(g.n, edges, x, y, d, every)
+        verts = [x]
+        for eid in eids:
+            u, v = edges[eid]
+            verts.append(v if u == verts[-1] else u)
+        kept.update(eids)
+        expected.append((tuple(verts), eids))
+    got = greedy_dr_spanner(g, d, r)
+    assert [(p.vertices, p.edge_ids) for p in got.paths] == expected
 
 
 def test_path_collection_big_clique_forces_clique():
