@@ -7,6 +7,11 @@ composite that unions two greedy runs into a (k, k-1) spanner. All of them
 are deterministic: pairs are scanned in lexicographic order and the repair
 path is the lexicographically smallest shortest path under id-sorted
 adjacency.
+
+The pairwise greedy tests its pairs one source at a time: one BFS ball of
+radius r per source answers every pair of that source until the source adds
+a path, after which a miss is re-tested pair by pair (see
+``greedy_dr_spanner``).
 """
 
 from __future__ import annotations
@@ -127,6 +132,15 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     Pairs are scanned once in lexicographic order; a pair still at distance
     > r in the spanner built so far contributes the lexicographically
     smallest shortest d-path of the host graph.
+
+    Pairs come grouped by their smaller end x. At x's first pair one BFS
+    ball of radius r around x is taken in the spanner; a pair whose y lies
+    in the ball is served. The ball goes stale once x adds a path, and from
+    then on a y outside it is re-tested with its own bidirectional search.
+    This is exact: while the scan is at x the spanner changes only through
+    x's own additions, so before the first of them the ball is the exact
+    cut ball (y outside means distance > r), and after it distances only
+    shrink, so y inside still proves distance <= r.
     """
     if g.weighted:
         raise ValueError("greedy_dr_spanner expects an unweighted graph")
@@ -135,13 +149,18 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     included: set[int] = set()
     hview = g.view(included)
     paths: list[PathSeq] = []
+    source, ball, stale = -1, {}, False
     for x, y in pairs_at_distance(g, d):
-        if hop_distance(hview, x, y, r) > r:
-            p = lex_shortest_path(g, x, y, d)
-            if d == 2:
-                _check_distant_half(hview, p.vertices, r)
-            included.update(p.edge_ids)
-            paths.append(p)
+        if x != source:
+            source, ball, stale = x, hop_distances(hview, x, r), False
+        if y in ball or (stale and hop_distance(hview, x, y, r) <= r):
+            continue
+        p = lex_shortest_path(g, x, y, d)
+        if d == 2:
+            _check_distant_half(hview, p.vertices, r)
+        included.update(p.edge_ids)
+        paths.append(p)
+        stale = True
     return _result(g.n, paths, "greedy-dr", d=d, r=r)
 
 

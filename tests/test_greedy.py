@@ -24,6 +24,7 @@ from spannerlab.generators import (
     gen_hypercube,
     path_graph,
 )
+from spannerlab import greedy
 from spannerlab.greedy import lex_shortest_path, sqrt_k_stretch
 
 
@@ -118,6 +119,30 @@ def test_greedy_dr_matches_naive_replay(g, data):
         expected.append((tuple(verts), eids))
     got = greedy_dr_spanner(g, d, r)
     assert [(p.vertices, p.edge_ids) for p in got.paths] == expected
+
+
+@pytest.mark.parametrize("n, p", [(60, 0.3), (80, 0.15)])
+def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
+    """One BFS ball per source with pairs; pair-by-pair searches are left only
+    for the distant-half checks and for misses after the source added a path."""
+    g = seeded_gnp(n, p, 0)
+    pairs = greedy.pairs_at_distance(g, 2)
+    calls = {"hop_distances": 0, "hop_distance": 0}
+
+    def counted(name):
+        real = getattr(greedy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(greedy, name, counted(name))
+    result = greedy_dr_spanner(g, 2, 4)
+    assert calls["hop_distances"] == g.n + len({x for x, _ in pairs})
+    assert calls["hop_distance"] <= 2 * len(result.paths) + len(pairs) // 10
 
 
 def test_path_collection_big_clique_forces_clique():
