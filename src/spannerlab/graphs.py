@@ -355,6 +355,8 @@ def shortest_path(
     host = view.host
     _check_vertex(host, x)
     _check_vertex(host, y)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     if x == y:
         return ()
     adj = host._adj

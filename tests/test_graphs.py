@@ -76,6 +76,21 @@ def test_hop_distance_respects_cutoff():
     assert hop_distance(g.view(), 0, 5, 5) == 5
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda view, x, y: hop_distance(view, x, y, -1),
+        lambda view, x, y: hop_distances(view, x, -1),
+        lambda view, x, y: shortest_path(view, x, y, -1),
+    ],
+    ids=["hop_distance", "hop_distances", "shortest_path"],
+)
+@pytest.mark.parametrize("y", [0, 2])
+def test_searches_reject_negative_cutoff(search, y):
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        search(path_graph(3).view(), 0, y)
+
+
 def test_weighted_ball_unit_path():
     g = path_graph(5)
     assert weighted_ball(g.view(), 0, 2) == {0, 1, 2}
