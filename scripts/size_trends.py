@@ -34,9 +34,9 @@ def row(label: str, n: int, k: int, edges: int, yardstick: float, secs: float):
     print(f"{label:<26} n={n:<5} k={k}  edges={edges:<6} ratio={edges / yardstick:<8.4f} [{secs:.2f}s]")
 
 
-def two_path_greedy_trend(sizes, seeds, k=2):
+def two_path_greedy_trend(schedule, k=2):
     print(f"\n== greedy 2->{2 * k} path counts vs n^(1+1/{k}) ==")
-    for n in sizes:
+    for n, seeds in schedule:
         t0 = time.time()
         total = 0
         for seed in range(seeds):
@@ -86,12 +86,12 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="smaller instance schedule")
     args = parser.parse_args()
     if args.quick:
-        two_path_greedy_trend((100, 200), seeds=5)
+        two_path_greedy_trend(((100, 5), (200, 5)))
         parallel_trend((2, 3, 4))
         eft_trend(100, (1, 2))
         weighted_trend((60, 120))
     else:
-        two_path_greedy_trend((100, 200, 400), seeds=20)
+        two_path_greedy_trend(((100, 20), (200, 20), (400, 20), (800, 5), (1600, 5)))
         parallel_trend((2, 3, 4, 5, 6))
         eft_trend(150, (1, 2, 3))
         weighted_trend((125, 250, 500, 1000))
