@@ -81,8 +81,7 @@ def greedy_clustering(
     if s < 1 or k < 1:
         raise ValueError("s and k must be at least 1")
     half = (s + 1) // 2
-    accepted: set[int] = set()
-    hview = g.view(accepted)
+    hview = g.view(set())
     added: list[int] = []
     decisions: list[tuple[int, str]] = []
     for eid in edge_order:
@@ -95,7 +94,7 @@ def greedy_clustering(
         if has_cluster(hview, u, half, k) and has_cluster(hview, v, half, k):
             decisions.append((eid, REJECTED_CLUSTERED))
             continue
-        accepted.add(eid)
+        hview.add((eid,))
         added.append(eid)
         decisions.append((eid, ACCEPTED))
     return ClusteringTrace(tuple(added), tuple(decisions))

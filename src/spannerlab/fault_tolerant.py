@@ -172,14 +172,13 @@ def _guarded_greedy(
     beyond r in the kept paths; return the kept paths and their witnesses."""
     if g.weighted:
         raise ValueError("fault-tolerant constructions expect unweighted graphs")
-    included: set[int] = set()
-    hview = g.view(included)
+    hview = g.view(set())
     paths: list[PathSeq] = []
     witnesses: list[frozenset[int]] = []
     for p in candidates:
         fs = find_fault_set(hview, p, r, f, budget)
         if fs is not None:
-            included.update(p.edge_ids)
+            hview.add(p.edge_ids)
             paths.append(p)
             witnesses.append(fs)
     return paths, witnesses
@@ -221,14 +220,13 @@ def eft_modified_greedy(
     if g.weighted:
         raise ValueError("fault-tolerant constructions expect unweighted graphs")
     r = 2 * k
-    included: set[int] = set()
-    hview = g.view(included)
+    hview = g.view(set())
     paths: list[PathSeq] = []
     witnesses: list[frozenset[int]] = []
     for p in _d_paths(g, 2):
         e1, e2 = p.edge_ids
         x, mid, y = p.vertices
-        present = [e for e in (e1, e2) if e in included]
+        present = [e for e in (e1, e2) if e in hview.included]
         if len(present) == 2:
             continue
         banned = frozenset(p.edge_ids)
@@ -237,16 +235,16 @@ def eft_modified_greedy(
         while routes < f + 1:
             excl = banned | removed
             route = shortest_path(hview, x, y, r, excluded=excl)
-            if route is None and e1 in included:
+            if route is None and e1 in hview.included:
                 route = shortest_path(hview, mid, y, r - 1, excluded=excl)
-            if route is None and e2 in included:
+            if route is None and e2 in hview.included:
                 route = shortest_path(hview, x, mid, r - 1, excluded=excl)
             if route is None:
                 break
             removed.update(route)
             routes += 1
         if routes < f + 1:
-            included.update(p.edge_ids)
+            hview.add(p.edge_ids)
             paths.append(p)
             witnesses.append(frozenset(removed))
     return (
@@ -304,8 +302,7 @@ def verify_blocking_set(
     local_ids: dict[int, list[int]] = {}
     for local, eid in enumerate(e for p in paths for e in p.edge_ids):
         local_ids.setdefault(eid, []).append(local)
-    included: set[int] = set()
-    uview = union.view(included)
+    uview = union.view(set())
     start = 0
     for p, faults in zip(paths, record.fault_sets):
         if len(faults) > f:
@@ -318,6 +315,6 @@ def verify_blocking_set(
             excluded = {local for eid in faults for local in local_ids.get(eid, ())}
             if hop_distance(uview, p.x, p.y, r, excluded=excluded) <= r:
                 return False
-        included.update(range(start, start + p.hop_length))
+        uview.add(range(start, start + p.hop_length))
         start += p.hop_length
     return True

@@ -1,17 +1,20 @@
 """Multigraph substrate: stable edge ids, subgraph views, truncated searches.
 
 Every construction in this package works on subgraphs of a fixed host graph,
-identified by edge-id subsets. The host graph is immutable; the kernels below
-answer bounded-radius hop/weighted distance, lexicographic shortest path,
-ball and girth queries against an edge-id filter, so spanners under
-construction never need their own adjacency structures. This module holds
-every graph search in the package; other modules read adjacency lists only
-to enumerate neighbors, never to search.
+identified by edge-id subsets. The host graph is immutable. A subgraph view
+owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
+so a spanner under construction is one view that grows through
+``SubgraphView.add``. The kernels below answer bounded-radius hop/weighted
+distance, lexicographic shortest path, ball and girth queries by scanning
+only the view's edges. This module holds every graph search in the package;
+other modules read adjacency lists only to enumerate neighbors, never to
+search.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -129,7 +132,7 @@ class Multigraph:
     def is_simple(self) -> bool:
         return all(len(ids) == 1 for ids in self._pair_ids.values())
 
-    def view(self, included: Collection[int] | None = None) -> "SubgraphView":
+    def view(self, included: Iterable[int] | None = None) -> "SubgraphView":
         return SubgraphView(self, included)
 
     def __repr__(self) -> str:
@@ -137,27 +140,56 @@ class Multigraph:
         return f"Multigraph({kind}n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True, eq=False)
+class _ViewAdjacency(dict):
+    """vertex -> [(neighbor, edge id), ...]; a vertex with no view edges
+    reads ``()`` without getting an entry."""
+
+    def __missing__(self, v: int) -> tuple:
+        return ()
+
+
 class SubgraphView:
-    """Read-only restriction of a host graph to an edge-id subset.
+    """Restriction of a host graph to an edge-id subset.
 
-    ``included=None`` means all host edges. Views hold references only; they
-    are cheap to create and share.
-
-    A view is live over ``included``: it is not copied, so edge ids added to
-    the collection later are visible to every search through the view.
-    Constructions rely on this, growing one ``included`` set behind one view.
+    ``included=None`` means all host edges, searched through the host's own
+    adjacency. Otherwise the view copies the ids into a set of its own and
+    keeps, per endpoint, the view edges in the host's (neighbor, id) order,
+    so searches scan only view edges and still pick lexicographically
+    smallest parents. Changing the collection passed in does not change the
+    view: a view grows only through ``add``, and ``included`` is read-only.
     """
 
-    host: Multigraph
-    included: Collection[int] | None = None
+    __slots__ = ("host", "included", "_adj")
 
-    def __post_init__(self):
-        if self.included is not None:
-            m = self.host.m
-            for eid in self.included:
-                if not (0 <= eid < m):
-                    raise ValueError(f"edge id {eid} not in host graph")
+    def __init__(self, host: Multigraph, included: Iterable[int] | None = None):
+        self.host = host
+        if included is None:
+            self.included: set[int] | None = None
+            self._adj = host._adj
+        else:
+            self.included = set()
+            self._adj = _ViewAdjacency()
+            self.add(included)
+
+    def add(self, eids: Iterable[int]) -> None:
+        """Add host edge ids to the view, skipping ids already in it. Every
+        id is checked before the view changes."""
+        eids = list(eids)
+        m = self.host.m
+        for eid in eids:
+            if not (0 <= eid < m):
+                raise ValueError(f"edge id {eid} not in host graph")
+        included = self.included
+        if included is None:
+            return
+        us, vs, adj = self.host._us, self.host._vs, self._adj
+        for eid in eids:
+            if eid in included:
+                continue
+            included.add(eid)
+            u, v = us[eid], vs[eid]
+            insort(adj.setdefault(u, []), (v, eid))
+            insort(adj.setdefault(v, []), (u, eid))
 
     def edge_ids(self) -> Iterator[int]:
         """Edge ids of the view, ascending."""
@@ -258,8 +290,7 @@ def hop_distance(
         raise ValueError("cutoff must be nonnegative")
     if x == y:
         return 0
-    adj = host._adj
-    incl = view.included
+    adj = view._adj
     excl = excluded if excluded else None
 
     dist_a: dict[int, int] = {x: 0}
@@ -291,8 +322,6 @@ def hop_distance(
                     continue
                 if excl is not None and eid in excl:
                     continue
-                if incl is not None and eid not in incl:
-                    continue
                 seen[u] = depth
                 o = other.get(u)
                 if o is not None and depth + o < best:
@@ -316,8 +345,7 @@ def hop_distances(
     _check_vertex(host, source)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    adj = host._adj
-    incl = view.included
+    adj = view._adj
     excl = excluded if excluded else None
     dist = {source: 0}
     frontier = [source]
@@ -330,8 +358,6 @@ def hop_distances(
                 if u in dist:
                     continue
                 if excl is not None and eid in excl:
-                    continue
-                if incl is not None and eid not in incl:
                     continue
                 dist[u] = depth
                 nxt.append(u)
@@ -359,8 +385,7 @@ def shortest_path(
         raise ValueError("cutoff must be nonnegative")
     if x == y:
         return ()
-    adj = host._adj
-    incl = view.included
+    adj = view._adj
     excl = excluded if excluded else None
     parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
     frontier = [x]
@@ -374,8 +399,6 @@ def shortest_path(
                 if u in parent:
                     continue
                 if excl is not None and eid in excl:
-                    continue
-                if incl is not None and eid not in incl:
                     continue
                 parent[u] = (v, eid)
                 if u == y:
@@ -405,9 +428,8 @@ def _dijkstra(
 ) -> dict[int, float]:
     """Settled Dijkstra distances from source, pruned at ``cap`` when given;
     the search stops as soon as ``target`` is settled."""
-    adj = view.host._adj
+    adj = view._adj
     ws = view.host._ws
-    incl = view.included
     excl = excluded if excluded else None
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -422,8 +444,6 @@ def _dijkstra(
             if u in dist:
                 continue
             if excl is not None and eid in excl:
-                continue
-            if incl is not None and eid not in incl:
                 continue
             nd = d + ws[eid]
             if cap is not None and nd > cap:

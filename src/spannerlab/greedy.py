@@ -146,8 +146,7 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
         raise ValueError("greedy_dr_spanner expects an unweighted graph")
     if d < 1 or r < d:
         raise ValueError("need d >= 1 and r >= d")
-    included: set[int] = set()
-    hview = g.view(included)
+    hview = g.view(set())
     paths: list[PathSeq] = []
     source, ball, stale = -1, {}, False
     for x, y in pairs_at_distance(g, d):
@@ -158,7 +157,7 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
         p = lex_shortest_path(g, x, y, d)
         if d == 2:
             _check_distant_half(hview, p.vertices, r)
-        included.update(p.edge_ids)
+        hview.add(p.edge_ids)
         paths.append(p)
         stale = True
     return _result(g.n, paths, "greedy-dr", d=d, r=r)
@@ -173,15 +172,14 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     if r < 0:
         raise ValueError("r must be nonnegative")
     union = _path_union(coll.n, coll.paths)
-    included: set[int] = set()
-    uview = union.view(included)
+    uview = union.view(set())
     kept: list[PathSeq] = []
     start = 0
     for p in coll.paths:
         if hop_distance(uview, p.x, p.y, r) > r:
             if p.hop_length == 2:
                 _check_distant_half(uview, p.vertices, r)
-            included.update(range(start, start + p.hop_length))
+            uview.add(range(start, start + p.hop_length))
             kept.append(p)
         start += p.hop_length
     return _result(coll.n, kept, "greedy-paths", r=r, offered=len(coll.paths))
@@ -228,8 +226,7 @@ def parallel_greedy_spanner(
     if k < 1:
         raise ValueError("k must be at least 1")
     threshold = 2 * k - 1
-    included: set[int] = set()
-    hview = g.view(included)
+    hview = g.view(set())
     orientation: dict[int, int] = {}
     rounds_added: list[tuple[int, ...]] = []
     paths: list[PathSeq] = []
@@ -254,7 +251,7 @@ def parallel_greedy_spanner(
             lu = cluster_level(hview, u, k)
             lv = cluster_level(hview, v, k)
             orientation[eid] = u if (lu, u) <= (lv, v) else v
-        included.update(passing)
+        hview.add(passing)
         rounds_added.append(tuple(passing))
         paths.extend(PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in passing)
     return _result(
@@ -298,14 +295,13 @@ def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
     each edge whose endpoints are farther than t times its weight."""
     if t < 1:
         raise ValueError("stretch must be at least 1")
-    included: set[int] = set()
-    hview = g.view(included)
+    hview = g.view(set())
     paths: list[PathSeq] = []
     order = sorted(range(g.m), key=lambda e: (g.weight(e), e))
     for eid in order:
         u, v = g.endpoints(eid)
         cap = t * g.weight(eid)
         if weighted_dist(hview, u, v, cap=cap) > cap:
-            included.add(eid)
+            hview.add((eid,))
             paths.append(PathSeq.from_graph(g, (u, v), (eid,)))
     return _result(g.n, paths, "greedy-multiplicative", t=t)

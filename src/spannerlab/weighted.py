@@ -163,22 +163,20 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
 
     # Phase 1: multiplicative baseline.
     phase1 = tuple(greedy_multiplicative_spanner(g, 2 * k - 1).edges)
-    included: set[int] = set(phase1)
-    hview = g.view(included)
+    hview = g.view(phase1)
 
     # Phase 2: greedy clustering at ascending weight thresholds. The hop and
-    # cluster tests run in ``light``, the current spanner restricted to edges
-    # of weight at most the threshold. ``light`` grows with the threshold:
+    # cluster tests run in ``lview``, the current spanner restricted to edges
+    # of weight at most the threshold. ``lview`` grows with the threshold:
     # before each weight group the phase-1 edges up to the new threshold join
     # it, and every edge this phase adds joins it at once. After each group
     # only dirty vertices get a fresh cluster test: those within R - 1 hops,
-    # in the grown ``light``, of an endpoint of an edge that joined it during
+    # in the grown ``lview``, of an endpoint of an edge that joined it during
     # the group (before the first group, every vertex). This is exact because
-    # clustering is monotone in ``light``: a new edge (a, b) can grow B(x, r),
+    # clustering is monotone in ``lview``: a new edge (a, b) can grow B(x, r),
     # r <= R, only if x reaches a or b within r - 1 hops.
-    start = sorted(included, key=lambda e: (weight(e), e))
-    light: set[int] = set()
-    lview = g.view(light)
+    start = sorted(phase1, key=lambda e: (weight(e), e))
+    lview = g.view(set())
     pos = 0
     phase2: list[int] = []
     saturated: list[int] = []
@@ -189,7 +187,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         omega = weight(order[idx])
         touched: set[int] = set()
         while pos < len(start) and weight(start[pos]) <= omega:
-            light.add(start[pos])
+            lview.add((start[pos],))
             touched.update(g.endpoints(start[pos]))
             pos += 1
         while idx < m and weight(order[idx]) == omega:
@@ -201,8 +199,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             if has_cluster(lview, u, R, k) and has_cluster(lview, v, R, k):
                 saturated.append(eid)
             else:
-                included.add(eid)
-                light.add(eid)
+                hview.add((eid,))
+                lview.add((eid,))
                 touched.update((u, v))
                 phase2.append(eid)
         for a in touched:
@@ -242,7 +240,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
                 balls_u[u] = weighted_ball(hview, u, (R - 1) * first_clustered[u])
             grown = len(balls_u[u] - ball_v)
             if (10 * grown) ** k > n_pow_R1:
-                included.add(eid)
+                hview.add((eid,))
                 phase3.append(eid)
                 log3.append(Phase3Decision(v, u, eid, key, P3_ADDED))
                 dist_v = None
@@ -251,13 +249,13 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
                 log3.append(Phase3Decision(v, u, eid, key, P3_CONTAINED))
 
     # Phase 4: global distance reduction, edges by ascending weight. Balls
-    # and distances are hop-based inside ``light``, which restarts empty and
+    # and distances are hop-based inside ``lview``, which restarts empty and
     # again grows with the threshold: before each edge the spanner edges of
     # phases 1-3 up to its weight join it, and every edge this phase adds
     # joins it at once.
     n_pow_k1 = n ** (k - 1)
-    start = sorted(included, key=lambda e: (weight(e), e))
-    light.clear()
+    start = sorted(hview.included, key=lambda e: (weight(e), e))
+    lview = g.view(set())
     pos = 0
 
     def reduces_many(a: int, b: int) -> bool:
@@ -277,13 +275,13 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         u, v = g.endpoints(eid)
         omega = weight(eid)
         while pos < len(start) and weight(start[pos]) <= omega:
-            light.add(start[pos])
+            lview.add((start[pos],))
             pos += 1
         if hop_distance(lview, u, v, k) <= k:
             continue
         if reduces_many(v, u) or reduces_many(u, v):
-            included.add(eid)
-            light.add(eid)
+            hview.add((eid,))
+            lview.add((eid,))
             phase4.append(eid)
             log4.append((eid, P4_ADDED))
         else:
@@ -314,9 +312,9 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         if weighted_dist(hview, x, y, cap=cap) <= cap:
             continue
         for eid in (e_sat, e_lat):
-            if eid in included:
+            if eid in hview.included:
                 raise RuntimeError(f"repair path edge {eid} already present")
-            included.add(eid)
+            hview.add((eid,))
             phase5.append(eid)
         adds5.append(
             Phase5Addition(PathSeq.from_graph(g, (x, mid, y)), e_sat, e_lat, key)

@@ -89,12 +89,11 @@ def test_eft_exact_f0_equals_plain_greedy_over_paths():
     r = 4
     result, record = eft_greedy_exact(g, 2, r, 0)
     assert all(fs == frozenset() for fs in record.fault_sets)
-    included: set[int] = set()
-    view = g.view(included)
+    view = g.view(set())
     expected = []
     for p in _d_paths(g, 2):
         if hop_distance(view, p.x, p.y, r) > r:
-            included.update(p.edge_ids)
+            view.add(p.edge_ids)
             expected.append(p.vertices)
     assert [p.vertices for p in result.paths] == expected
 

@@ -168,7 +168,7 @@ def test_phase2_matches_full_rescan():
                         saturated.add(eid)
                     else:
                         phase2.append(eid)
-                        light.add(eid)
+                        view.add((eid,))
                 for x in range(g.n):
                     if x not in thresholds and has_cluster(view, x, R, k):
                         thresholds[x] = w
@@ -203,7 +203,7 @@ def test_phase3_matches_fresh_balls():
                     continue
                 ball_u = weighted_ball(view, u, (R - 1) * first[u])
                 if (10 * len(ball_u - ball_v)) ** k > g.n ** (R - 1):
-                    spanner.add(eid)
+                    view.add((eid,))
                     phase3.append(eid)
                     log.append((v, u, eid, key, "added"))
                 else:
