@@ -16,6 +16,7 @@ from spannerlab import (
     hop_distances,
     weighted_ball,
     weighted_dist,
+    weighted_distances,
 )
 from spannerlab.generators import cycle_graph, path_graph, petersen_graph
 from spannerlab.graphs import shortest_path
@@ -288,3 +289,86 @@ def test_isolated_vertices_cost_no_adjacency_list():
         tracemalloc.stop()
     assert peak < 24 * 2**20
     assert g.adj(0) == ((1, 0),) and g.adj(1) == ((0, 0),) and g.adj(2) == ()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_view_add_matches_fresh_view(data):
+    # a view grown batch by batch, repeats and present ids included, must
+    # search exactly the edges it holds, lex-first path order included
+    weighted = data.draw(st.booleans())
+    g = data.draw(small_graphs(max_n=7, min_m=1, max_m=14, multigraph=True, weighted=weighted))
+    ids = st.integers(0, g.m - 1)
+    held = set(data.draw(st.sets(ids)))
+    view = g.view(held)
+    for _ in range(data.draw(st.integers(1, 4))):
+        batch = data.draw(st.lists(ids, max_size=6))
+        if held:
+            batch += data.draw(st.lists(st.sampled_from(sorted(held)), max_size=2))
+        view.add(batch)
+        held.update(batch)
+        assert view.included == held
+        assert list(view.edge_ids()) == sorted(held)
+        excluded = frozenset(data.draw(st.sets(ids, max_size=2)))
+        absent = excluded | (frozenset(range(g.m)) - held)
+        allowed = held - excluded
+        x = data.draw(st.integers(0, g.n - 1))
+        y = data.draw(st.integers(0, g.n - 1))
+        cutoff = data.draw(st.integers(0, g.n))
+        hops = oracles.fw_hop(g.n, oracles.edges_of(g), excluded=absent)[x]
+        assert hop_distance(view, x, y, cutoff, excluded) == (hops[y] if hops[y] <= cutoff else INF)
+        assert hop_distances(view, x, cutoff, excluded) == {
+            v: d for v, d in enumerate(hops) if d <= cutoff
+        }
+        assert shortest_path(view, x, y, cutoff, excluded) == oracles.lex_shortest_path(
+            g.n, oracles.edges_of(g), x, y, cutoff, allowed
+        )
+        weights = oracles.fw_weighted(g.n, oracles.weighted_edges_of(g), excluded=absent)[x]
+        got = weighted_distances(view, x, excluded=excluded)
+        assert got == pytest.approx({v: d for v, d in enumerate(weights) if d != INF}, rel=1e-9)
+
+
+def test_view_owns_its_edge_ids():
+    g = cycle_graph(6)
+    ids = {0, 1}
+    view = g.view(ids)
+    ids.update(range(6))
+    ids.discard(0)
+    assert view.included == {0, 1}
+    assert hop_distance(view, 0, 5, 6) == INF
+    assert hop_distances(view, 0, 6) == {0: 0, 1: 1, 2: 2}
+
+
+def test_view_add_rejects_bad_ids_before_changing():
+    g = cycle_graph(6)
+    view = g.view({0})
+    for bad in ([2, -1], [3, 6]):
+        with pytest.raises(ValueError, match="not in host graph"):
+            view.add(bad)
+        assert view.included == {0}
+        assert list(view.edge_ids()) == [0]
+        assert hop_distances(view, 2, 6) == {2: 0}
+        assert shortest_path(view, 0, 1, 6) == (0,)
+    full = g.view()
+    with pytest.raises(ValueError, match="not in host graph"):
+        full.add([6])
+    full.add([0, 0])
+    assert list(full.edge_ids()) == list(range(6))
+
+
+def test_view_of_few_edges_costs_no_per_vertex_slot():
+    # a one-edge header asking for 2**20 vertices: views of it stay small
+    g = Multigraph(1 << 20, [(0, 1)])
+    tracemalloc.start()
+    try:
+        view = g.view({0})
+        view.add([0])
+        grown = g.view(set())
+        grown.add([0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for v in (view, grown):
+        assert hop_distances(v, 1, 3) == {1: 0, 0: 1}
+        assert hop_distances(v, 5, 3) == {5: 0}
