@@ -299,7 +299,7 @@ def test_view_add_matches_fresh_view(data):
     weighted = data.draw(st.booleans())
     g = data.draw(small_graphs(max_n=7, min_m=1, max_m=14, multigraph=True, weighted=weighted))
     ids = st.integers(0, g.m - 1)
-    held = set(data.draw(st.sets(ids)))
+    held = data.draw(st.sets(ids))
     view = g.view(held)
     for _ in range(data.draw(st.integers(1, 4))):
         batch = data.draw(st.lists(ids, max_size=6))
