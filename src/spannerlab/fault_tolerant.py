@@ -1,19 +1,20 @@
 """Edge-fault-tolerant spanner constructions and blocking-set verification.
 
 The exact construction guards every candidate d-path with a search for a
-small fault set that would still separate its endpoints; the polynomial
-variant replaces that search by peeling edge-disjoint short replacement
-paths. Both emit, per added path, the fault witness that justified the
-addition, and ``verify_blocking_set`` replays those witnesses against the
-prefix of previously added paths.
+small fault set that would still separate its endpoints: it peels
+edge-disjoint short routes, then branches on the edges of the short routes
+that survive partial fault sets. Routes that proved a pair inseparable
+answer later candidates with the same endpoints. The polynomial variant
+decides by the peel alone. Both emit, per added path, the fault witness that
+justified the addition, and ``verify_blocking_set`` replays those witnesses
+against the prefix of previously added paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import (
     INF,
@@ -53,9 +54,9 @@ def _lens_candidates(
 ) -> list[int]:
     """Edges lying on some <= r-hop x-y walk of the view, minus banned ids.
 
-    Any minimal separating fault set uses only such edges, so restricting the
-    subset enumeration to them preserves both completeness and the
-    size-then-lexicographic order of the first valid hit.
+    Every least separating fault set uses only such edges. The count prices
+    the search budget: the budget bounds the subsets of these edges that a
+    fault set could be drawn from, not the searches actually run.
     """
     dx = hop_distances(view, x, r)
     dy = hop_distances(view, y, r)
@@ -79,23 +80,79 @@ def _peel_disjoint_short_paths(
     r: int,
     limit: int,
     protected: frozenset[int],
-) -> int:
-    """Count up to ``limit`` x-y paths of length <= r whose non-protected
-    edges are pairwise disjoint; protected edges are reusable."""
+) -> list[tuple[int, ...]]:
+    """Up to ``limit`` x-y paths of length <= r whose non-protected edges
+    are pairwise disjoint; protected edges are reusable. Stops after a path
+    of protected edges only, which no admissible fault set can cut."""
     removed: set[int] = set()
-    count = 0
-    while count < limit:
+    routes: list[tuple[int, ...]] = []
+    while len(routes) < limit:
         path = shortest_path(view, x, y, r, excluded=removed)
         if path is None:
-            return count
+            break
+        routes.append(path)
         fresh = [e for e in path if e not in protected]
         if not fresh:
-            # A path of protected edges only survives every admissible fault
-            # set, so the endpoints are inseparable.
-            return limit
+            break
         removed.update(fresh)
-        count += 1
-    return count
+    return routes
+
+
+def _certified(routes: Sequence[tuple[int, ...]], banned: Collection[int], f: int) -> bool:
+    """True when short routes of the view leave their endpoints within r
+    under every fault set of at most f edges outside ``banned``: one route
+    lies wholly in ``banned``, or f + 1 routes are pairwise disjoint outside
+    it, so each fault cuts at most one of them."""
+    seen: set[int] = set()
+    fresh = 0
+    for route in routes:
+        outside = [e for e in route if e not in banned]
+        if not outside:
+            return True
+        seen.update(outside)
+        fresh += len(outside)
+    return len(routes) > f and fresh == len(seen)
+
+
+def _guard(
+    view: SubgraphView, p: PathSeq, r: int, f: int, budget: int
+) -> tuple[frozenset[int] | None, list[tuple[int, ...]]]:
+    """``find_fault_set``'s answer, plus the routes its peel found."""
+    if r < 0 or f < 0:
+        raise ValueError("need r >= 0 and f >= 0")
+    x, y = p.x, p.y
+    banned = frozenset(p.edge_ids)
+    routes = _peel_disjoint_short_paths(view, x, y, r, f + 1, banned)
+    if not routes:
+        return frozenset(), routes
+    if _certified(routes, banned, f):
+        return None, routes
+    cands = _lens_candidates(view, x, y, r, banned)
+    total = sum(comb(len(cands), size) for size in range(1, f + 1))
+    if total > budget:
+        raise BudgetExceededError(
+            f"fault-set search needs {total} subsets, budget is {budget}",
+            required=total,
+        )
+    # A separating set that contains a non-separating set T also contains a
+    # non-banned edge of the shortest route surviving T. So growing each set
+    # of level s-1 by those edges reaches every separating set of size s when
+    # none is smaller, and level s holds at most r**s sets, one search each.
+    level = {(): routes[0]}
+    for _ in range(f):
+        grown = {
+            tuple(sorted(t + (e,)))
+            for t, path in level.items()
+            for e in path
+            if e not in banned
+        }
+        level = {}
+        for t in sorted(grown):
+            survivor = shortest_path(view, x, y, r, excluded=t)
+            if survivor is None:
+                return frozenset(t), routes
+            level[t] = survivor
+    return None, routes
 
 
 def find_fault_set(
@@ -109,41 +166,25 @@ def find_fault_set(
     disjoint from p, that pushes the endpoints of p beyond distance r in the
     view, or None. ``frozenset()`` means already beyond r: test ``is not None``.
 
-    The first search of the disjoint-path peel is the far test. Raises
-    BudgetExceededError when the subset enumeration would exceed ``budget``
-    tested subsets; it never falls back silently.
+    The first search of the disjoint-path peel is the far test; f + 1 peeled
+    routes answer None. Otherwise the search branches on the edges of short
+    surviving routes, at most r**s searches for size s. Raises
+    BudgetExceededError when the subsets of the lens edges (those on some
+    <= r-hop walk) of size 1..f outnumber ``budget``, however few searches
+    the branching would run; it never falls back silently.
     """
-    if r < 0 or f < 0:
-        raise ValueError("need r >= 0 and f >= 0")
-    x, y = p.x, p.y
-    banned = frozenset(p.edge_ids)
-    routes = _peel_disjoint_short_paths(view, x, y, r, f + 1, banned)
-    if routes == 0:
-        return frozenset()
-    if routes > f:
-        return None
-    cands = _lens_candidates(view, x, y, r, banned)
-    total = sum(comb(len(cands), size) for size in range(1, f + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"fault-set search needs {total} subsets, budget is {budget}",
-            required=total,
-        )
-    for size in range(1, f + 1):
-        for combo in combinations(cands, size):
-            if hop_distance(view, x, y, r, excluded=combo) > r:
-                return frozenset(combo)
-    return None
+    return _guard(view, p, r, f, budget)[0]
 
 
 def _d_paths(g: Multigraph, d: int) -> Iterator[PathSeq]:
     """All d-paths of g in lexicographic (vertex sequence, edge ids) order,
-    endpoints canonicalized to x < y. Supports d in {1, 2}."""
+    endpoints canonicalized to x < y. Supports d in {1, 2}. The ids come from
+    ``edge_ids_between``, so the paths are built without re-checking them."""
     if d == 1:
         for x in range(g.n):
             for y in range(x + 1, g.n):
                 for eid in g.edge_ids_between(x, y):
-                    yield PathSeq.from_graph(g, (x, y), (eid,))
+                    yield PathSeq((x, y), (eid,), (g.weight(eid),))
     elif d == 2:
         for x in range(g.n):
             for mid, _ in _distinct_neighbors(g, x):
@@ -152,7 +193,7 @@ def _d_paths(g: Multigraph, d: int) -> Iterator[PathSeq]:
                         continue
                     for e1 in g.edge_ids_between(x, mid):
                         for e2 in g.edge_ids_between(mid, y):
-                            yield PathSeq.from_graph(g, (x, mid, y), (e1, e2))
+                            yield PathSeq((x, mid, y), (e1, e2), (g.weight(e1), g.weight(e2)))
     else:
         raise ValueError("only path lengths 1 and 2 are supported")
 
@@ -169,15 +210,26 @@ def _guarded_greedy(
     g: Multigraph, candidates: Iterable[PathSeq], r: int, f: int, budget: int
 ) -> tuple[list[PathSeq], list[frozenset[int]]]:
     """Keep each candidate that some admissible fault set still separates
-    beyond r in the kept paths; return the kept paths and their witnesses."""
+    beyond r in the kept paths; return the kept paths and their witnesses.
+
+    The routes of every None answer are kept per endpoint pair. They stay in
+    the kept paths, which only grow, so a later candidate with the same
+    endpoints that they certify is rejected without a search."""
     if g.weighted:
         raise ValueError("fault-tolerant constructions expect unweighted graphs")
     hview = g.view(set())
     paths: list[PathSeq] = []
     witnesses: list[frozenset[int]] = []
+    certificates: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for p in candidates:
-        fs = find_fault_set(hview, p, r, f, budget)
-        if fs is not None:
+        pair = (p.x, p.y)
+        routes = certificates.get(pair)
+        if routes is not None and _certified(routes, p.edge_ids, f):
+            continue
+        fs, routes = _guard(hview, p, r, f, budget)
+        if fs is None:
+            certificates[pair] = routes
+        else:
             hview.add(p.edge_ids)
             paths.append(p)
             witnesses.append(fs)
@@ -260,7 +312,7 @@ def eft_edge_greedy_2k1(
     if k < 1 or f < 0:
         raise ValueError("need k >= 1 and f >= 0")
     r = 2 * k - 1
-    edges = (PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in range(g.m))
+    edges = (PathSeq(g.endpoints(eid), (eid,), (g.weight(eid),)) for eid in range(g.m))
     paths, _ = _guarded_greedy(g, edges, r, f, budget)
     return _result(g.n, paths, "eft-edge-greedy", k=k, r=r, f=f)
 

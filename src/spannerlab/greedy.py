@@ -192,23 +192,23 @@ def matching_rounds(g: Multigraph) -> list[tuple[int, ...]]:
     edge whose endpoints are still free in that round. Deterministic, and on
     dimension-ordered hypercube edge lists it recovers the dimension
     matchings exactly.
+
+    One pass: each edge, in id order, joins the first round free at both of
+    its endpoints, which is the round the round-by-round rescan gives it.
+    Bit j of ``busy[v]`` records that round j already uses v.
     """
-    remaining = list(range(g.m))
-    rounds: list[tuple[int, ...]] = []
-    while remaining:
-        used: set[int] = set()
-        taken: list[int] = []
-        leftover: list[int] = []
-        for eid in remaining:
-            u, v = g.endpoints(eid)
-            if u in used or v in used:
-                leftover.append(eid)
-            else:
-                used.update((u, v))
-                taken.append(eid)
-        rounds.append(tuple(taken))
-        remaining = leftover
-    return rounds
+    busy = [0] * g.n
+    rounds: list[list[int]] = []
+    for eid in range(g.m):
+        u, v = g.endpoints(eid)
+        used = busy[u] | busy[v]
+        j = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
+        busy[u] |= 1 << j
+        busy[v] |= 1 << j
+        if j == len(rounds):
+            rounds.append([])
+        rounds[j].append(eid)
+    return [tuple(r) for r in rounds]
 
 
 def parallel_greedy_spanner(

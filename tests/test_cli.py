@@ -93,25 +93,36 @@ def test_format_then_parse_round_trips(g):
     ]
 
 
+_HUGE = ["9" * 30, "-" + "9" * 30, str(2**63), "1e308", "-1e308"]
 _TOKENS = [
     "0", "1", "2", "7", "11", "12", "-1", "0.5", "1e400", "-0", "nan", "inf", "x", "#", "1_0", "١",
-]
+] + _HUGE
 
 
 @given(
-    st.integers(-3, 12),
-    st.sampled_from(["0", "1", "2"]),
-    st.sampled_from(["0", "1", "x"]),
+    # no n in 13..2**24: each such n allocates adjacency before any edge is read
+    st.integers(-3, 12) | st.sampled_from([2**24 + 1, 2**63, 10**40]),
+    st.sampled_from(["0", "1", "2", "9" * 30]),
+    st.sampled_from(["0", "1", "x", "9" * 30]),
     st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4), max_size=8),
 )
 def test_parse_either_parses_or_raises_parse_error(n, weighted, multigraph, rows):
     header = f"# spanner-graph v1 n={n} weighted={weighted} multigraph={multigraph}"
-    text = "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+    lines = [header] + [" ".join(row) for row in rows]
     edge_tokens = [t for row in rows if row and row[0] != "#" for t in row]
     odd_number = any("_" in t or not t.isascii() for t in edge_tokens)
     try:
-        g = parse_graph_text(text)
-    except GraphParseError:
+        g = parse_graph_text("\n".join(lines) + "\n")
+    except GraphParseError as err:
+        # the error names the first line at which a prefix of the text stops
+        # parsing
+        bad = err.line
+        assert 1 <= bad <= len(lines)
+        with pytest.raises(GraphParseError) as again:
+            parse_graph_text("\n".join(lines[:bad]) + "\n")
+        assert again.value.line == bad
+        if bad > 1:
+            parse_graph_text("\n".join(lines[: bad - 1]) + "\n")
         return
     assert not odd_number
     assert g.n == n

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from spannerlab import (
     verify_blocking_set,
     verify_eft,
 )
+from spannerlab import fault_tolerant
 from spannerlab.fault_tolerant import _d_paths
 from spannerlab.generators import cycle_graph, gen_eft_lower_bound, path_graph
 
@@ -290,19 +292,26 @@ def brute_fault_set(g, view_ids, p, r, f):
 
 
 def test_find_fault_set_matches_exhaustive_reference():
-    # the lens restriction and the disjoint-path peel must never change the
-    # outcome relative to plain subset enumeration: for f = 0 as well, for
-    # single-edge and 2-path candidates, on simple and doubled hosts, and
-    # when the query path partially overlaps the view
+    # the lens restriction, the disjoint-path peel and the route branching
+    # must never change the outcome relative to plain subset enumeration: for
+    # f = 0 to 3 and r up to 6, for single-edge and 2-path candidates, on
+    # simple and doubled hosts, and when the query path partially overlaps
+    # the view
     rng = random.Random(99)
     agree = 0
-    for trial in range(300):
+    sizes = [0] * 4
+    for trial in range(4000):
+        r = rng.randrange(1, 7)
+        f = rng.randrange(4)
         g = seeded_gnp(rng.randrange(5, 9), rng.choice((0.3, 0.5, 0.7)), trial)
         if rng.random() < 0.5:
             g = Multigraph(g.n, [(e.u, e.v) for e in g.edges()] * 2)
         if g.m < 3:
             continue
-        ids = frozenset(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
+        # at f = 3, at most 18 view edges keep the reference's C(18, 3)
+        # subsets cheap
+        most = min(g.m, 18) if f == 3 else g.m
+        ids = frozenset(rng.sample(range(g.m), rng.randrange(1, most + 1)))
         view = g.view(ids)
         if rng.random() < 0.3:
             eid = rng.randrange(g.m)
@@ -316,13 +325,92 @@ def test_find_fault_set_matches_exhaustive_reference():
             e1 = rng.choice(g.edge_ids_between(x, mid))
             e2 = rng.choice(g.edge_ids_between(mid, y))
             p = PathSeq.from_graph(g, (x, mid, y), (e1, e2))
-        r = rng.randrange(1, 5)
-        f = rng.randrange(3)
         got = find_fault_set(view, p, r, f)
         want = brute_fault_set(g, ids, p, r, f)
         if want is None:
             assert got is None
         else:
             assert got == want
+            sizes[len(want)] += 1
         agree += 1
-    assert agree >= 100
+    assert agree >= 3500 and sizes[2] >= 100 and sizes[3] >= 30
+
+
+def test_find_fault_set_searches_stay_within_route_branching_bound(monkeypatch):
+    # the single-edge candidate (0, 8) on this view has no separating set of
+    # at most 3 edges: the subsets of its lens edges number far more than the
+    # peel (at most f + 1 searches) plus the branching (at most r**s searches
+    # at level s) may run
+    g = seeded_gnp(10, 0.5, 71)
+    ids = [0, 1, 2, 4, 6, 8, 10, 16, 18, 19, 21, 23, 25, 27]
+    view = g.view(ids)
+    p = PathSeq.from_graph(g, (0, 8), (3,))
+    r, f = 4, 3
+    searches = []
+
+    def counted(kernel):
+        def search(*args, **kwargs):
+            searches.append(args)
+            return kernel(*args, **kwargs)
+
+        return search
+
+    for name in ("hop_distance", "shortest_path"):
+        monkeypatch.setattr(fault_tolerant, name, counted(getattr(fault_tolerant, name)))
+    assert find_fault_set(view, p, r, f) is None
+    bound = (f + 1) + sum(r**s for s in range(1, f + 1))
+    lens = fault_tolerant._lens_candidates(view, 0, 8, r, frozenset({3}))
+    assert 0 < len(searches) <= bound < sum(comb(len(lens), s) for s in range(1, f + 1))
+    assert find_fault_set(view, p, r, f) == brute_fault_set(g, ids, p, r, f)
+
+
+def replay_guard(g, candidates, r, f):
+    """Guarded greedy that asks find_fault_set about every candidate."""
+    view = g.view(set())
+    paths, witnesses = [], []
+    for p in candidates:
+        fs = find_fault_set(view, p, r, f)
+        if fs is not None:
+            view.add(p.edge_ids)
+            paths.append(p)
+            witnesses.append(fs)
+    return paths, witnesses
+
+
+def test_guard_certificates_match_search_on_every_candidate():
+    # a candidate answered from the routes kept for its endpoint pair must get
+    # the answer a fresh search would give, on simple and doubled hosts,
+    # where repeat pairs differ in their own edge ids
+    hosts = []
+    for seed in range(4):
+        base = seeded_gnp(9, 0.45, 300 + seed)
+        hosts.append(base)
+        hosts.append(Multigraph(base.n, [(e.u, e.v) for e in base.edges() for _ in range(2)]))
+    for g in hosts:
+        for f in (1, 2):
+            for d in (1, 2):
+                result, record = eft_greedy_exact(g, d, 2 * d, f)
+                paths, witnesses = replay_guard(g, _d_paths(g, d), 2 * d, f)
+                assert list(result.paths) == paths
+                assert list(record.fault_sets) == witnesses
+            union = eft_union_spanner(g, 2, f)
+            edges = (PathSeq.from_graph(g, g.endpoints(e), (e,)) for e in range(g.m))
+            one, _ = replay_guard(g, edges, 3, f)
+            two, _ = replay_guard(g, _d_paths(g, 2), 4, f)
+            assert list(union.paths) == one + two
+
+
+def test_d_paths_equal_paths_built_through_the_host():
+    # the 2-paths skip from_graph's id check; on a weighted doubled host the
+    # weights must still follow each edge id
+    base = seeded_gnp(8, 0.5, 21, weighted=True)
+    doubled = Multigraph(
+        base.n,
+        [(e.u, e.v, e.weight * c) for e in base.edges() for c in (1, 2)],
+        weighted=True,
+    )
+    for g in (seeded_gnp(9, 0.4, 5), base, doubled):
+        for d in (1, 2):
+            paths = list(_d_paths(g, d))
+            assert paths
+            assert paths == [PathSeq.from_graph(g, p.vertices, p.edge_ids) for p in paths]

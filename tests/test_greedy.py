@@ -241,6 +241,35 @@ def test_matching_rounds_recovers_hypercube_dimensions():
     assert tuple(matching_rounds(bundle.graph)) == bundle.matchings
 
 
+def rescanned_rounds(g):
+    """Reference decomposition: build one round at a time, each by a scan of
+    every edge that no earlier round took."""
+    remaining = list(range(g.m))
+    rounds = []
+    while remaining:
+        used, taken, leftover = set(), [], []
+        for eid in remaining:
+            u, v = g.endpoints(eid)
+            if u in used or v in used:
+                leftover.append(eid)
+            else:
+                used.update((u, v))
+                taken.append(eid)
+        rounds.append(tuple(taken))
+        remaining = leftover
+    return rounds
+
+
+def test_matching_rounds_matches_rescanning_reference():
+    hosts = [seeded_gnp(n, p, seed) for n, p in ((12, 0.3), (30, 0.2), (60, 0.5)) for seed in range(3)]
+    hosts += [gen_hypercube(k).graph for k in range(1, 7)]
+    base = seeded_gnp(15, 0.4, 7)
+    hosts.append(Multigraph(base.n, [(e.u, e.v) for e in base.edges() for _ in range(3)]))
+    hosts.append(Multigraph(4))
+    for g in hosts:
+        assert matching_rounds(g) == rescanned_rounds(g)
+
+
 def test_sqrt_k_stretch_values():
     assert sqrt_k_stretch(4) == (2, 28)
     assert sqrt_k_stretch(1) == (1, 6)
