@@ -6,12 +6,23 @@ passing report is an independent certificate. Fault sets are enumerated by
 size then lexicographic edge ids, and the first counterexample in that order
 is the one reported.
 
-Both exhaustive oracles run one search per fault set and source on each
-side: one in G - F finds the pairs and their bounds, and one in H - F, cut at
-the largest bound of that source, tests them all. A cut search still gives
-the exact distance of every vertex within its cut, so the verdicts equal
-those of a search per pair. The distance of a counterexample comes from one
-more, uncut search, so it is exact.
+Both exhaustive oracles test a fault set F and source x with one search on
+each side: one in G - F finds the pairs and their bounds, and one in H - F,
+cut at the largest bound of that source, tests them all. A cut search still
+gives the exact distance of every vertex within its cut, so the verdicts
+equal those of a search per pair. The distance of a counterexample comes
+from one more, uncut search, so it is exact.
+
+When f >= 1, most (F, x) need no search at all. From the fault-free
+searches of x the oracle keeps one tight parent edge per reached vertex on
+each side (a shortest-path tree of G and one of H, at most 2(n - 1) edge
+ids). If F contains none of them, (F, x) has the pairs and verdicts of
+(empty set, x), which passed, so only its pair count is added. This is exact
+in floats too: weights are positive and float addition is monotone, so
+removing edges can only raise a computed distance, while each tree path
+still adds up to the fault-free value; G - F and H - F thus give the same
+distances as G and H inside the cuts. The trees come from the oracle's own
+fault-free searches, so it still shares nothing with a construction.
 """
 
 from __future__ import annotations
@@ -102,11 +113,37 @@ def _fault_sets(m: int, f: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(combinations(range(m), size) for size in range(f + 1))
 
 
+def _tree_edges(view: SubgraphView, dist: dict[int, float], ws) -> set[int]:
+    """One tight parent edge per vertex of ``dist`` but the source: the first
+    (neighbor, id) in the view's adjacency with ``dist[u] + w == dist[v]``,
+    where w is ``ws[id]``, or 1 when ``ws`` is None. Only a u settled before v
+    (earlier in ``dist``, which the kernels fill in settle order) may be its
+    parent, so the edges form a tree even where a tiny weight is absorbed by
+    a large distance."""
+    adj = view._adj
+    settled: set[int] = set()
+    tree: set[int] = set()
+    for v, dv in dist.items():
+        for u, eid in adj[v]:
+            if u in settled and dist[u] + (1 if ws is None else ws[eid]) == dv:
+                tree.add(eid)
+                break
+        settled.add(v)
+    return tree
+
+
 def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> VerificationReport:
     """The loop of the exhaustive oracles. For every fault set F and source x,
     every y > x reached from x in G - F must lie within ``bound_of(dist)`` in
     H - F, unless that is None. Distances are hops within ``reach`` when it is
     given, else weights on a weighted host and hops on an unweighted one.
+
+    When f >= 1 the fault-free pass keeps, per source x, the edge ids of a
+    shortest-path tree of each of its two searches and the number of pairs x
+    checked. A later F with no edge in those trees leaves every distance
+    inside the cuts as it was: removing edges only raises the values a search
+    computes, and each tree path still sums to the fault-free value, also in
+    floats. So (F, x) is skipped, and its pairs are counted from the cache.
     """
     ids = as_edge_ids(g, h)
     hview = g.view(ids)
@@ -116,22 +153,30 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     check_budget(n_fault_sets * comb(n, 2) if n >= 2 else 0, budget)
     # a cut of None searches the whole graph
     if g.weighted and reach is None:
+        ws = g._ws
+
         def search(view, x, cut, faults):
             return weighted_distances(view, x, cap=cut, excluded=faults)
     else:
+        ws = None
+
         def search(view, x, cut, faults):
             return hop_distances(view, x, n if cut is None else int(cut), excluded=faults)
     pairs = 0
     fault_sets = 0
+    trees: list[tuple[set[int], int]] = []  # per source, from the fault-free pass
     for faults in _fault_sets(m, f):
         fault_sets += 1
         for x in range(n):
+            if faults:
+                tree, count = trees[x]
+                if tree.isdisjoint(faults):
+                    pairs += count
+                    continue
             dist = search(gview, x, reach, faults)
             bounds = ((y, bound_of(dist[y])) for y in sorted(dist) if y > x)
             checks = [(y, b) for y, b in bounds if b is not None]
-            if not checks:
-                continue
-            dh = search(hview, x, max(b for _, b in checks), faults)
+            dh = search(hview, x, max(b for _, b in checks), faults) if checks else {}
             for y, bound in checks:
                 pairs += 1
                 if dh.get(y, INF) > bound:
@@ -142,6 +187,8 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
                         pairs,
                         fault_sets,
                     )
+            if f and not faults:
+                trees.append((_tree_edges(gview, dist, ws) | _tree_edges(hview, dh, ws), len(checks)))
     return VerificationReport(True, None, pairs, fault_sets)
 
 

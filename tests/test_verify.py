@@ -9,6 +9,7 @@ from spannerlab import (
     INF,
     BudgetExceededError,
     Multigraph,
+    eft_greedy_exact,
     greedy_dr_spanner,
     hop_distance,
     size_report,
@@ -18,7 +19,8 @@ from spannerlab import (
     verify_eft,
     verify_weighted_bound,
 )
-from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound
+from spannerlab import verify
+from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound, gen_random
 
 
 def test_verify_dr_full_graph_passes():
@@ -166,6 +168,39 @@ def test_counterexample_replay_property():
         assert ce.distance > 4 or ce.distance == INF
 
 
+def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
+    # the eft benchmark instance: a doubled G(20, .4) and its eft-exact spanner
+    simple = gen_random(20, 0.4, 0).graph
+    g = Multigraph(simple.n, [(e.u, e.v) for e in simple.edges() for _ in range(2)])
+    h, _ = eft_greedy_exact(g, 2, 4, 2)
+    counts = {"hop_distances": 0, "_tree_edges": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    # f = 0 builds no trees
+    assert verify_dr(g, h, 2, 4) == verify.VerificationReport(True, None, 107, 1)
+    assert counts == {"hop_distances": 37, "_tree_edges": 0}
+    # 5,291 searches without the skip; the report is the same
+    assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
+    assert counts["hop_distances"] - 37 == 990
+
+
+def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():
+    # 2**53 + 1 == 2**53, so 1 and 2 look like each other's parents over
+    # edge 4; a tree of that edge alone would skip F = {1, 3}, which cuts
+    # both off from 0
+    big = 2.0**53
+    g = Multigraph(5, [(0, 3, 1.0), (3, 1, big), (0, 4, 1.0), (4, 2, big), (1, 2, 1.0)], weighted=True)
+    expected = first_violation(g.n, weighted_edges_of(g), range(g.m), 2, lambda dist: dist, True)
+    _matches(verify_alpha_beta(g, range(g.m), 1, 0, 2), expected)
+
+
 def _kept_ids(draw, g):
     return {e for e, keep in enumerate(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))) if keep}
 
@@ -189,7 +224,7 @@ def _matches(report, expected, exact=True):
     small_graphs(max_n=7, max_m=12, multigraph=True),
     st.integers(1, 3),
     st.integers(0, 6),
-    st.integers(0, 1),
+    st.integers(0, 2),
 )
 def test_verify_eft_matches_oracle(data, g, d, r, f):
     kept = _kept_ids(data.draw, g)
@@ -203,7 +238,7 @@ def test_verify_eft_matches_oracle(data, g, d, r, f):
     st.data(),
     st.booleans(),
     st.sampled_from([(1, 1), (1.5, 0.5), (2, 1), (3, 2)]),
-    st.integers(0, 1),
+    st.integers(0, 2),
 )
 def test_verify_alpha_beta_matches_oracle(data, weighted, alpha_beta, f):
     g = data.draw(small_graphs(max_n=7, max_m=12, multigraph=not weighted, weighted=weighted))
