@@ -54,7 +54,7 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
-MAX_VERTICES = 2**24  # Multigraph holds an adjacency slot per vertex, edges or not
+MAX_VERTICES = 2**24  # commands loop over every vertex, isolated or not, so n bounds their work
 
 
 class GraphParseError(ValueError):

@@ -55,6 +55,15 @@ class EdgeRecord:
     weight: float
 
 
+class _Adjacency(dict):
+    """vertex -> (neighbor, edge id) pairs in (neighbor, id) order; a vertex
+    with no edges reads ``()`` without getting an entry, so a graph or view
+    costs memory per edge, not per vertex."""
+
+    def __missing__(self, v: int) -> tuple:
+        return ()
+
+
 class Multigraph:
     """Undirected multigraph with vertices 0..n-1 and edge ids 0..m-1.
 
@@ -97,7 +106,6 @@ class Multigraph:
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
-        # a file may declare many isolated vertices: they share () instead of a list
         adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         pair_ids: dict[tuple[int, int], list[int]] = {}
         for eid in range(len(us)):
@@ -105,7 +113,7 @@ class Multigraph:
             adj[a].append((b, eid))
             adj[b].append((a, eid))
             pair_ids.setdefault((min(a, b), max(a, b)), []).append(eid)
-        self._adj = tuple(tuple(sorted(adj[v])) if v in adj else () for v in range(n))
+        self._adj = _Adjacency((v, tuple(sorted(nbrs))) for v, nbrs in adj.items())
         self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
 
     @property
@@ -124,6 +132,8 @@ class Multigraph:
 
     def adj(self, v: int) -> tuple[tuple[int, int], ...]:
         """Neighbors of v as (neighbor, edge id) pairs, sorted ascending."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} not in graph with n={self.n}")
         return self._adj[v]
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
@@ -138,14 +148,6 @@ class Multigraph:
     def __repr__(self) -> str:
         kind = "weighted " if self.weighted else ""
         return f"Multigraph({kind}n={self.n}, m={self.m})"
-
-
-class _ViewAdjacency(dict):
-    """vertex -> [(neighbor, edge id), ...]; a vertex with no view edges
-    reads ``()`` without getting an entry."""
-
-    def __missing__(self, v: int) -> tuple:
-        return ()
 
 
 class SubgraphView:
@@ -168,7 +170,7 @@ class SubgraphView:
             self._adj = host._adj
         else:
             self.included = set()
-            self._adj = _ViewAdjacency()
+            self._adj = _Adjacency()
             self.add(included)
 
     def add(self, eids: Iterable[int]) -> None:

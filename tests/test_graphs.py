@@ -291,6 +291,22 @@ def test_isolated_vertices_cost_no_adjacency_list():
     assert g.adj(0) == ((1, 0),) and g.adj(1) == ((0, 0),) and g.adj(2) == ()
 
 
+def test_header_at_the_cap_costs_no_slot_per_vertex():
+    # no adjacency slot per isolated vertex, even at the parser's 2**24 cap
+    tracemalloc.start()
+    try:
+        g = Multigraph(2**24, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert g.adj(0) == ((1, 0),) and g.adj(2**24 - 1) == ()
+    assert hop_distances(g.view(), 2**24 - 1, 3) == {2**24 - 1: 0}
+    for v in (-1, 2**24):
+        with pytest.raises(IndexError):
+            g.adj(v)
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_view_add_matches_fresh_view(data):
