@@ -100,7 +100,8 @@ _TOKENS = [
 
 
 @given(
-    # no n in 13..2**24: each such n allocates adjacency before any edge is read
+    # n up to 12 puts the drawn vertex tokens both in and out of range; the
+    # rest lie past the cap
     st.integers(-3, 12) | st.sampled_from([2**24 + 1, 2**63, 10**40]),
     st.sampled_from(["0", "1", "2", "9" * 30]),
     st.sampled_from(["0", "1", "x", "9" * 30]),
@@ -354,6 +355,24 @@ def test_cli_missing_file_is_74(tmp_path, args):
     proc = _run_cli(tmp_path, *args)
     assert proc.returncode == EXIT_IO
     assert proc.stderr == "error: missing: No such file or directory\n"
+
+
+def test_cli_permission_denied_is_74(tmp_path, monkeypatch, capsys):
+    # the suite may run as root, which reads any file, so the denial is faked
+    src = str(tmp_path / "g")
+    assert main(["gen", "hypercube", "-k", "3", "-o", src]) == EXIT_OK
+    capsys.readouterr()
+    real_open = open
+
+    def deny(path, *args, **kwargs):
+        if path == src:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", deny)
+    assert main(["span", "greedy-dr", "-i", src, "-o", str(tmp_path / "h")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {src}: Permission denied\n"
+    assert not (tmp_path / "h").exists()
 
 
 def test_cli_directory_input_is_74(tmp_path):
