@@ -3,27 +3,25 @@
 The exact construction guards every candidate d-path with a search for a
 small fault set that would still separate its endpoints: it peels
 edge-disjoint short routes, then branches on the edges of the short routes
-that survive partial fault sets. Routes that proved a pair inseparable
-answer later candidates with the same endpoints. The polynomial variant
-decides by the peel alone. Both emit, per added path, the fault witness that
-justified the addition, and ``verify_blocking_set`` replays those witnesses
-against the prefix of previously added paths.
+that survive partial fault sets. The branching searches of one candidate are
+counted against ``DEFAULT_SUBSET_BUDGET``. Routes that proved a pair
+inseparable answer later candidates with the same endpoints. The polynomial
+variant decides by the peel alone. Both emit, per added path, the fault
+witness that justified the addition, and ``verify_blocking_set`` replays
+those witnesses against the prefix of previously added paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import (
-    INF,
     BudgetExceededError,
     Multigraph,
     PathSeq,
     SubgraphView,
     hop_distance,
-    hop_distances,
     shortest_path,
 )
 from .greedy import SpannerResult, _path_union, _result
@@ -47,30 +45,6 @@ class BlockingRecord:
     """Per added path, the fault witness recorded at addition time."""
 
     fault_sets: tuple[frozenset[int], ...]
-
-
-def _lens_candidates(
-    view: SubgraphView, x: int, y: int, r: int, banned: frozenset[int]
-) -> list[int]:
-    """Edges lying on some <= r-hop x-y walk of the view, minus banned ids.
-
-    Every least separating fault set uses only such edges. The count prices
-    the search budget: the budget bounds the subsets of these edges that a
-    fault set could be drawn from, not the searches actually run.
-    """
-    dx = hop_distances(view, x, r)
-    dy = hop_distances(view, y, r)
-    host = view.host
-    out = []
-    for eid in view.edge_ids():
-        if eid in banned:
-            continue
-        u, v = host.endpoints(eid)
-        du, dv = dx.get(u, INF), dx.get(v, INF)
-        eu, ev = dy.get(u, INF), dy.get(v, INF)
-        if min(du + 1 + ev, dv + 1 + eu) <= r:
-            out.append(eid)
-    return out
 
 
 def _peel_disjoint_short_paths(
@@ -117,7 +91,12 @@ def _certified(routes: Sequence[tuple[int, ...]], banned: Collection[int], f: in
 def _guard(
     view: SubgraphView, p: PathSeq, r: int, f: int, budget: int
 ) -> tuple[frozenset[int] | None, list[tuple[int, ...]]]:
-    """``find_fault_set``'s answer, plus the routes its peel found."""
+    """``find_fault_set``'s answer, plus the routes its peel found.
+
+    Each fault set the branching grows costs one search. The running count
+    is checked against ``budget`` while each level is grown, and the search
+    raises before it searches a level that would pass it, so a level never
+    holds more than budget + r sets."""
     if r < 0 or f < 0:
         raise ValueError("need r >= 0 and f >= 0")
     x, y = p.x, p.y
@@ -127,25 +106,23 @@ def _guard(
         return frozenset(), routes
     if _certified(routes, banned, f):
         return None, routes
-    cands = _lens_candidates(view, x, y, r, banned)
-    total = sum(comb(len(cands), size) for size in range(1, f + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"fault-set search needs {total} subsets, budget is {budget}",
-            required=total,
-        )
     # A separating set that contains a non-separating set T also contains a
     # non-banned edge of the shortest route surviving T. So growing each set
     # of level s-1 by those edges reaches every separating set of size s when
     # none is smaller, and level s holds at most r**s sets, one search each.
+    searches = 0
     level = {(): routes[0]}
     for _ in range(f):
-        grown = {
-            tuple(sorted(t + (e,)))
-            for t, path in level.items()
-            for e in path
-            if e not in banned
-        }
+        grown: set[tuple[int, ...]] = set()
+        for t, path in level.items():
+            grown.update(tuple(sorted(t + (e,))) for e in path if e not in banned)
+            needed = searches + len(grown)
+            if needed > budget:
+                raise BudgetExceededError(
+                    f"fault-set search needs at least {needed} searches, budget is {budget}",
+                    required=needed,
+                )
+        searches += len(grown)
         level = {}
         for t in sorted(grown):
             survivor = shortest_path(view, x, y, r, excluded=t)
@@ -169,9 +146,8 @@ def find_fault_set(
     The first search of the disjoint-path peel is the far test; f + 1 peeled
     routes answer None. Otherwise the search branches on the edges of short
     surviving routes, at most r**s searches for size s. Raises
-    BudgetExceededError when the subsets of the lens edges (those on some
-    <= r-hop walk) of size 1..f outnumber ``budget``, however few searches
-    the branching would run; it never falls back silently.
+    BudgetExceededError, before searching a size, when its sets would bring
+    the branching's searches past ``budget``; it never falls back silently.
     """
     return _guard(view, p, r, f, budget)[0]
 
@@ -182,9 +158,10 @@ def _d_paths(g: Multigraph, d: int) -> Iterator[PathSeq]:
     ``edge_ids_between``, so the paths are built without re-checking them."""
     if d == 1:
         for x in range(g.n):
-            for y in range(x + 1, g.n):
-                for eid in g.edge_ids_between(x, y):
-                    yield PathSeq((x, y), (eid,), (g.weight(eid),))
+            for y, _ in _distinct_neighbors(g, x):
+                if y > x:
+                    for eid in g.edge_ids_between(x, y):
+                        yield PathSeq((x, y), (eid,), (g.weight(eid),))
     elif d == 2:
         for x in range(g.n):
             for mid, _ in _distinct_neighbors(g, x):
@@ -207,7 +184,7 @@ def _distinct_neighbors(g: Multigraph, v: int) -> list[tuple[int, int]]:
 
 
 def _guarded_greedy(
-    g: Multigraph, candidates: Iterable[PathSeq], r: int, f: int, budget: int
+    g: Multigraph, candidates: Iterable[PathSeq], r: int, f: int
 ) -> tuple[list[PathSeq], list[frozenset[int]]]:
     """Keep each candidate that some admissible fault set still separates
     beyond r in the kept paths; return the kept paths and their witnesses.
@@ -226,7 +203,7 @@ def _guarded_greedy(
         routes = certificates.get(pair)
         if routes is not None and _certified(routes, p.edge_ids, f):
             continue
-        fs, routes = _guard(hview, p, r, f, budget)
+        fs, routes = _guard(hview, p, r, f, DEFAULT_SUBSET_BUDGET)
         if fs is None:
             certificates[pair] = routes
         else:
@@ -236,18 +213,12 @@ def _guarded_greedy(
     return paths, witnesses
 
 
-def eft_greedy_exact(
-    g: Multigraph,
-    d: int,
-    r: int,
-    f: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> tuple[SpannerResult, BlockingRecord]:
+def eft_greedy_exact(g: Multigraph, d: int, r: int, f: int) -> tuple[SpannerResult, BlockingRecord]:
     """Exact fault-tolerant greedy: add a d-path whenever some admissible
     fault set still separates its endpoints beyond r."""
     if r < d:
         raise ValueError("r must be at least d")
-    paths, witnesses = _guarded_greedy(g, _d_paths(g, d), r, f, budget)
+    paths, witnesses = _guarded_greedy(g, _d_paths(g, d), r, f)
     return (
         _result(g.n, paths, "eft-exact", d=d, r=r, f=f),
         BlockingRecord(tuple(witnesses)),
@@ -305,33 +276,25 @@ def eft_modified_greedy(
     )
 
 
-def eft_edge_greedy_2k1(
-    g: Multigraph, k: int, f: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> SpannerResult:
+def eft_edge_greedy_2k1(g: Multigraph, k: int, f: int) -> SpannerResult:
     """Multigraph fault-tolerant greedy over single edges with stretch 2k-1."""
     if k < 1 or f < 0:
         raise ValueError("need k >= 1 and f >= 0")
     r = 2 * k - 1
     edges = (PathSeq(g.endpoints(eid), (eid,), (g.weight(eid),)) for eid in range(g.m))
-    paths, _ = _guarded_greedy(g, edges, r, f, budget)
+    paths, _ = _guarded_greedy(g, edges, r, f)
     return _result(g.n, paths, "eft-edge-greedy", k=k, r=r, f=f)
 
 
-def eft_union_spanner(
-    g: Multigraph,
-    k: int,
-    f: int,
-    fast: bool = False,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> SpannerResult:
+def eft_union_spanner(g: Multigraph, k: int, f: int, fast: bool = False) -> SpannerResult:
     """Union of the edge-level and 2-path fault-tolerant greedy spanners:
     an f-EFT (k, k-1) spanner. ``fast`` swaps in the polynomial 2-path
     construction."""
-    one = eft_edge_greedy_2k1(g, k, f, budget)
+    one = eft_edge_greedy_2k1(g, k, f)
     if fast:
         two, _ = eft_modified_greedy(g, k, f)
     else:
-        two, _ = eft_greedy_exact(g, 2, 2 * k, f, budget)
+        two, _ = eft_greedy_exact(g, 2, 2 * k, f)
     return _result(g.n, one.paths + two.paths, "eft-union", k=k, f=f, fast=fast, alpha=k, beta=k - 1)
 
 

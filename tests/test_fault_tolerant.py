@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from conftest import seeded_gnp
 from spannerlab import (
     BlockingRecord,
@@ -292,11 +293,10 @@ def brute_fault_set(g, view_ids, p, r, f):
 
 
 def test_find_fault_set_matches_exhaustive_reference():
-    # the lens restriction, the disjoint-path peel and the route branching
-    # must never change the outcome relative to plain subset enumeration: for
-    # f = 0 to 3 and r up to 6, for single-edge and 2-path candidates, on
-    # simple and doubled hosts, and when the query path partially overlaps
-    # the view
+    # the disjoint-path peel and the route branching must never change the
+    # outcome relative to plain subset enumeration: for f = 0 to 3 and r up
+    # to 6, for single-edge and 2-path candidates, on simple and doubled
+    # hosts, and when the query path partially overlaps the view
     rng = random.Random(99)
     agree = 0
     sizes = [0] * 4
@@ -336,15 +336,20 @@ def test_find_fault_set_matches_exhaustive_reference():
     assert agree >= 3500 and sizes[2] >= 100 and sizes[3] >= 30
 
 
-def test_find_fault_set_searches_stay_within_route_branching_bound(monkeypatch):
-    # the single-edge candidate (0, 8) on this view has no separating set of
-    # at most 3 edges: the subsets of its lens edges number far more than the
-    # peel (at most f + 1 searches) plus the branching (at most r**s searches
-    # at level s) may run
+def unseparable_candidate():
+    """A fixed G(10, .5) view and single-edge candidate (0, 8) that no set of
+    at most 3 view edges separates beyond r = 4."""
     g = seeded_gnp(10, 0.5, 71)
     ids = [0, 1, 2, 4, 6, 8, 10, 16, 18, 19, 21, 23, 25, 27]
+    return g, ids, PathSeq.from_graph(g, (0, 8), (3,))
+
+
+def test_find_fault_set_searches_stay_within_route_branching_bound(monkeypatch):
+    # the subsets of the candidate's lens edges (those on some <= r-hop walk
+    # of the view) number far more than the peel (at most f + 1 searches)
+    # plus the branching (at most r**s searches at level s) may run
+    g, ids, p = unseparable_candidate()
     view = g.view(ids)
-    p = PathSeq.from_graph(g, (0, 8), (3,))
     r, f = 4, 3
     searches = []
 
@@ -359,9 +364,21 @@ def test_find_fault_set_searches_stay_within_route_branching_bound(monkeypatch):
         monkeypatch.setattr(fault_tolerant, name, counted(getattr(fault_tolerant, name)))
     assert find_fault_set(view, p, r, f) is None
     bound = (f + 1) + sum(r**s for s in range(1, f + 1))
-    lens = fault_tolerant._lens_candidates(view, 0, 8, r, frozenset({3}))
-    assert 0 < len(searches) <= bound < sum(comb(len(lens), s) for s in range(1, f + 1))
+    hops = oracles.fw_hop(g.n, oracles.edges_of(g), excluded=set(range(g.m)) - set(ids))
+    lens = 0
+    for e in set(ids) - set(p.edge_ids):
+        u, v = g.endpoints(e)
+        lens += min(hops[p.x][u] + hops[v][p.y], hops[p.x][v] + hops[u][p.y]) + 1 <= r
+    assert 0 < len(searches) <= bound < sum(comb(lens, s) for s in range(1, f + 1))
     assert find_fault_set(view, p, r, f) == brute_fault_set(g, ids, p, r, f)
+
+
+def test_find_fault_set_budget_counts_branching_searches():
+    # the lens edges give 469 subsets of at most 3 edges, but the branching
+    # runs at most r + r**2 + r**3 = 84 searches here, so this budget holds
+    g, ids, p = unseparable_candidate()
+    assert find_fault_set(g.view(ids), p, 4, 3, budget=84) is None
+    assert brute_fault_set(g, ids, p, 4, 3) is None
 
 
 def replay_guard(g, candidates, r, f):
@@ -398,6 +415,22 @@ def test_guard_certificates_match_search_on_every_candidate():
             one, _ = replay_guard(g, edges, 3, f)
             two, _ = replay_guard(g, _d_paths(g, 2), 4, f)
             assert list(union.paths) == one + two
+
+
+def test_one_paths_look_up_ids_per_edge_not_per_vertex_pair(monkeypatch):
+    # a path graph has n - 1 adjacent pairs but about n**2 / 2 vertex pairs
+    g = path_graph(200)
+    calls = []
+    real = Multigraph.edge_ids_between
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(Multigraph, "edge_ids_between", counted)
+    paths = list(_d_paths(g, 1))
+    assert [p.edge_ids for p in paths] == [(e,) for e in range(g.m)]
+    assert len(calls) == g.m
 
 
 def test_d_paths_equal_paths_built_through_the_host():
