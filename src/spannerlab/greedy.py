@@ -16,6 +16,7 @@ a path, after which a miss is re-tested pair by pair (see
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Sequence
@@ -88,10 +89,11 @@ def _result(n: int, paths: Sequence[PathSeq], algorithm: str, **meta) -> Spanner
 
 
 def pairs_at_distance(g: Multigraph, d: int) -> list[tuple[int, int]]:
-    """All pairs (x, y), x < y, at hop distance exactly d, in lex order."""
+    """All pairs (x, y), x < y, at hop distance exactly d, in lex order.
+    Only vertices with an edge are searched from: an isolated one has no pair."""
     full = g.view()
     out: list[tuple[int, int]] = []
-    for x in range(g.n):
+    for x in sorted(full._adj):
         dist = hop_distances(full, x, d)
         out.extend((x, y) for y in sorted(dist) if y > x and dist[y] == d)
     return out
@@ -195,9 +197,10 @@ def matching_rounds(g: Multigraph) -> list[tuple[int, ...]]:
 
     One pass: each edge, in id order, joins the first round free at both of
     its endpoints, which is the round the round-by-round rescan gives it.
-    Bit j of ``busy[v]`` records that round j already uses v.
+    Bit j of ``busy[v]`` records that round j already uses v; only vertices
+    with an edge get an entry, so the cost follows m, not n.
     """
-    busy = [0] * g.n
+    busy: defaultdict[int, int] = defaultdict(int)
     rounds: list[list[int]] = []
     for eid in range(g.m):
         u, v = g.endpoints(eid)

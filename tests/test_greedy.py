@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -268,6 +270,34 @@ def test_matching_rounds_matches_rescanning_reference():
     hosts.append(Multigraph(4))
     for g in hosts:
         assert matching_rounds(g) == rescanned_rounds(g)
+
+
+def test_matching_rounds_cost_follows_edges_not_vertices():
+    # a one-edge host at the parser's 2**24 vertex cap needs no slot per vertex
+    g = Multigraph(2**24, [(0, 1)])
+    tracemalloc.start()
+    try:
+        rounds = matching_rounds(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds == [(0,)]
+    assert peak < 2**20
+
+
+def test_pairs_at_distance_searches_only_from_vertices_with_edges(monkeypatch):
+    # an isolated vertex has no pair, so it must cost no search
+    g = Multigraph(2**20, [(0, 1), (1, 2)])
+    calls = []
+    real = greedy.hop_distances
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "hop_distances", counted)
+    assert greedy.pairs_at_distance(g, 2) == [(0, 2)]
+    assert calls == [0, 1, 2]
 
 
 def test_sqrt_k_stretch_values():
