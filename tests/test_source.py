@@ -71,3 +71,38 @@ def test_no_set_grown_behind_a_view():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{site}" for site in _set_grown_behind_view(tree)]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    imported: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant))
+    return [f"{line} {name}" for line, name in sorted(imported) if name not in used]
+
+
+def test_no_unused_imports_in_package():
+    # an import left behind by a deletion still loads, so nothing else in the
+    # suite notices it; __init__ imports only to re-export
+    sample = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import comb, inf as INF\n"
+        "__all__ = ['comb']\n"
+        "x: int = 0\n"
+    )
+    assert _unused_imports(ast.parse(sample)) == ["2 os", "3 INF"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{site}" for site in _unused_imports(tree)]
+    assert found == []
