@@ -36,7 +36,7 @@ from .greedy import (
     union_hybrid_spanner,
 )
 from .verify import (
-    env_budget,
+    DEFAULT_CHECK_BUDGET,
     size_report,
     verify_alpha_beta,
     verify_dr,
@@ -54,7 +54,9 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
-MAX_VERTICES = 2**24  # commands loop over every vertex, isolated or not, so n bounds their work
+# The oracles of verify dr, eft and alpha-beta loop over every source vertex,
+# and the cluster tests compare exact powers of n, so n still bounds work.
+MAX_VERTICES = 2**24
 
 
 class GraphParseError(ValueError):
@@ -272,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--beta", type=_nonnegative_float, default=None)
     ver.add_argument("--max-hops", type=_at_least(2), default=2)
     ver.add_argument("--samples", type=_nonnegative_int, default=200)
-    ver.add_argument("--budget", type=_nonnegative_int, default=None)
+    ver.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_CHECK_BUDGET)
 
     stats = sub.add_parser("stats", help="report size and girth of a graph file")
     stats.add_argument("-s", "--spanner", required=True)
@@ -384,10 +386,9 @@ def _cmd_verify(args) -> int:
     g = parse_graph(args.input)
     h_graph = parse_graph(args.spanner)
     ids = match_subgraph(g, h_graph)
-    budget = args.budget if args.budget is not None else env_budget()
     if args.contract == "weighted":
         report = verify_weighted_bound(
-            g, ids, args.k, max_hops=args.max_hops, sample=args.samples, budget=budget
+            g, ids, args.k, max_hops=args.max_hops, sample=args.samples, budget=args.budget
         )
         if report.passed:
             print(
@@ -398,13 +399,13 @@ def _cmd_verify(args) -> int:
         print(f"VIOLATED: ratio {report.worst_ratio:.6f} on path {report.worst_case}")
         return EXIT_COUNTEREXAMPLE
     if args.contract == "dr":
-        report = verify_dr(g, ids, args.d, args.r, budget)
+        report = verify_dr(g, ids, args.d, args.r, args.budget)
     elif args.contract == "eft":
-        report = verify_eft(g, ids, args.d, args.r, args.f, budget)
+        report = verify_eft(g, ids, args.d, args.r, args.f, args.budget)
     else:
         alpha = args.k if args.alpha is None else args.alpha
         beta = (args.k - 1) if args.beta is None else args.beta
-        report = verify_alpha_beta(g, ids, alpha, beta, args.f, budget)
+        report = verify_alpha_beta(g, ids, alpha, beta, args.f, args.budget)
     if report.passed:
         print(
             f"contract holds: {report.pairs_checked} pairs, "

@@ -23,6 +23,7 @@ from .graphs import (
     SubgraphView,
     hop_distance,
     shortest_path,
+    two_paths,
 )
 from .greedy import SpannerResult, _path_union, _result
 
@@ -155,32 +156,18 @@ def find_fault_set(
 def _d_paths(g: Multigraph, d: int) -> Iterator[PathSeq]:
     """All d-paths of g in lexicographic (vertex sequence, edge ids) order,
     endpoints canonicalized to x < y. Supports d in {1, 2}. The ids come from
-    ``edge_ids_between``, so the paths are built without re-checking them."""
+    the host's adjacency, so the paths are built without re-checking them."""
+    w = g.weight
     if d == 1:
-        for x in range(g.n):
-            for y, _ in _distinct_neighbors(g, x):
+        for x in g.vertices_with_edges():
+            for y, eid in g.adj(x):
                 if y > x:
-                    for eid in g.edge_ids_between(x, y):
-                        yield PathSeq((x, y), (eid,), (g.weight(eid),))
+                    yield PathSeq((x, y), (eid,), (w(eid),))
     elif d == 2:
-        for x in range(g.n):
-            for mid, _ in _distinct_neighbors(g, x):
-                for y, _ in _distinct_neighbors(g, mid):
-                    if y <= x or y == mid:
-                        continue
-                    for e1 in g.edge_ids_between(x, mid):
-                        for e2 in g.edge_ids_between(mid, y):
-                            yield PathSeq((x, mid, y), (e1, e2), (g.weight(e1), g.weight(e2)))
+        for x, mid, y, e1, e2 in sorted(two_paths(g)):
+            yield PathSeq((x, mid, y), (e1, e2), (w(e1), w(e2)))
     else:
         raise ValueError("only path lengths 1 and 2 are supported")
-
-
-def _distinct_neighbors(g: Multigraph, v: int) -> list[tuple[int, int]]:
-    seen = {}
-    for u, eid in g.adj(v):
-        if u not in seen:
-            seen[u] = eid
-    return sorted(seen.items())
 
 
 def _guarded_greedy(

@@ -29,6 +29,7 @@ __all__ = [
     "Multigraph",
     "SubgraphView",
     "PathSeq",
+    "two_paths",
     "hop_distance",
     "hop_distances",
     "shortest_path",
@@ -129,6 +130,10 @@ class Multigraph:
     def edges(self) -> Iterator[EdgeRecord]:
         for eid in range(self.m):
             yield EdgeRecord(eid, self._us[eid], self._vs[eid], self._ws[eid])
+
+    def vertices_with_edges(self) -> list[int]:
+        """Vertices that have at least one edge, ascending."""
+        return sorted(self._adj)
 
     def adj(self, v: int) -> tuple[tuple[int, int], ...]:
         """Neighbors of v as (neighbor, edge id) pairs, sorted ascending."""
@@ -266,6 +271,18 @@ class PathSeq:
         """Sum of the ceil(hop_length/2) largest edge weights."""
         top = (self.hop_length + 1) // 2
         return sum(sorted(self.weights, reverse=True)[:top])
+
+
+def two_paths(g: Multigraph) -> list[tuple[int, int, int, int, int]]:
+    """All 2-paths (x, mid, y, e_xm, e_my) with x < y, ordered by
+    (mid, x, e_xm, y, e_my). Only vertices with an edge are walked, and two
+    edges to the same neighbor form no 2-path."""
+    out = []
+    for mid in g.vertices_with_edges():
+        nbrs = g.adj(mid)
+        for i, (x, e1) in enumerate(nbrs):
+            out.extend((x, mid, y, e1, e2) for y, e2 in nbrs[i + 1 :] if y != x)
+    return out
 
 
 def _check_vertex(g: Multigraph, v: int) -> None:

@@ -93,7 +93,7 @@ def pairs_at_distance(g: Multigraph, d: int) -> list[tuple[int, int]]:
     Only vertices with an edge are searched from: an isolated one has no pair."""
     full = g.view()
     out: list[tuple[int, int]] = []
-    for x in sorted(full._adj):
+    for x in g.vertices_with_edges():
         dist = hop_distances(full, x, d)
         out.extend((x, y) for y in sorted(dist) if y > x and dist[y] == d)
     return out

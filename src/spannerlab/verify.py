@@ -27,7 +27,6 @@ fault-free searches, so it still shares nothing with a construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -246,13 +245,3 @@ def size_report(h, n: int, k: float | None) -> SizeReport:
     exponent = 1.0 if k is None or k == INF else 1.0 + 1.0 / k
     return SizeReport(edges, n, k, edges / (n**exponent))
 
-
-def env_budget() -> int:
-    """Verification budget, honoring the SPANNER_BUDGET environment variable."""
-    raw = os.environ.get("SPANNER_BUDGET")
-    if raw is None:
-        return DEFAULT_CHECK_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SPANNER_BUDGET must be an integer, got {raw!r}") from exc

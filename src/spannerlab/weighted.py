@@ -22,8 +22,8 @@ Phases 2 and 3 are incremental. After each weight group, phase 2 re-tests
 full clustering only for vertices within R - 1 hops of an endpoint of an edge
 that joined the thresholded spanner during the group; the test is monotone in
 that spanner, so every other vertex keeps its verdict. Phase 3 runs one
-Dijkstra per vertex, cut at its largest candidate key, caches the neighbors'
-balls, and drops both when it adds an edge.
+Dijkstra per vertex, cut at its largest candidate key, and drops it when it
+adds an edge.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .graphs import (
     PathSeq,
     hop_distance,
     hop_distances,
+    two_paths,
     weighted_ball,
     weighted_dist,
     weighted_distances,
@@ -139,17 +140,6 @@ class WeightedSpannerResult:
         }
 
 
-def _two_paths(g: Multigraph) -> list[tuple[int, int, int, int, int]]:
-    """All unordered 2-paths (x, mid, y, e_xm, e_my) with x < y, ordered by
-    (mid, x, y). g must be simple, so each neighbor has one edge id."""
-    return [
-        (x, mid, y, e1, e2)
-        for mid in range(g.n)
-        for i, (x, e1) in enumerate(g.adj(mid))
-        for y, e2 in g.adj(mid)[i + 1 :]
-    ]
-
-
 def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     """Run the five phases on a simple positively weighted graph."""
     if k < 2:
@@ -172,16 +162,18 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # it, and every edge this phase adds joins it at once. After each group
     # only dirty vertices get a fresh cluster test: those within R - 1 hops,
     # in the grown ``lview``, of an endpoint of an edge that joined it during
-    # the group (before the first group, every vertex). This is exact because
-    # clustering is monotone in ``lview``: a new edge (a, b) can grow B(x, r),
-    # r <= R, only if x reaches a or b within r - 1 hops.
+    # the group (before the first group, every vertex with an edge). This is
+    # exact because clustering is monotone in ``lview``: a new edge (a, b) can
+    # grow B(x, r), r <= R, only if x reaches a or b within r - 1 hops. An
+    # isolated vertex is never clustered: for n >= 2 its balls have size
+    # 1 < n**(r/k), and m = 0 when n <= 1.
     start = sorted(phase1, key=lambda e: (weight(e), e))
     lview = g.view(set())
     pos = 0
     phase2: list[int] = []
     saturated: list[int] = []
     first_clustered: dict[int, float] = {}
-    dirty: set[int] = set(range(n))
+    dirty: set[int] = set(g.vertices_with_edges())
     idx = 0
     while idx < m:
         omega = weight(order[idx])
@@ -215,14 +207,13 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # ascending (key, neighbor id). Balls are weighted and unthresholded. Per
     # vertex one Dijkstra, cut at its largest key, gives every candidate's
     # ball: a larger cap makes the same pushes at or below a key, so the
-    # vertices within it get the same distances. The u-balls are cached per
-    # u. An addition changes ``hview`` and drops both.
+    # vertices within it get the same distances. An addition changes
+    # ``hview`` and drops it. An isolated vertex has no candidates.
     n_pow_R = n**R
     n_pow_R1 = n ** (R - 1)
     phase3: list[int] = []
     log3: list[Phase3Decision] = []
-    balls_u: dict[int, set[int]] = {}
-    for v in range(n):
+    for v in g.vertices_with_edges():
         cands = sorted(
             ((R - 1) * first_clustered[u] + weight(eid), u, eid)
             for u, eid in g.adj(v)
@@ -236,15 +227,13 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             if len(ball_v) ** k >= n_pow_R:
                 log3.append(Phase3Decision(v, u, eid, key, P3_SATURATED))
                 continue
-            if u not in balls_u:
-                balls_u[u] = weighted_ball(hview, u, (R - 1) * first_clustered[u])
-            grown = len(balls_u[u] - ball_v)
+            ball_u = weighted_ball(hview, u, (R - 1) * first_clustered[u])
+            grown = len(ball_u - ball_v)
             if (10 * grown) ** k > n_pow_R1:
                 hview.add((eid,))
                 phase3.append(eid)
                 log3.append(Phase3Decision(v, u, eid, key, P3_ADDED))
                 dist_v = None
-                balls_u.clear()
             else:
                 log3.append(Phase3Decision(v, u, eid, key, P3_CONTAINED))
 
@@ -291,7 +280,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # by ascending key, re-checked at processing time.
     settled = cache(partial(weighted_distances, hview))
     bad: list[tuple[float, int, int, int, int, int]] = []
-    for x, mid, y, e1, e2 in _two_paths(g):
+    for x, mid, y, e1, e2 in two_paths(g):
         bound = two_path_bound(weight(e1), weight(e2), k)
         if settled(x).get(y, INF) <= bound * (1 + _REL_EPS):
             continue
@@ -386,12 +375,12 @@ def verify_weighted_bound(
     if max_hops < 2 or sample < 0:
         raise ValueError("need max_hops >= 2 and sample >= 0")
     ids = as_edge_ids(g, h)
-    two_paths = _two_paths(g)
-    check_budget(len(two_paths) + sample * (max_hops - 2), budget)
+    paths = two_paths(g)
+    check_budget(len(paths) + sample * (max_hops - 2), budget)
     settled = cache(partial(weighted_distances, g.view(ids)))
     worst = 0.0
     worst_case: tuple[int, ...] | None = None
-    for x, mid, y, e1, e2 in two_paths:
+    for x, mid, y, e1, e2 in paths:
         bound = two_path_bound(g.weight(e1), g.weight(e2), k)
         ratio = settled(x).get(y, INF) / bound
         if ratio > worst:
@@ -418,6 +407,6 @@ def verify_weighted_bound(
         passed=worst <= 1 + 1e-9,
         worst_ratio=worst,
         worst_case=worst_case,
-        two_paths_checked=len(two_paths),
+        two_paths_checked=len(paths),
         sampled_checked=sampled,
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import small_graphs
-from spannerlab import Multigraph
+from spannerlab import Multigraph, graphs
 from spannerlab.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -255,18 +255,13 @@ def test_cli_verify_counterexample_printed(tmp_path, capsys):
     assert "VIOLATED" in out and "faults" in out
 
 
-def test_cli_budget_exit(tmp_path, monkeypatch):
+def test_cli_budget_exit(tmp_path):
     g = tmp_path / "g"
     assert main(["gen", "gnp", "-n", "20", "-p", "0.4", "--seed", "1", "-o", str(g)]) == EXIT_OK
     code = main(
         ["verify", "eft", "-d", "2", "-r", "4", "-f", "2", "-i", str(g), "-s", str(g), "--budget", "10"]
     )
     assert code == EXIT_BUDGET
-    monkeypatch.setenv("SPANNER_BUDGET", "10")
-    assert (
-        main(["verify", "eft", "-d", "2", "-r", "4", "-f", "2", "-i", str(g), "-s", str(g)])
-        == EXIT_BUDGET
-    )
 
 
 def test_cli_weighted_budget_exit(tmp_path, monkeypatch):
@@ -275,8 +270,35 @@ def test_cli_weighted_budget_exit(tmp_path, monkeypatch):
     verify = ["verify", "weighted", "-k", "2", "-i", str(g), "-s", str(g)]
     assert main(verify) == EXIT_OK
     assert main([*verify, "--budget", "1"]) == EXIT_BUDGET
-    monkeypatch.setenv("SPANNER_BUDGET", "1")
-    assert main(verify) == EXIT_BUDGET
+    # --budget is the one override; the environment is not read
+    monkeypatch.setenv("SPANNER_BUDGET", "-5")
+    assert main(verify) == EXIT_OK
+
+
+def test_no_command_touches_an_isolated_vertex(tmp_path, monkeypatch):
+    # two edges under a header of 2**16 vertices: a command that walks every
+    # vertex reads the missing adjacency of each isolated one
+    header = "# spanner-graph v1 n=65536 weighted={} multigraph=0\n"
+    plain, weighted = tmp_path / "g", tmp_path / "w"
+    plain.write_text(header.format(0) + "0 1\n1 2\n")
+    weighted.write_text(header.format(1) + "0 1 1.5\n1 2 2.0\n")
+    hits = []
+    monkeypatch.setattr(graphs._Adjacency, "__missing__", lambda self, v: hits.append(v) or ())
+    out = str(tmp_path / "h")
+    runs = [
+        ["span", algo, "-i", str(plain), "-o", out]
+        for algo in ("greedy-dr", "parallel", "sqrt-k", "union", "eft-exact", "eft-fast", "eft-union")
+    ]
+    runs += [
+        ["span", "eft-exact", "-d", "1", "-i", str(plain), "-o", out],
+        ["span", "eft-union", "--fast", "-i", str(plain), "-o", out],
+        ["span", "weighted", "-i", str(weighted), "-o", out],
+        ["verify", "weighted", "-i", str(weighted), "-s", out],
+    ]
+    for argv in runs:
+        hits.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert len(hits) <= 10, (argv, len(hits))
 
 
 def test_cli_usage_error_is_64(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from math import comb
 
 import pytest
@@ -417,20 +418,26 @@ def test_guard_certificates_match_search_on_every_candidate():
             assert list(union.paths) == one + two
 
 
-def test_one_paths_look_up_ids_per_edge_not_per_vertex_pair(monkeypatch):
-    # a path graph has n - 1 adjacent pairs but about n**2 / 2 vertex pairs
-    g = path_graph(200)
-    calls = []
-    real = Multigraph.edge_ids_between
+def test_one_paths_look_up_ids_per_edge_not_per_vertex_pair():
+    # a doubled path on 200 vertices under a range of 2**16: about 2**31
+    # vertex pairs and 2**16 vertices, but 398 edges; the work, counted in
+    # function calls, must follow the edges
+    g = Multigraph(2**16, [(v, v + 1) for v in range(199)] * 2)
+    calls = 0
 
-    def counted(self, u, v):
-        calls.append((u, v))
-        return real(self, u, v)
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
 
-    monkeypatch.setattr(Multigraph, "edge_ids_between", counted)
-    paths = list(_d_paths(g, 1))
-    assert [p.edge_ids for p in paths] == [(e,) for e in range(g.m)]
-    assert len(calls) == g.m
+    sys.setprofile(count)
+    try:
+        paths = list(_d_paths(g, 1))
+    finally:
+        sys.setprofile(None)
+    assert [(p.vertices, p.edge_ids) for p in paths] == [
+        ((v, v + 1), (e,)) for v in range(199) for e in (v, v + 199)
+    ]
+    assert calls <= 20 * g.m
 
 
 def test_d_paths_equal_paths_built_through_the_host():

@@ -19,7 +19,9 @@ from spannerlab import (
     weighted_dist,
 )
 from spannerlab.generators import cycle_graph, gen_weighted_lower_bound
-from spannerlab.weighted import P3_CONTAINED, P4_CLOSE, two_path_bound, _two_paths
+from spannerlab.fault_tolerant import _d_paths
+from spannerlab.graphs import two_paths
+from spannerlab.weighted import P3_CONTAINED, P4_CLOSE, two_path_bound
 
 
 def wpath(*weights):
@@ -50,7 +52,7 @@ def exhaustive_two_path_check(g, edge_ids, k):
         (g.endpoints(e)[0], g.endpoints(e)[1], g.weight(e)) for e in edge_ids
     ]
     dist = oracles.fw_weighted(g.n, kept)
-    for x, _mid, y, e1, e2 in _two_paths(g):
+    for x, _mid, y, e1, e2 in two_paths(g):
         bound = two_path_bound(g.weight(e1), g.weight(e2), k)
         assert dist[x][y] <= bound * (1 + 1e-9)
 
@@ -246,7 +248,7 @@ def test_key_lemma_spot_check():
             | set(result.phase4)
         )
         pre_view = g.view(before_repair)
-        for x, mid, y, e1, e2 in _two_paths(g):
+        for x, mid, y, e1, e2 in two_paths(g):
             for sat, lat, far in ((e1, e2, y), (e2, e1, x)):
                 if sat in close and (far, lat) in contained:
                     bound = two_path_bound(g.weight(e1), g.weight(e2), k)
@@ -340,7 +342,7 @@ def test_verify_weighted_bound_single_edges_served():
 
 def test_verify_weighted_bound_budget():
     g = seeded_gnp(15, 0.3, 8, weighted=True)
-    required = len(_two_paths(g)) + 50 * 2
+    required = len(two_paths(g)) + 50 * 2
     assert verify_weighted_bound(g, range(g.m), 2, max_hops=4, sample=50, budget=required).passed
     with pytest.raises(BudgetExceededError) as err:
         verify_weighted_bound(g, range(g.m), 2, max_hops=4, sample=50, budget=required - 1)
@@ -371,7 +373,7 @@ def test_verify_weighted_bound_deterministic_sampling():
 
 def naive_two_paths(g):
     """(x, mid, y, e_xm, e_my) for every pair of edges sharing mid, x < y,
-    ordered by (mid, x, y); built from the edge list alone."""
+    ordered by (mid, x, e_xm, y, e_my); built from the edge list alone."""
     ends = [(e.u, e.v, e.id) for e in g.edges()] + [(e.v, e.u, e.id) for e in g.edges()]
     out = [
         (x, mid, y, e1, e2)
@@ -379,10 +381,16 @@ def naive_two_paths(g):
         for mid2, y, e2 in ends
         if mid2 == mid and x < y
     ]
-    return sorted(out, key=lambda t: (t[1], t[0], t[2]))
+    return sorted(out, key=lambda t: (t[1], t[0], t[3], t[2], t[4]))
 
 
 def test_two_paths_match_naive_enumeration():
+    # doubled hosts have two edges to each neighbor, which form no 2-path;
+    # the EFT candidates are the same 2-paths in (x, mid, y, ids) order
     for seed in range(6):
         g = seeded_gnp(9 + seed, 0.4, 500 + seed, weighted=True)
-        assert _two_paths(g) == naive_two_paths(g)
+        doubled = Multigraph(g.n, [(e.u, e.v) for e in g.edges() for _ in range(2)])
+        for host in (g, doubled):
+            naive = naive_two_paths(host)
+            assert two_paths(host) == naive
+            assert [(*p.vertices, *p.edge_ids) for p in _d_paths(host, 2)] == sorted(naive)
