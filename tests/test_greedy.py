@@ -27,6 +27,7 @@ from spannerlab.generators import (
     path_graph,
 )
 from spannerlab import greedy
+from spannerlab.graphs import weighted_dist
 from spannerlab.greedy import lex_shortest_path, sqrt_k_stretch
 
 
@@ -364,6 +365,68 @@ def test_greedy_multiplicative_unweighted_fractional_stretch():
             a = greedy_multiplicative_spanner(g, frac)
             b = greedy_multiplicative_spanner(g, whole)
             assert (a.edges, a.paths) == (b.edges, b.paths)
+
+
+def fresh_search_multiplicative(g, t):
+    """The classic greedy with one fresh capped search per edge, from the
+    edge's first endpoint, in ascending (weight, id) order."""
+    view = g.view(set())
+    kept = []
+    for eid in sorted(range(g.m), key=lambda e: (g.weight(e), e)):
+        u, v = g.endpoints(eid)
+        cap = t * g.weight(eid)
+        if weighted_dist(view, u, v, cap=cap) > cap:
+            view.add((eid,))
+            kept.append(eid)
+    return kept
+
+
+def multiplicative_replay_hosts():
+    hosts = [seeded_gnp(n, p, seed, weighted=True) for n, p in ((30, 0.3), (60, 0.12)) for seed in range(3)]
+    for seed in range(3):
+        # weights from {0.1, 0.2, 0.3}: many equal weights, and 0.1 + 0.2
+        # exceeds 0.3 by an ulp
+        base = seeded_gnp(40, 0.15, 20 + seed)
+        hosts.append(
+            Multigraph(
+                base.n,
+                [(e.u, e.v, (0.1, 0.2, 0.3)[(e.u * 7 + e.v) % 3]) for e in base.edges()],
+                weighted=True,
+            )
+        )
+    # isolated vertices, and a sparse host with several components
+    iso = seeded_gnp(25, 0.3, 7, weighted=True)
+    hosts.append(Multigraph(iso.n + 15, [(e.u + 15, e.v + 15, e.weight) for e in iso.edges()], weighted=True))
+    hosts.append(seeded_gnp(80, 0.03, 8, weighted=True))
+    hosts += [seeded_gnp(n, p, 40 + seed) for n, p in ((20, 0.4), (50, 0.1)) for seed in range(2)]
+    hosts += [cycle_graph(9), gen_hypercube(4).graph, Multigraph(6)]
+    base = seeded_gnp(15, 0.3, 9)
+    hosts.append(Multigraph(base.n, [(e.u, e.v) for e in base.edges() for _ in range(2)]))
+    return hosts
+
+
+def test_greedy_multiplicative_replays_fresh_searches():
+    for g in multiplicative_replay_hosts():
+        for t in (1, 1.5, 3, 5):
+            kept = fresh_search_multiplicative(g, t)
+            result = greedy_multiplicative_spanner(g, t)
+            assert [p.edge_ids for p in result.paths] == [(eid,) for eid in kept], (g, t)
+            assert [p.vertices for p in result.paths] == [g.endpoints(eid) for eid in kept]
+            assert result.edges == tuple(sorted(kept))
+
+
+def test_greedy_multiplicative_memory_follows_edges():
+    # one weighted host of the size_trends family at n = 400: keeping a whole
+    # search map per vertex would take about 10 MiB
+    g = seeded_gnp(400, 15 / 400, 0, weighted=True)
+    tracemalloc.start()
+    try:
+        result = greedy_multiplicative_spanner(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.edges) < g.m
+    assert peak < 2 * 2**20
 
 
 def test_two_to_2k_size_trend_small():
