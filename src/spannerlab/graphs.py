@@ -444,9 +444,11 @@ def _dijkstra(
     cap: float | None,
     excluded: Collection[int],
     target: int | None = None,
+    limit: int | None = None,
 ) -> dict[int, float]:
     """Settled Dijkstra distances from source, pruned at ``cap`` when given;
-    the search stops as soon as ``target`` is settled."""
+    the search stops as soon as ``target`` is settled, or ``limit`` vertices
+    are."""
     adj = view._adj
     ws = view.host._ws
     excl = excluded if excluded else None
@@ -457,7 +459,7 @@ def _dijkstra(
         if v in dist:
             continue
         dist[v] = d
-        if v == target:
+        if v == target or len(dist) == limit:
             break
         for u, eid in adj[v]:
             if u in dist:
@@ -476,10 +478,13 @@ def weighted_distances(
     source: int,
     cap: float | None = None,
     excluded: Collection[int] = frozenset(),
+    limit: int | None = None,
 ) -> dict[int, float]:
-    """Dijkstra distances from source, pruned at ``cap`` when given."""
+    """Dijkstra distances from source, pruned at ``cap`` when given. With
+    ``limit`` the search stops after that many settled vertices: weights are
+    positive, so they are the ``limit`` nearest in settle order."""
     _check_vertex(view.host, source)
-    return _dijkstra(view, source, cap, excluded)
+    return _dijkstra(view, source, cap, excluded, limit=limit)
 
 
 def weighted_dist(

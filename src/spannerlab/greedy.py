@@ -23,13 +23,14 @@ from typing import Iterable, Sequence
 
 from .clustering import cluster_level
 from .graphs import (
+    INF,
     Multigraph,
     PathSeq,
     SubgraphView,
     hop_distance,
     hop_distances,
     shortest_path,
-    weighted_dist,
+    weighted_distances,
 )
 
 __all__ = [
@@ -295,16 +296,48 @@ def union_hybrid_spanner(g: Multigraph, k: int) -> SpannerResult:
 
 def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
     """Classic greedy t-spanner: scan edges by ascending (weight, id) and add
-    each edge whose endpoints are farther than t times its weight."""
+    each edge whose endpoints are farther than t times its weight.
+
+    The distance test reuses searches across edges (the FG-greedy of Farshi
+    and Gudmundsson). Every edge (u, v) is tested from its first endpoint u.
+    Per u one Dijkstra in the spanner, cut at t times the largest weight of
+    an edge whose first endpoint is u, is kept as a map restricted to the far
+    ends of those edges, tagged with the number of edges added when it was
+    taken. For an edge (u, v, w):
+
+    - v within t*w in the map: reject. The spanner only grows, and the path
+      the map saw still sums to the same float, so a fresh search finds v
+      within t*w too;
+    - else, if nothing was added since the map was taken, add: a larger cut
+      and no target leave every distance up to t*w as a fresh search has it;
+    - else take a fresh map for u and decide by it.
+
+    Only far ends are kept, so the maps hold O(m) entries in all.
+    """
     if t < 1:
         raise ValueError("stretch must be at least 1")
     hview = g.view(set())
     paths: list[PathSeq] = []
+    far: defaultdict[int, list[int]] = defaultdict(list)
+    top: dict[int, float] = {}
+    for eid in range(g.m):
+        u, v = g.endpoints(eid)
+        far[u].append(v)
+        top[u] = max(top.get(u, 0.0), g.weight(eid))
+    maps: dict[int, tuple[int, dict[int, float]]] = {}  # u -> (tag, map)
     order = sorted(range(g.m), key=lambda e: (g.weight(e), e))
     for eid in order:
         u, v = g.endpoints(eid)
         cap = t * g.weight(eid)
-        if weighted_dist(hview, u, v, cap=cap) > cap:
-            hview.add((eid,))
-            paths.append(PathSeq.from_graph(g, (u, v), (eid,)))
+        tag, dist = maps.get(u, (-1, {}))
+        if dist.get(v, INF) <= cap:
+            continue
+        if tag != len(paths):
+            reached = weighted_distances(hview, u, cap=t * top[u])
+            dist = {x: reached[x] for x in far[u] if x in reached}
+            maps[u] = (len(paths), dist)
+            if dist.get(v, INF) <= cap:
+                continue
+        hview.add((eid,))
+        paths.append(PathSeq.from_graph(g, (u, v), (eid,)))
     return _result(g.n, paths, "greedy-multiplicative", t=t)

@@ -18,17 +18,23 @@ graph, each with its own scan order:
 
 The spanner is the disjoint union of the five phase edge sets.
 
-Phases 2 and 3 are incremental. After each weight group, phase 2 re-tests
-full clustering only for vertices within R - 1 hops of an endpoint of an edge
-that joined the thresholded spanner during the group; the test is monotone in
-that spanner, so every other vertex keeps its verdict. Phase 3 runs one
-Dijkstra per vertex, cut at its largest candidate key, and drops it when it
-adds an edge.
+Phases 1-3 are incremental. Phase 1 tests each edge from its first
+endpoint u with the last Dijkstra map of u, kept at the far ends of u's
+edges, and searches afresh only when that map is stale and does not reject
+the edge (see ``greedy_multiplicative_spanner``). After each weight group,
+phase 2 re-tests full clustering only for vertices within R - 1 hops of an
+endpoint of an edge that joined the thresholded spanner during the group; the
+test is monotone in that spanner, so every other vertex keeps its verdict.
+Phase 3 runs one Dijkstra per vertex, cut at its largest candidate key and
+stopped after T settled vertices, the least T with T**k >= n**R, and drops
+it when it adds an edge. Any ball of T vertices saturates a candidate, so a
+ball cut there gives every verdict a full one gives.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Mapping
@@ -209,8 +215,14 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # ball: a larger cap makes the same pushes at or below a key, so the
     # vertices within it get the same distances. An addition changes
     # ``hview`` and drops it. An isolated vertex has no candidates.
+    # The Dijkstra also stops after ``full`` settled vertices, the least size
+    # with full**k >= n**R that saturates a candidate. Weights are positive,
+    # so vertices settle in nondecreasing distance: if the last of ``full``
+    # settled is within a key, the candidate is saturated either way, and if
+    # it is not, or fewer settled, the ball within the key is complete.
     n_pow_R = n**R
     n_pow_R1 = n ** (R - 1)
+    full = bisect_left(range(n + 1), n_pow_R, key=lambda size: size**k)
     phase3: list[int] = []
     log3: list[Phase3Decision] = []
     for v in g.vertices_with_edges():
@@ -222,7 +234,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         dist_v = None
         for key, u, eid in cands:
             if dist_v is None:
-                dist_v = weighted_distances(hview, v, cap=cands[-1][0])
+                dist_v = weighted_distances(hview, v, cap=cands[-1][0], limit=full)
             ball_v = {x for x, d in dist_v.items() if d <= key}
             if len(ball_v) ** k >= n_pow_R:
                 log3.append(Phase3Decision(v, u, eid, key, P3_SATURATED))

@@ -24,6 +24,7 @@ from spannerlab.generators import (
     cycle_graph,
     gen_big_clique,
     gen_hypercube,
+    gen_random,
     path_graph,
 )
 from spannerlab import greedy
@@ -427,6 +428,23 @@ def test_greedy_multiplicative_memory_follows_edges():
         tracemalloc.stop()
     assert len(result.edges) < g.m
     assert peak < 2 * 2**20
+
+
+def test_greedy_multiplicative_reuses_searches(monkeypatch):
+    # phase 1 of the weighted spanner on the seed-0 host of the weighted
+    # benchmark: one search per vertex and per stale map, not one per edge
+    g = gen_random(90, 0.1685, 0, weighted=True).graph
+    calls = []
+    real = greedy.weighted_distances
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "weighted_distances", counted)
+    result = greedy_multiplicative_spanner(g, 5)
+    assert (g.m, len(result.edges), len(calls)) == (685, 92, 183)
+    assert set(calls) == {g.endpoints(eid)[0] for eid in range(g.m)}
 
 
 def test_two_to_2k_size_trend_small():

@@ -18,7 +18,8 @@ from spannerlab import (
     weighted_ball,
     weighted_dist,
 )
-from spannerlab.generators import cycle_graph, gen_weighted_lower_bound
+from spannerlab import weighted
+from spannerlab.generators import cycle_graph, gen_random, gen_weighted_lower_bound
 from spannerlab.fault_tolerant import _d_paths
 from spannerlab.graphs import two_paths
 from spannerlab.weighted import P3_CONTAINED, P4_CLOSE, two_path_bound
@@ -214,6 +215,32 @@ def test_phase3_matches_fresh_balls():
         assert [astuple(d) for d in result.phase3_log] == log
         added += len(phase3)
     assert added >= 8
+
+
+def test_phase3_searches_stop_at_saturation_size(monkeypatch):
+    # each phase-3 search settles at most T vertices, the least T with
+    # T**k >= n**R: a ball of T vertices already saturates a candidate
+    real = weighted.weighted_distances
+    limited: list[tuple[int | None, int]] = []
+
+    def recording(*args, **kwargs):
+        dist = real(*args, **kwargs)
+        if "limit" in kwargs:
+            limited.append((kwargs["limit"], len(dist)))
+        return dist
+
+    monkeypatch.setattr(weighted, "weighted_distances", recording)
+    hosts = [(gen_random(90, 0.1685, 0, weighted=True).graph, 3, 21)]
+    hosts += [(seeded_gnp(n, p, seed, weighted=True), k, None) for n, p, seed, k in ((30, 0.3, 3, 2), (40, 0.25, 0, 4), (60, 0.2, 1, 5))]
+    for g, k, pinned in hosts:
+        R = (k + 1) // 2
+        size = next(s for s in range(g.n + 1) if s**k >= g.n**R)
+        assert pinned in (None, size)
+        limited.clear()
+        build_weighted_spanner(g, k)
+        assert limited
+        assert all(limit == size and settled <= size for limit, settled in limited)
+        assert any(settled == size for _, settled in limited)
 
 
 def test_phase3_per_vertex_budget():
