@@ -345,8 +345,10 @@ class WeightedBoundReport:
     sampled_checked: int
 
 
-def _random_simple_path(g: Multigraph, length: int, rng: random.Random) -> PathSeq | None:
-    start = rng.randrange(g.n)
+def _random_simple_path(
+    g: Multigraph, starts: list[int], length: int, rng: random.Random
+) -> PathSeq | None:
+    start = rng.choice(starts)
     verts = [start]
     eids = []
     seen = {start}
@@ -376,7 +378,7 @@ def verify_weighted_bound(
 
     All 2-paths are checked exhaustively; for each hop length from 3 to
     ``max_hops``, up to ``sample`` random simple paths are drawn from a
-    seeded generator. Distances are recomputed from scratch in the candidate
+    seeded generator, each from a vertex with an edge. Distances are recomputed from scratch in the candidate
     subgraph. Reports the worst observed ratio of distance to bound. Raises
     ``ValueError`` for ``max_hops < 2`` or ``sample < 0``, and
     ``BudgetExceededError`` before any search when the paths to check exceed
@@ -400,12 +402,15 @@ def verify_weighted_bound(
             worst_case = (x, mid, y)
     sampled = 0
     rng = random.Random(seed)
+    # a path starts at a vertex with an edge; on a host without isolated
+    # vertices the draws are those of randrange(n)
+    starts = g.vertices_with_edges()
     for length in range(3, max_hops + 1):
         drawn = 0
         attempts = 0
-        while drawn < sample and attempts < 20 * max(sample, 1):
+        while starts and drawn < sample and attempts < 20 * max(sample, 1):
             attempts += 1
-            p = _random_simple_path(g, length, rng)
+            p = _random_simple_path(g, starts, length, rng)
             if p is None:
                 continue
             drawn += 1

@@ -398,6 +398,15 @@ def test_verify_weighted_bound_deterministic_sampling():
     assert a == b
 
 
+def test_verify_weighted_bound_samples_past_isolated_vertices():
+    # a 4-edge path under a header of 2**16 vertices: sampled paths start at
+    # a vertex with an edge, so the isolated ones cost no failed draw
+    g = Multigraph(2**16, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (3, 4, 1.0)], weighted=True)
+    report = verify_weighted_bound(g, range(g.m), 2, max_hops=4, sample=200)
+    assert report.passed and report.two_paths_checked == 3
+    assert report.sampled_checked > 0
+
+
 def naive_two_paths(g):
     """(x, mid, y, e_xm, e_my) for every pair of edges sharing mid, x < y,
     ordered by (mid, x, e_xm, y, e_my); built from the edge list alone."""
