@@ -54,8 +54,8 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 HEADER_PREFIX = "# spanner-graph v1"
-# The oracles of verify dr, eft and alpha-beta loop over every source vertex,
-# and the cluster tests compare exact powers of n, so n still bounds work.
+# No command walks the isolated vertices of a file, but the cluster and
+# saturation tests compare exact integer powers of n, so n still bounds work.
 MAX_VERTICES = 2**24
 
 

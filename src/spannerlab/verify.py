@@ -148,8 +148,11 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     hview = g.view(ids)
     gview = g.view()
     n, m = g.n, g.m
+    # an isolated vertex is in no pair, so only vertices with an edge are
+    # sources, and only pairs among them count against the budget
+    sources = g.vertices_with_edges()
     n_fault_sets = sum(comb(m, size) for size in range(f + 1))
-    check_budget(n_fault_sets * comb(n, 2) if n >= 2 else 0, budget)
+    check_budget(n_fault_sets * comb(len(sources), 2), budget)
     # a cut of None searches the whole graph
     if g.weighted and reach is None:
         ws = g._ws
@@ -166,9 +169,9 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     trees: list[tuple[set[int], int]] = []  # per source, from the fault-free pass
     for faults in _fault_sets(m, f):
         fault_sets += 1
-        for x in range(n):
+        for i, x in enumerate(sources):
             if faults:
-                tree, count = trees[x]
+                tree, count = trees[i]
                 if tree.isdisjoint(faults):
                     pairs += count
                     continue

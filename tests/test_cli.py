@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,17 @@ def test_no_command_touches_an_isolated_vertex(tmp_path, monkeypatch):
         hits.clear()
         assert main(argv) == EXIT_OK, argv
         assert len(hits) <= 10, (argv, len(hits))
+
+
+def test_verify_eft_counts_only_pairs_with_edges(tmp_path, capsys):
+    # two edges under a header of 2**20 vertices: the exhaustive oracle has 3
+    # vertex pairs to check per fault set, not comb(2**20, 2)
+    g = tmp_path / "g"
+    g.write_text("# spanner-graph v1 n=1048576 weighted=0 multigraph=0\n0 1\n1 2\n")
+    start = time.perf_counter()
+    code = main(["verify", "eft", "-d", "1", "-r", "3", "-f", "1", "-i", str(g), "-s", str(g)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK, capsys.readouterr()
 
 
 def test_cli_usage_error_is_64(capsys):
