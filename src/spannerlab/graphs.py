@@ -452,6 +452,10 @@ def _dijkstra(
     adj = view._adj
     ws = view.host._ws
     excl = excluded if excluded else None
+    # int sentinels that never match keep the per-vertex stop test cheap:
+    # vertex ids are >= 0, and ``dist`` is never empty when it is tested
+    stop_at = -1 if target is None else target
+    stop_size = 0 if limit is None else limit
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -459,7 +463,7 @@ def _dijkstra(
         if v in dist:
             continue
         dist[v] = d
-        if v == target or len(dist) == limit:
+        if v == stop_at or len(dist) == stop_size:
             break
         for u, eid in adj[v]:
             if u in dist:
@@ -484,6 +488,8 @@ def weighted_distances(
     ``limit`` the search stops after that many settled vertices: weights are
     positive, so they are the ``limit`` nearest in settle order."""
     _check_vertex(view.host, source)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     return _dijkstra(view, source, cap, excluded, limit=limit)
 
 

@@ -92,6 +92,11 @@ def test_searches_reject_negative_cutoff(search, y):
         search(path_graph(3).view(), 0, y)
 
 
+def test_weighted_distances_rejects_limit_below_one():
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        weighted_distances(path_graph(3).view(), 0, limit=0)
+
+
 def test_weighted_ball_unit_path():
     g = path_graph(5)
     assert weighted_ball(g.view(), 0, 2) == {0, 1, 2}
@@ -342,6 +347,9 @@ def test_view_add_matches_fresh_view(data):
         weights = oracles.fw_weighted(g.n, oracles.weighted_edges_of(g), excluded=absent)[x]
         got = weighted_distances(view, x, excluded=excluded)
         assert got == pytest.approx({v: d for v, d in enumerate(weights) if d != INF}, rel=1e-9)
+        # a limited search is the same search stopped early, in settle order
+        limit = data.draw(st.integers(1, g.n))
+        assert list(weighted_distances(view, x, excluded=excluded, limit=limit).items()) == list(got.items())[:limit]
 
 
 def test_view_owns_its_edge_ids():
