@@ -215,8 +215,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # ball: a larger cap makes the same pushes at or below a key, so the
     # vertices within it get the same distances. An addition changes
     # ``hview`` and drops it. An isolated vertex has no candidates.
-    # The Dijkstra also stops after ``full`` settled vertices, the least size
-    # with full**k >= n**R that saturates a candidate. Weights are positive,
+    # The Dijkstra also stops after ``full`` settled vertices, the least ball
+    # size that saturates a candidate (full**k >= n**R). Weights are positive,
     # so vertices settle in nondecreasing distance: if the last of ``full``
     # settled is within a key, the candidate is saturated either way, and if
     # it is not, or fewer settled, the ball within the key is complete.
@@ -378,11 +378,11 @@ def verify_weighted_bound(
 
     All 2-paths are checked exhaustively; for each hop length from 3 to
     ``max_hops``, up to ``sample`` random simple paths are drawn from a
-    seeded generator, each from a vertex with an edge. Distances are recomputed from scratch in the candidate
-    subgraph. Reports the worst observed ratio of distance to bound. Raises
-    ``ValueError`` for ``max_hops < 2`` or ``sample < 0``, and
-    ``BudgetExceededError`` before any search when the paths to check exceed
-    ``budget``.
+    seeded generator, each from a vertex with an edge. Distances are
+    recomputed from scratch in the candidate subgraph. Reports the worst
+    observed ratio of distance to bound. Raises ``ValueError`` for
+    ``max_hops < 2`` or ``sample < 0``, and ``BudgetExceededError`` before
+    any search when the paths to check exceed ``budget``.
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")

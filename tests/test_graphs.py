@@ -349,7 +349,8 @@ def test_view_add_matches_fresh_view(data):
         assert got == pytest.approx({v: d for v, d in enumerate(weights) if d != INF}, rel=1e-9)
         # a limited search is the same search stopped early, in settle order
         limit = data.draw(st.integers(1, g.n))
-        assert list(weighted_distances(view, x, excluded=excluded, limit=limit).items()) == list(got.items())[:limit]
+        cut = weighted_distances(view, x, excluded=excluded, limit=limit)
+        assert list(cut.items()) == list(got.items())[:limit]
 
 
 def test_view_owns_its_edge_ids():

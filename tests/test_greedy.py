@@ -397,7 +397,8 @@ def multiplicative_replay_hosts():
         )
     # isolated vertices, and a sparse host with several components
     iso = seeded_gnp(25, 0.3, 7, weighted=True)
-    hosts.append(Multigraph(iso.n + 15, [(e.u + 15, e.v + 15, e.weight) for e in iso.edges()], weighted=True))
+    shifted = [(e.u + 15, e.v + 15, e.weight) for e in iso.edges()]
+    hosts.append(Multigraph(iso.n + 15, shifted, weighted=True))
     hosts.append(seeded_gnp(80, 0.03, 8, weighted=True))
     hosts += [seeded_gnp(n, p, 40 + seed) for n, p in ((20, 0.4), (50, 0.1)) for seed in range(2)]
     hosts += [cycle_graph(9), gen_hypercube(4).graph, Multigraph(6)]

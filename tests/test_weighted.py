@@ -221,7 +221,7 @@ def test_phase3_searches_stop_at_saturation_size(monkeypatch):
     # each phase-3 search settles at most T vertices, the least T with
     # T**k >= n**R: a ball of T vertices already saturates a candidate
     real = weighted.weighted_distances
-    limited: list[tuple[int | None, int]] = []
+    limited: list[tuple[int, int]] = []
 
     def recording(*args, **kwargs):
         dist = real(*args, **kwargs)
@@ -230,17 +230,20 @@ def test_phase3_searches_stop_at_saturation_size(monkeypatch):
         return dist
 
     monkeypatch.setattr(weighted, "weighted_distances", recording)
-    hosts = [(gen_random(90, 0.1685, 0, weighted=True).graph, 3, 21)]
-    hosts += [(seeded_gnp(n, p, seed, weighted=True), k, None) for n, p, seed, k in ((30, 0.3, 3, 2), (40, 0.25, 0, 4), (60, 0.2, 1, 5))]
-    for g, k, pinned in hosts:
+    hosts = [(gen_random(90, 0.1685, 0, weighted=True).graph, 3)]
+    for n, p, seed, k in ((30, 0.3, 3, 2), (40, 0.25, 0, 4), (60, 0.2, 1, 5)):
+        hosts.append((seeded_gnp(n, p, seed, weighted=True), k))
+    sizes = []
+    for g, k in hosts:
         R = (k + 1) // 2
         size = next(s for s in range(g.n + 1) if s**k >= g.n**R)
-        assert pinned in (None, size)
+        sizes.append(size)
         limited.clear()
         build_weighted_spanner(g, k)
         assert limited
         assert all(limit == size and settled <= size for limit, settled in limited)
         assert any(settled == size for _, settled in limited)
+    assert sizes[0] == 21
 
 
 def test_phase3_per_vertex_budget():
