@@ -29,6 +29,8 @@ from .graphs import (
     girth,
     hop_distance,
     hop_distances,
+    hop_layers,
+    neighbor_masks,
     weighted_ball,
     weighted_dist,
     weighted_distances,

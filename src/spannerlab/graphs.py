@@ -6,9 +6,11 @@ owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
 ``SubgraphView.add``. The kernels below answer bounded-radius hop/weighted
 distance, lexicographic shortest path, ball and girth queries by scanning
-only the view's edges. This module holds every graph search in the package;
-other modules read adjacency lists only to enumerate neighbors, never to
-search.
+only the view's edges. ``neighbor_masks`` and ``hop_layers`` give BFS
+layers as int bitmasks over the ranks of the vertices with an edge, one OR
+per frontier vertex; the fault-free hop oracles of ``verify`` use them. This
+module holds every graph search in the package; other modules read
+adjacency lists only to enumerate neighbors, never to search.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "two_paths",
     "hop_distance",
     "hop_distances",
+    "neighbor_masks",
+    "hop_layers",
     "shortest_path",
     "weighted_dist",
     "weighted_distances",
@@ -382,6 +386,47 @@ def hop_distances(
                 nxt.append(u)
         frontier = nxt
     return dist
+
+
+def neighbor_masks(view: SubgraphView) -> list[int]:
+    """Neighbor bitmasks of a view over host ranks: rank i is the i-th vertex
+    of ``view.host.vertices_with_edges()``, and bit j of entry i is set when
+    the view joins ranks i and j. Parallel edges set one bit. A mask is as
+    wide as its highest neighbor rank, so the table costs at most N²/8 bytes
+    for the N vertices with an edge, whatever the vertex header."""
+    verts = view.host.vertices_with_edges()
+    rank = {v: i for i, v in enumerate(verts)}
+    masks = [0] * len(verts)
+    for v, nbrs in view._adj.items():
+        mask = 0
+        for u, _ in nbrs:
+            mask |= 1 << rank[u]
+        masks[rank[v]] = mask
+    return masks
+
+
+def hop_layers(masks: list[int], source: int, cutoff: int) -> list[int]:
+    """Breadth-first layers of a source rank over ``neighbor_masks``: bit j
+    of entry d is set when rank j is exactly d hops from ``source``. A layer
+    is the union of the masks of the one before, minus what was seen, so it
+    costs one OR per frontier vertex. The list stops after ``cutoff`` hops
+    or at the last nonempty layer."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    frontier = seen = 1 << source
+    layers = [frontier]
+    while len(layers) <= cutoff:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    return layers
 
 
 def shortest_path(

@@ -13,6 +13,19 @@ gives the exact distance of every vertex within its cut, so the verdicts
 equal those of a search per pair. The distance of a counterexample comes
 from one more, uncut search, so it is exact.
 
+With no fault set (f = 0) and hop distances (``verify dr``, ``verify eft
+-f 0``, unweighted ``verify alpha-beta``, and any hop check on a weighted
+host) the searches are bit-parallel: ``graphs.neighbor_masks`` numbers the
+vertices with an edge by rank, and ``graphs.hop_layers`` gives a source's
+BFS layers as ints. A check is "layer d of x in G, above x, minus the H-ball
+of radius floor(bound(d))". The two mask tables take at most N**2 / 4 bytes
+for the N vertices with an edge, and ``check_budget`` already caps
+N(N - 1)/2 at the budget, so they stay under about budget / 2 bytes (25 MB
+at the default 5 * 10**7); no size switch is needed. The other runs keep
+the dict searches: with f >= 1 the skip below needs parent edge ids, and a
+mask forgets which parallel edges survive a fault set; a weighted
+``alpha-beta`` measures weights, not hops.
+
 When f >= 1, most (F, x) need no search at all. From the fault-free
 searches of x the oracle keeps one tight parent edge per reached vertex on
 each side (a shortest-path tree of G and one of H, at most 2(n - 1) edge
@@ -28,8 +41,9 @@ fault-free searches, so it still shares nothing with a construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
+from operator import or_
 from typing import Iterable
 
 from .graphs import (
@@ -38,6 +52,8 @@ from .graphs import (
     Multigraph,
     SubgraphView,
     hop_distances,
+    hop_layers,
+    neighbor_masks,
     weighted_distances,
 )
 
@@ -131,11 +147,60 @@ def _tree_edges(view: SubgraphView, dist: dict[int, float], ws) -> set[int]:
     return tree
 
 
+def _check_masks(
+    gview: SubgraphView, hview: SubgraphView, sources: list[int], reach, bound_of
+) -> VerificationReport:
+    """The fault-free hop pass of ``_check_pairs`` over ``neighbor_masks``,
+    where bit i stands for ``sources[i]``. For a source of rank i, each
+    G-layer d masked to ranks above i is checked against the H-ball of
+    radius floor(bound): hop counts are integers, so that ball holds exactly
+    the vertices within the bound. The lowest failing bit is the smallest
+    failing y, and the pairs checked are the checked bits up to and
+    including it, as in a scan of the pairs by y. The distance of a
+    counterexample comes from one uncut dict search."""
+    gmasks = neighbor_masks(gview)
+    hmasks = neighbor_masks(hview)
+    big = len(sources)  # longer than any hop distance
+    pairs = 0
+    for i, x in enumerate(sources):
+        above = -1 << (i + 1)
+        checks = []
+        checked = 0
+        for d, layer in enumerate(hop_layers(gmasks, i, big if reach is None else reach)):
+            layer &= above
+            bound = bound_of(d) if layer else None
+            if bound is not None:
+                # bounds are >= 0, so int() is the floor
+                checks.append((layer, bound, int(min(bound, big))))
+                checked |= layer
+        if not checks:
+            continue
+        balls = list(accumulate(hop_layers(hmasks, i, max(r for _, _, r in checks)), or_))
+        failed = 0
+        for layer, _, radius in checks:
+            failed |= layer & ~balls[min(radius, len(balls) - 1)]
+        if failed:
+            low = failed & -failed
+            y = sources[low.bit_length() - 1]
+            bound = next(b for layer, b, _ in checks if layer & low)
+            pairs += (checked & ((low << 1) - 1)).bit_count()
+            actual = hop_distances(hview, x, gview.host.n).get(y, INF)
+            return VerificationReport(False, Counterexample(x, y, (), actual, bound), pairs, 1)
+        pairs += checked.bit_count()
+    return VerificationReport(True, None, pairs, 1)
+
+
 def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> VerificationReport:
     """The loop of the exhaustive oracles. For every fault set F and source x,
     every y > x reached from x in G - F must lie within ``bound_of(dist)`` in
     H - F, unless that is None. Distances are hops within ``reach`` when it is
     given, else weights on a weighted host and hops on an unweighted one.
+
+    With f = 0 and hop distances the pass runs on bitmasks (``_check_masks``);
+    the N**2 / 4 bytes of its two tables are bounded by the budget check.
+    With f >= 1 it keeps dict searches, because the skip below needs
+    parent edge ids and a mask cannot say which parallel edges a fault set
+    leaves; a weighted run keeps them because its distances are weights.
 
     When f >= 1 the fault-free pass keeps, per source x, the edge ids of a
     shortest-path tree of each of its two searches and the number of pairs x
@@ -153,6 +218,8 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     sources = g.vertices_with_edges()
     n_fault_sets = sum(comb(m, size) for size in range(f + 1))
     check_budget(n_fault_sets * comb(len(sources), 2), budget)
+    if f == 0 and (reach is not None or not g.weighted):
+        return _check_masks(gview, hview, sources, reach, bound_of)
     # a cut of None searches the whole graph
     if g.weighted and reach is None:
         ws = g._ws
@@ -163,7 +230,8 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
         ws = None
 
         def search(view, x, cut, faults):
-            return hop_distances(view, x, n if cut is None else int(cut), excluded=faults)
+            # a bound can overflow to inf; no hop distance exceeds n
+            return hop_distances(view, x, n if cut is None else int(min(cut, n)), excluded=faults)
     pairs = 0
     fault_sets = 0
     trees: list[tuple[set[int], int]] = []  # per source, from the fault-free pass

@@ -293,6 +293,9 @@ def test_no_command_touches_an_isolated_vertex(tmp_path, monkeypatch):
     runs += [
         ["span", "eft-exact", "-d", "1", "-i", str(plain), "-o", out],
         ["span", "eft-union", "--fast", "-i", str(plain), "-o", out],
+        ["span", "greedy-dr", "-i", str(plain), "-o", out],
+        ["verify", "dr", "-i", str(plain), "-s", out],
+        ["verify", "alpha-beta", "-i", str(plain), "-s", out],
         ["span", "weighted", "-i", str(weighted), "-o", out],
         ["verify", "weighted", "-i", str(weighted), "-s", out],
     ]

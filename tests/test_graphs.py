@@ -14,6 +14,8 @@ from spannerlab import (
     girth,
     hop_distance,
     hop_distances,
+    hop_layers,
+    neighbor_masks,
     weighted_ball,
     weighted_dist,
     weighted_distances,
@@ -83,8 +85,9 @@ def test_hop_distance_respects_cutoff():
         lambda view, x, y: hop_distance(view, x, y, -1),
         lambda view, x, y: hop_distances(view, x, -1),
         lambda view, x, y: shortest_path(view, x, y, -1),
+        lambda view, x, y: hop_layers(neighbor_masks(view), x, -1),
     ],
-    ids=["hop_distance", "hop_distances", "shortest_path"],
+    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers"],
 )
 @pytest.mark.parametrize("y", [0, 2])
 def test_searches_reject_negative_cutoff(search, y):
@@ -282,6 +285,21 @@ def test_hop_distances_map_consistent(g, data):
             assert dist[v] == oracle[src][v]
         else:
             assert v not in dist
+
+
+@given(small_graphs(max_n=7, multigraph=True), st.data())
+def test_hop_layers_match_oracle(g, data):
+    verts = g.vertices_with_edges()
+    assume(verts)
+    kept = data.draw(st.sets(st.integers(0, g.m - 1)))
+    i = data.draw(st.integers(0, len(verts) - 1))
+    cutoff = data.draw(st.integers(0, g.n))
+    layers = hop_layers(neighbor_masks(g.view(kept)), i, cutoff)
+    oracle = oracles.fw_hop(g.n, oracles.edges_of(g), excluded=set(range(g.m)) - kept)
+    expected = [sum(1 << j for j, v in enumerate(verts) if oracle[verts[i]][v] == d) for d in range(cutoff + 1)]
+    while len(expected) > 1 and not expected[-1]:
+        expected.pop()
+    assert layers == expected
 
 
 def test_isolated_vertices_cost_no_adjacency_list():

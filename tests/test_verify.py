@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+from math import comb
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -20,7 +24,7 @@ from spannerlab import (
     verify_weighted_bound,
 )
 from spannerlab import verify
-from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound, gen_random
+from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound, gen_random, path_graph
 
 
 def test_verify_dr_full_graph_passes():
@@ -125,6 +129,13 @@ def test_verify_alpha_beta_spanning_tree_fails_exact():
     assert report.counterexample.bound == 1
 
 
+@pytest.mark.parametrize("f", [0, 1])
+def test_verify_alpha_beta_bound_overflowing_to_inf_passes(f):
+    # alpha * dist + beta is inf in floats: every pair is within it
+    g = path_graph(4)
+    assert verify_alpha_beta(g, range(g.m), 1e308, 1e308, f).passed
+
+
 def test_verify_alpha_beta_weighted_graphs():
     g = Multigraph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)], weighted=True)
     assert verify_alpha_beta(g, {0, 1}, 1, 0).passed  # 0-2 via 1 costs 3 < 4
@@ -173,7 +184,7 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     simple = gen_random(20, 0.4, 0).graph
     g = Multigraph(simple.n, [(e.u, e.v) for e in simple.edges() for _ in range(2)])
     h, _ = eft_greedy_exact(g, 2, 4, 2)
-    counts = {"hop_distances": 0, "_tree_edges": 0}
+    counts = {"hop_distances": 0, "_tree_edges": 0, "neighbor_masks": 0, "hop_layers": 0}
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -183,12 +194,15 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
-    # f = 0 builds no trees
+    # f = 0 builds no trees and runs no dict search: one layer search from
+    # each of the 20 sources in G, and one in H from the 17 with a pair
     assert verify_dr(g, h, 2, 4) == verify.VerificationReport(True, None, 107, 1)
-    assert counts == {"hop_distances": 37, "_tree_edges": 0}
-    # 5,291 searches without the skip; the report is the same
+    assert counts == {"hop_distances": 0, "_tree_edges": 0, "neighbor_masks": 2, "hop_layers": 37}
+    # 5,291 searches without the skip; the report is the same, and f = 1
+    # keeps the dict searches
     assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
-    assert counts["hop_distances"] - 37 == 990
+    assert counts["hop_distances"] == 990
+    assert (counts["neighbor_masks"], counts["hop_layers"]) == (2, 37)
 
 
 def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():
@@ -199,6 +213,76 @@ def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():
     g = Multigraph(5, [(0, 3, 1.0), (3, 1, big), (0, 4, 1.0), (4, 2, big), (1, 2, 1.0)], weighted=True)
     expected = first_violation(g.n, weighted_edges_of(g), range(g.m), 2, lambda dist: dist, True)
     _matches(verify_alpha_beta(g, range(g.m), 1, 0, 2), expected)
+
+
+def _spread_host(n_edged, p, seed, header, weighted=False, doubled=False):
+    """A seeded G(n_edged, p) plus a path through all its vertices, placed on
+    ascending random ids under a larger header, so isolated vertices sit
+    between the ones with an edge. Returns the host and its compact form
+    (vertex ids replaced by their ranks) as the oracle's edge list."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(header), n_edged))
+    pairs = {(u, v) for u in range(n_edged) for v in range(u + 1, n_edged) if rng.random() < p}
+    pairs |= {(u, u + 1) for u in range(n_edged - 1)}
+    compact = sorted(pairs) + (sorted(rng.sample(sorted(pairs), len(pairs) // 4)) if doubled else [])
+    edges = [(ids[u], ids[v], 1.0 - rng.random() if weighted else 1.0) for u, v in compact]
+    g = Multigraph(header, edges, weighted=weighted)
+    assert g.vertices_with_edges() == ids
+    return g, compact
+
+
+@pytest.mark.parametrize(
+    "seed, n_edged, p, header, weighted, doubled",
+    [(11, 70, 0.07, 5_000, False, False), (12, 80, 0.12, 100_000, False, True), (13, 72, 0.06, 2**20, True, False)],
+)
+def test_mask_pass_matches_oracle_on_midsize_hosts(seed, n_edged, p, header, weighted, doubled):
+    # the hypothesis tests stop at 7 vertices, so their masks fit in a byte;
+    # here masks span more than 64 ranks, and a rank is not a vertex id
+    g, compact = _spread_host(n_edged, p, seed, header, weighted, doubled)
+    ids = g.vertices_with_edges()
+    rng = random.Random(seed)
+    plain = Multigraph(g.n, [(e.u, e.v) for e in g.edges()])  # same edge ids
+    candidates = [range(g.m), greedy_dr_spanner(plain, 2, 4).edge_set, {e for e in range(g.m) if rng.random() < 0.6}]
+    checks = [(verify_dr, (d, 2 * d - 1), lambda dist, d=d: 2 * d - 1 if dist == d else None) for d in (1, 2, 3)]
+    if not weighted:
+        checks += [
+            (verify_alpha_beta, (a, b), lambda dist, a=a, b=b: a * dist + b)
+            for a, b in ((1, 0), (1.5, 0.5), (2, 1), (0, 3))
+        ]
+    outcomes = set()
+    for kept in candidates:
+        for oracle, args, bound_of in checks:
+            violation, pairs, fault_sets, _ = first_violation(len(ids), compact, kept, 0, bound_of)
+            if violation is not None:
+                x, y, faults, distance, bound = violation
+                violation = verify.Counterexample(ids[x], ids[y], faults, distance, bound)
+            expected = verify.VerificationReport(violation is None, violation, pairs, fault_sets)
+            report = oracle(g, kept, *args)
+            assert report == expected, (oracle.__name__, args)
+            if oracle is verify_dr:
+                assert verify_eft(g, kept, *args, 0) == report
+            outcomes.add(report.passed)
+    assert outcomes == {True, False}
+
+
+def test_mask_pass_memory_follows_vertices_with_edges():
+    # a star on N = 2,000 vertices spread under a 2**24 header, its centre
+    # the highest rank: every neighbor mask is N bits wide, so the G and H
+    # tables take N**2 / 4 bytes in all
+    n_edged = 2000
+    ids = sorted(random.Random(5).sample(range(2**24), n_edged))
+    g = Multigraph(2**24, [(v, ids[-1]) for v in ids[:-1]])
+    tracemalloc.start()
+    try:
+        report = verify_dr(g, range(g.m), 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == verify.VerificationReport(True, None, comb(n_edged - 1, 2), 1)
+    # slack, 1.25 MB: the candidate's edge-id set and view (0.7 MB), a
+    # 28-byte header per mask, and the rank map; masks indexed by vertex id
+    # would be 2 MB each, and a table over the header 134 MB
+    assert peak < n_edged**2 / 4 + 1_250_000, peak
 
 
 def _kept_ids(draw, g):
