@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -123,6 +124,83 @@ def test_greedy_dr_matches_naive_replay(g, data):
         expected.append((tuple(verts), eids))
     got = greedy_dr_spanner(g, d, r)
     assert [(p.vertices, p.edge_ids) for p in got.paths] == expected
+
+
+def replay_greedy_dr(g, d, r):
+    """The naive replay above, on the rank-compacted host so that isolated
+    vertices under a large header cost nothing: pairs at host distance d in
+    lex order, and the enumerated lex smallest d-path for a pair still
+    farther than r over the kept edges. Kept distances are an all-pairs table
+    that each added edge relaxes through itself (exact for hops), not a
+    Floyd-Warshall per pair. Returns (vertices, edge ids) per added path."""
+    verts = g.vertices_with_edges()
+    rank = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    edges = [(rank[u], rank[v]) for u, v in oracles.edges_of(g)]
+    every = set(range(g.m))
+    kept = [[0 if i == j else oracles.INF for j in range(n)] for i in range(n)]
+    held: set[int] = set()
+    out = []
+    for x, y in oracles.pairs_at_distance(n, edges, d):
+        if kept[x][y] <= r:
+            continue
+        eids = oracles.lex_shortest_path(n, edges, x, y, d, every)
+        path = [x]
+        for eid in eids:
+            u, v = edges[eid]
+            path.append(v if u == path[-1] else u)
+            if eid in held:
+                continue
+            held.add(eid)
+            row_u, row_v = kept[u][:], kept[v][:]
+            for i in range(n):
+                via_u, via_v, row = row_u[i] + 1, row_v[i] + 1, kept[i]
+                for j in range(n):
+                    alt = min(via_u + row_v[j], via_v + row_u[j])
+                    if alt < row[j]:
+                        row[j] = alt
+        out.append((tuple(verts[v] for v in path), eids))
+    return out
+
+
+def midsize_hosts():
+    """A simple G(50, .12); a multigraph whose parallel copies come both
+    next to and far after their first copy; and G(55, .1) with its vertices
+    scattered unordered over a 2**20 header."""
+    simple = seeded_gnp(50, 0.12, 3)
+    base = oracles.edges_of(seeded_gnp(45, 0.15, 5))
+    multi = []
+    for i, e in enumerate(base):
+        multi += [e, e] if i % 4 == 0 else [e]
+    multi += base[1::5]
+    scatter = random.Random(8).sample(range(2**20), 55)
+    sparse = [(scatter[u], scatter[v]) for u, v in oracles.edges_of(seeded_gnp(55, 0.1, 8))]
+    return [simple, Multigraph(45, multi), Multigraph(2**20, sparse)]
+
+
+@pytest.mark.parametrize("host", range(3), ids=["simple", "multigraph", "scattered"])
+def test_greedy_dr_family_matches_replay_on_midsize_hosts(host):
+    g = midsize_hosts()[host]
+    replays = {}
+
+    def replay(d, r):
+        if (d, r) not in replays:
+            replays[d, r] = replay_greedy_dr(g, d, r)
+        return replays[d, r]
+
+    def paths(result):
+        return [(p.vertices, p.edge_ids) for p in result.paths]
+
+    for d, r in ((1, 3), (2, 4), (3, 5)):
+        assert paths(greedy_dr_spanner(g, d, r)) == replay(d, r)
+    for k in (2, 3):
+        got = union_hybrid_spanner(g, k)
+        assert paths(got) == replay(1, 2 * k - 1) + replay(2, 2 * k)
+        assert got.edges == tuple(sorted({e for _, eids in paths(got) for e in eids}))
+    for k in (2, 5):
+        d, r = sqrt_k_stretch(k)
+        assert paths(sqrt_k_spanner(g, k)) == replay(d, r)
+    assert all(replays.values())
 
 
 @pytest.mark.parametrize("n, p", [(60, 0.3), (80, 0.15)])
