@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Multigraph, SubgraphView, hop_distance, hop_distances
+from .graphs import Multigraph, SubgraphView, bfs_layers, hop_distance
 
 __all__ = ["ClusteringTrace", "has_cluster", "cluster_level", "greedy_clustering"]
 
@@ -35,19 +35,19 @@ def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
     """Largest l <= radius such that |B(v,r)| >= n**(r/k) for every r <= l,
     where n is the host's vertex count.
 
-    One search cut at ``radius`` gives every ball size. The threshold
-    comparison is done in exact integer arithmetic as |B|**k >= n**r;
-    floating logs would misorder near-boundary cases.
+    The ball grows one BFS layer at a time and the search stops at the first
+    radius that fails, so a vertex whose first layer is thin costs only that
+    layer. Radii past the last nonempty layer are tested with the ball as it
+    stands. The threshold comparison is done in exact integer arithmetic as
+    |B|**k >= n**r; floating logs would misorder near-boundary cases.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = view.host.n
-    counts = [0] * (radius + 1)
-    for d in hop_distances(view, v, radius).values():
-        counts[d] += 1
-    size = counts[0]
+    layers = bfs_layers(view, v, radius)
+    size = 1
     for r in range(1, radius + 1):
-        size += counts[r]
+        size += len(next(layers, ()))
         if size**k < n**r:
             return r - 1
     return radius

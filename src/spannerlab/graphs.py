@@ -6,7 +6,11 @@ owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
 ``SubgraphView.add``. The kernels below answer bounded-radius hop/weighted
 distance, lexicographic shortest path, ball and girth queries by scanning
-only the view's edges. ``neighbor_masks`` and ``hop_layers`` give BFS
+only the view's edges. ``bfs_layers`` yields hop layers on demand and can
+record the lex-first BFS tree, which ``tree_path`` walks: ``shortest_path``
+is that walk on a search stopped at its target, the pairwise greedy keeps
+one tree per source, and the cluster tests stop at the first thin layer.
+``neighbor_masks`` and ``hop_layers`` give BFS
 layers as int bitmasks over the ranks of the vertices with an edge, one OR
 per frontier vertex; the fault-free hop oracles of ``verify`` use them. This
 module holds every graph search in the package; other modules read
@@ -34,6 +38,8 @@ __all__ = [
     "two_paths",
     "hop_distance",
     "hop_distances",
+    "bfs_layers",
+    "tree_path",
     "neighbor_masks",
     "hop_layers",
     "shortest_path",
@@ -388,6 +394,72 @@ def hop_distances(
     return dist
 
 
+def bfs_layers(
+    view: SubgraphView,
+    source: int,
+    cutoff: int,
+    excluded: Collection[int] = frozenset(),
+    tree: dict[int, int] | None = None,
+    stop: int | None = None,
+) -> Iterator[list[int]]:
+    """Breadth-first layers around source: the vertices exactly 1, 2, ...
+    hops away, each in discovery order, up to ``cutoff`` hops or the last
+    nonempty layer. A layer is searched only when the consumer asks for it.
+
+    ``tree``, when given, must be empty; it receives the parent edge id of
+    every vertex reached, in discovery order, with -1 for the source. The
+    scan follows the (neighbor, id)-sorted adjacency and a parent is set once,
+    at discovery, so ``tree_path`` gives the lexicographically smallest
+    shortest path to each vertex. With ``stop`` the search ends as soon as
+    that vertex is reached, mid-layer; every parent set by then is the one
+    the full search sets.
+    """
+    _check_vertex(view.host, source)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    seen = {} if tree is None else tree
+    seen[source] = -1
+    # -1 is never a vertex, so the per-vertex stop test stays one int compare
+    stop_at = -1 if stop is None else stop
+    return _layers(view._adj, seen, source, cutoff, excluded if excluded else None, stop_at)
+
+
+def _layers(adj, seen: dict[int, int], source: int, cutoff: int, excl, stop: int) -> Iterator[list[int]]:
+    if source == stop:
+        return
+    frontier = [source]
+    for _ in range(cutoff):
+        nxt: list[int] = []
+        for v in frontier:
+            for u, eid in adj[v]:
+                if u in seen:
+                    continue
+                if excl is not None and eid in excl:
+                    continue
+                seen[u] = eid
+                if u == stop:
+                    return
+                nxt.append(u)
+        if not nxt:
+            return
+        yield nxt
+        frontier = nxt
+
+
+def tree_path(g: Multigraph, tree: dict[int, int], y: int) -> tuple[int, ...]:
+    """Edge ids of the path from the root of a ``bfs_layers`` tree to y, a
+    vertex the tree reached."""
+    us, vs = g._us, g._vs
+    eids: list[int] = []
+    eid = tree[y]
+    while eid >= 0:
+        eids.append(eid)
+        y = us[eid] if vs[eid] == y else vs[eid]
+        eid = tree[y]
+    eids.reverse()
+    return tuple(eids)
+
+
 def neighbor_masks(view: SubgraphView) -> list[int]:
     """Neighbor bitmasks of a view over host ranks: rank i is the i-th vertex
     of ``view.host.vertices_with_edges()``, and bit j of entry i is set when
@@ -438,49 +510,15 @@ def shortest_path(
 ) -> tuple[int, ...] | None:
     """Edge ids of one shortest x-y path of hop length <= cutoff, or None.
 
-    Parent choices follow the (neighbor, id)-sorted adjacency, so the
-    returned path is the lexicographically smallest shortest one. The search
-    stops in the middle of a layer as soon as y is reached.
+    The path is the ``bfs_layers`` tree path, so it is the lexicographically
+    smallest shortest one. The search stops in the middle of a layer as soon
+    as y is reached.
     """
-    host = view.host
-    _check_vertex(host, x)
-    _check_vertex(host, y)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if x == y:
-        return ()
-    adj = view._adj
-    excl = excluded if excluded else None
-    parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
-    frontier = [x]
-    depth = 0
-    found = False
-    while frontier and depth < cutoff and not found:
-        depth += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for u, eid in adj[v]:
-                if u in parent:
-                    continue
-                if excl is not None and eid in excl:
-                    continue
-                parent[u] = (v, eid)
-                if u == y:
-                    found = True
-                    break
-                nxt.append(u)
-            if found:
-                break
-        frontier = nxt
-    if not found:
-        return None
-    eids: list[int] = []
-    cur = y
-    while cur != x:
-        prev, eid = parent[cur]
-        eids.append(eid)
-        cur = prev
-    return tuple(reversed(eids))
+    _check_vertex(view.host, y)
+    tree: dict[int, int] = {}
+    for _ in bfs_layers(view, x, cutoff, excluded, tree, stop=y):
+        pass
+    return tree_path(view.host, tree, y) if y in tree else None
 
 
 def _dijkstra(

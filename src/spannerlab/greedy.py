@@ -8,10 +8,10 @@ are deterministic: pairs are scanned in lexicographic order and the repair
 path is the lexicographically smallest shortest path under id-sorted
 adjacency.
 
-The pairwise greedy tests its pairs one source at a time: one BFS ball of
-radius r per source answers every pair of that source until the source adds
-a path, after which a miss is re-tested pair by pair (see
-``greedy_dr_spanner``).
+The pairwise greedy works one source at a time: one host BFS tree per source
+gives both its pairs and their repair paths, and one BFS ball of radius r in
+the spanner answers every pair of that source until the source adds a path,
+after which a miss is re-tested pair by pair (see ``greedy_dr_spanner``).
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .graphs import (
     Multigraph,
     PathSeq,
     SubgraphView,
+    bfs_layers,
     hop_distance,
     hop_distances,
-    shortest_path,
+    tree_path,
     weighted_distances,
 )
 
@@ -89,22 +90,9 @@ def _result(n: int, paths: Sequence[PathSeq], algorithm: str, **meta) -> Spanner
     return SpannerResult(n, tuple(sorted(ids)), tuple(paths), algorithm, dict(meta))
 
 
-def pairs_at_distance(g: Multigraph, d: int) -> list[tuple[int, int]]:
-    """All pairs (x, y), x < y, at hop distance exactly d, in lex order.
-    Only vertices with an edge are searched from: an isolated one has no pair."""
-    full = g.view()
-    out: list[tuple[int, int]] = []
-    for x in g.vertices_with_edges():
-        dist = hop_distances(full, x, d)
-        out.extend((x, y) for y in sorted(dist) if y > x and dist[y] == d)
-    return out
-
-
-def lex_shortest_path(g: Multigraph, x: int, y: int, d: int) -> PathSeq:
-    """Lexicographically smallest d-hop shortest path from x to y."""
-    eids = shortest_path(g.view(), x, y, d)
-    if eids is None or len(eids) != d:
-        raise ValueError(f"vertices {x},{y} are not at distance {d}")
+def _repair_path(g: Multigraph, tree: dict[int, int], x: int, y: int) -> PathSeq:
+    """The path from x to y in x's ``bfs_layers`` tree."""
+    eids = tree_path(g, tree, y)
     verts = [x]
     for eid in eids:
         a, b = g.endpoints(eid)
@@ -136,33 +124,42 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     > r in the spanner built so far contributes the lexicographically
     smallest shortest d-path of the host graph.
 
-    Pairs come grouped by their smaller end x. At x's first pair one BFS
-    ball of radius r around x is taken in the spanner; a pair whose y lies
-    in the ball is served. The ball goes stale once x adds a path, and from
-    then on a y outside it is re-tested with its own bidirectional search.
-    This is exact: while the scan is at x the spanner changes only through
-    x's own additions, so before the first of them the ball is the exact
-    cut ball (y outside means distance > r), and after it distances only
-    shrink, so y inside still proves distance <= r.
+    Per source x (only vertices with an edge have pairs) one host BFS cut
+    at d records its tree: the layer d hops out holds x's pairs, and the
+    tree path to y is the repair path, since parents are set at discovery
+    and a search stopped at y would have set the same ones. For x's first
+    pair one BFS ball of radius r around x is taken in the spanner; a pair
+    whose y lies in the ball is served. The ball goes stale once x adds a
+    path, and from then on a y outside it is re-tested with its own
+    bidirectional search. This is exact: while the scan is at x the spanner
+    changes only through x's own additions, so before the first of them the
+    ball is the exact cut ball (y outside means distance > r), and after it
+    distances only shrink, so y inside still proves distance <= r.
     """
     if g.weighted:
         raise ValueError("greedy_dr_spanner expects an unweighted graph")
     if d < 1 or r < d:
         raise ValueError("need d >= 1 and r >= d")
+    full = g.view()
     hview = g.view(set())
     paths: list[PathSeq] = []
-    source, ball, stale = -1, {}, False
-    for x, y in pairs_at_distance(g, d):
-        if x != source:
-            source, ball, stale = x, hop_distances(hview, x, r), False
-        if y in ball or (stale and hop_distance(hview, x, y, r) <= r):
+    for x in g.vertices_with_edges():
+        tree: dict[int, int] = {}
+        layers = list(bfs_layers(full, x, d, tree=tree))
+        # a search that ran out before d has nothing exactly d away
+        far = sorted(y for y in layers[-1] if y > x) if len(layers) == d else []
+        if not far:
             continue
-        p = lex_shortest_path(g, x, y, d)
-        if d == 2:
-            _check_distant_half(hview, p.vertices, r)
-        hview.add(p.edge_ids)
-        paths.append(p)
-        stale = True
+        ball, stale = hop_distances(hview, x, r), False
+        for y in far:
+            if y in ball or (stale and hop_distance(hview, x, y, r) <= r):
+                continue
+            p = _repair_path(g, tree, x, y)
+            if d == 2:
+                _check_distant_half(hview, p.vertices, r)
+            hview.add(p.edge_ids)
+            paths.append(p)
+            stale = True
     return _result(g.n, paths, "greedy-dr", d=d, r=r)
 
 

@@ -14,7 +14,11 @@ from spannerlab import (
     greedy_clustering,
     has_cluster,
     hop_distance,
+    hop_distances,
+    matching_rounds,
+    parallel_greedy_spanner,
 )
+from spannerlab import clustering, greedy
 from spannerlab.clustering import ACCEPTED, REJECTED_CLOSE, REJECTED_CLUSTERED
 from spannerlab.generators import complete_graph, path_graph, star_graph
 
@@ -53,12 +57,53 @@ def test_is_fully_clustered_examples():
     assert not has_cluster(p5.view(), 0, 1, 2)
 
 
+def test_cluster_level_tests_radii_past_the_last_layer():
+    # the ball around the centre stops growing after one layer; the radii
+    # past it are still tested, with the ball's final size of 4
+    edges = [(0, 1), (0, 2), (0, 3)]
+    star = Multigraph(4, edges).view()
+    assert cluster_level(star, 0, 2) == 2  # 4**2 >= 4**2 at r = 2: equality passes
+    assert cluster_level(star, 0, 3) == 3
+    wide = Multigraph(8, edges).view()
+    assert cluster_level(wide, 0, 2) == 1  # 4**2 < 8**2 at r = 2
+    assert has_cluster(wide, 0, 1, 2) and not has_cluster(wide, 0, 2, 2)
+    assert cluster_level(wide, 0, 4) == 2  # 4**4 >= 8**2 but 4**4 < 8**3
+
+
+def test_cluster_searches_stop_at_the_first_thin_layer(monkeypatch):
+    """On a host where every cluster level of the parallel greedy is 0, each
+    cluster search settles exactly the radius-1 ball and no more."""
+    g = seeded_gnp(150, 0.08, 0)
+    settled, balls, levels = [], [], []
+    real_layers, real_level = clustering.bfs_layers, greedy.cluster_level
+
+    def counted_layers(view, v, *args, **kwargs):
+        balls.append(len(hop_distances(view, v, 1)))
+        settled.append(1)
+        for layer in real_layers(view, v, *args, **kwargs):
+            settled[-1] += len(layer)
+            yield layer
+
+    def recorded_level(*args):
+        levels.append(real_level(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(clustering, "bfs_layers", counted_layers)
+    monkeypatch.setattr(greedy, "cluster_level", recorded_level)
+    parallel_greedy_spanner(g, 2, matching_rounds(g))
+    assert levels and set(levels) == {0}
+    assert len(settled) == len(levels)
+    assert settled == balls
+
+
 def test_cluster_tests_reject_bad_parameters():
     g = star_graph(4)
     for call in (
         lambda: has_cluster(g.view(), 0, -1, 2),
         lambda: has_cluster(g.view(), 0, 1, 0),
         lambda: cluster_level(g.view(), 0, 0),
+        lambda: cluster_level(g.view(), 4, 2),
+        lambda: has_cluster(g.view(), -1, 0, 2),
         lambda: greedy_clustering(g, 2, (), 0),
     ):
         with pytest.raises(ValueError):

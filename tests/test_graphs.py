@@ -21,7 +21,7 @@ from spannerlab import (
     weighted_distances,
 )
 from spannerlab.generators import cycle_graph, path_graph, petersen_graph
-from spannerlab.graphs import shortest_path
+from spannerlab.graphs import bfs_layers, shortest_path, tree_path
 
 
 def test_multigraph_rejects_self_loops():
@@ -86,8 +86,9 @@ def test_hop_distance_respects_cutoff():
         lambda view, x, y: hop_distances(view, x, -1),
         lambda view, x, y: shortest_path(view, x, y, -1),
         lambda view, x, y: hop_layers(neighbor_masks(view), x, -1),
+        lambda view, x, y: bfs_layers(view, x, -1),
     ],
-    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers"],
+    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers", "bfs_layers"],
 )
 @pytest.mark.parametrize("y", [0, 2])
 def test_searches_reject_negative_cutoff(search, y):
@@ -267,6 +268,39 @@ def test_shortest_path_matches_oracle(g, data):
     got = shortest_path(view, x, y, cutoff, excluded)
     assert got == oracles.lex_shortest_path(g.n, oracles.edges_of(g), x, y, cutoff, allowed)
     assert shortest_path(view, x, x, cutoff, excluded) == ()
+
+
+@settings(max_examples=300)
+@given(small_graphs(max_n=7, max_m=14, multigraph=True), st.data())
+def test_bfs_tree_matches_oracle(g, data):
+    """Layers are the exact hop spheres; the tree path to every vertex
+    reached is the oracle's lex smallest shortest path; a search stopped at
+    a vertex leaves every parent it set as the full search sets it."""
+    x = data.draw(st.integers(0, g.n - 1))
+    cutoff = data.draw(st.integers(0, g.n))
+    included = edge_subset(data, g.m) if data.draw(st.booleans()) else None
+    excluded = frozenset(data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=2)))
+    absent = excluded | (frozenset() if included is None else frozenset(range(g.m)) - included)
+    allowed = set(range(g.m)) - absent
+    view = g.view(included)
+    tree: dict[int, int] = {}
+    layers = list(bfs_layers(view, x, cutoff, excluded, tree))
+    hops = oracles.fw_hop(g.n, oracles.edges_of(g), excluded=absent)[x]
+    spheres = [{v for v in range(g.n) if hops[v] == d} for d in range(1, cutoff + 1)]
+    while spheres and not spheres[-1]:
+        spheres.pop()
+    assert [set(layer) for layer in layers] == spheres
+    assert list(tree) == [x] + [v for layer in layers for v in layer]
+    for v in tree:
+        assert tree_path(g, tree, v) == oracles.lex_shortest_path(
+            g.n, oracles.edges_of(g), x, v, cutoff, allowed
+        )
+    stop = data.draw(st.integers(0, g.n - 1))
+    cut: dict[int, int] = {}
+    for _ in bfs_layers(view, x, cutoff, excluded, cut, stop=stop):
+        pass
+    assert (stop in cut) == (stop in tree)
+    assert list(cut.items()) == list(tree.items())[: len(cut)]
 
 
 @given(small_graphs(max_n=7, max_m=12, multigraph=True))

@@ -29,8 +29,9 @@ from spannerlab.generators import (
     path_graph,
 )
 from spannerlab import greedy
-from spannerlab.graphs import weighted_dist
-from spannerlab.greedy import lex_shortest_path, sqrt_k_stretch
+from spannerlab import graphs
+from spannerlab.graphs import bfs_layers, tree_path, weighted_dist
+from spannerlab.greedy import sqrt_k_stretch
 
 
 def spanner_ok(g, result, d, r):
@@ -83,11 +84,14 @@ def test_greedy_dr_deterministic_lex_paths():
 
 def test_lex_shortest_path_choice():
     # two shortest routes between 0 and 2 exist; the smaller middle vertex
-    # wins, and among parallel copies the smaller edge id wins
+    # wins, and among parallel copies the smaller edge id wins, both in the
+    # tree walk and in the greedy's first repair path
     g = Multigraph(4, [(0, 3), (3, 2), (0, 1), (1, 2), (0, 1)])
-    p = lex_shortest_path(g, 0, 2, 2)
-    assert p.vertices == (0, 1, 2)
-    assert p.edge_ids == (2, 3)
+    tree: dict[int, int] = {}
+    assert list(bfs_layers(g.view(), 0, 2, tree=tree)) == [[1, 3], [2]]
+    assert tree_path(g, tree, 2) == (2, 3)
+    first = greedy_dr_spanner(g, 2, 2).paths[0]
+    assert (first.vertices, first.edge_ids) == ((0, 1, 2), (2, 3))
     first = greedy_dr_spanner(cycle_graph(6), 2, 4).paths[0]
     assert first.vertices == (0, 1, 2)
 
@@ -205,11 +209,13 @@ def test_greedy_dr_family_matches_replay_on_midsize_hosts(host):
 
 @pytest.mark.parametrize("n, p", [(60, 0.3), (80, 0.15)])
 def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
-    """One BFS ball per source with pairs; pair-by-pair searches are left only
-    for the distant-half checks and for misses after the source added a path."""
+    """One host BFS tree per vertex with an edge gives the pairs and the
+    repair paths, so the greedy runs no shortest-path search; one spanner
+    ball per source with pairs; pair-by-pair searches are left only for the
+    distant-half checks and for misses after the source added a path."""
     g = seeded_gnp(n, p, 0)
-    pairs = greedy.pairs_at_distance(g, 2)
-    calls = {"hop_distances": 0, "hop_distance": 0}
+    pairs = oracles.pairs_at_distance(g.n, oracles.edges_of(g), 2)
+    calls = {"bfs_layers": 0, "hop_distances": 0, "hop_distance": 0}
 
     def counted(name):
         real = getattr(greedy, name)
@@ -222,8 +228,19 @@ def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
 
     for name in calls:
         monkeypatch.setattr(greedy, name, counted(name))
+    searches = []
+    real_path = graphs.shortest_path
+
+    def counted_path(*args, **kwargs):
+        searches.append(args[1:3])
+        return real_path(*args, **kwargs)
+
+    for module in (graphs, greedy):
+        monkeypatch.setattr(module, "shortest_path", counted_path, raising=False)
     result = greedy_dr_spanner(g, 2, 4)
-    assert calls["hop_distances"] == g.n + len({x for x, _ in pairs})
+    assert calls["bfs_layers"] == len(g.vertices_with_edges())
+    assert searches == []
+    assert calls["hop_distances"] == len({x for x, _ in pairs})
     assert calls["hop_distance"] <= 2 * len(result.paths) + len(pairs) // 10
 
 
@@ -365,18 +382,19 @@ def test_matching_rounds_cost_follows_edges_not_vertices():
     assert peak < 2**20
 
 
-def test_pairs_at_distance_searches_only_from_vertices_with_edges(monkeypatch):
+def test_greedy_dr_searches_only_from_vertices_with_edges(monkeypatch):
     # an isolated vertex has no pair, so it must cost no search
     g = Multigraph(2**20, [(0, 1), (1, 2)])
     calls = []
-    real = greedy.hop_distances
+    real = greedy.bfs_layers
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(greedy, "hop_distances", counted)
-    assert greedy.pairs_at_distance(g, 2) == [(0, 2)]
+    monkeypatch.setattr(greedy, "bfs_layers", counted)
+    result = greedy_dr_spanner(g, 2, 2)
+    assert [p.vertices for p in result.paths] == [(0, 1, 2)]
     assert calls == [0, 1, 2]
 
 
