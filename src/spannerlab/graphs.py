@@ -526,18 +526,19 @@ def _dijkstra(
     source: int,
     cap: float | None,
     excluded: Collection[int],
-    target: int | None = None,
+    targets: Collection[int] = (),
     limit: int | None = None,
 ) -> dict[int, float]:
     """Settled Dijkstra distances from source, pruned at ``cap`` when given;
-    the search stops as soon as ``target`` is settled, or ``limit`` vertices
-    are."""
+    the search stops as soon as every vertex of ``targets`` is settled, or
+    ``limit`` vertices are."""
     adj = view._adj
     ws = view.host._ws
     excl = excluded if excluded else None
-    # int sentinels that never match keep the per-vertex stop test cheap:
-    # vertex ids are >= 0, and ``dist`` is never empty when it is tested
-    stop_at = -1 if target is None else target
+    # with no targets ``pending`` stays empty and never matches, and an int
+    # sentinel stands for no limit (``dist`` is never empty when it is
+    # tested), so the per-vertex stop tests stay cheap
+    pending = set(targets)
     stop_size = 0 if limit is None else limit
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -546,7 +547,11 @@ def _dijkstra(
         if v in dist:
             continue
         dist[v] = d
-        if v == stop_at or len(dist) == stop_size:
+        if v in pending:
+            pending.remove(v)
+            if not pending:
+                break
+        if len(dist) == stop_size:
             break
         for u, eid in adj[v]:
             if u in dist:
@@ -566,14 +571,21 @@ def weighted_distances(
     cap: float | None = None,
     excluded: Collection[int] = frozenset(),
     limit: int | None = None,
+    targets: Collection[int] = (),
 ) -> dict[int, float]:
     """Dijkstra distances from source, pruned at ``cap`` when given. With
     ``limit`` the search stops after that many settled vertices: weights are
-    positive, so they are the ``limit`` nearest in settle order."""
+    positive, so they are the ``limit`` nearest in settle order. With
+    ``targets`` it stops once all of them are settled, so the map is the
+    full one cut right after the last target; a target never reached lets
+    the search run to ``cap``. The map is filled in settle order, so its
+    values are nondecreasing."""
     _check_vertex(view.host, source)
+    for t in targets:
+        _check_vertex(view.host, t)
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    return _dijkstra(view, source, cap, excluded, limit=limit)
+    return _dijkstra(view, source, cap, excluded, targets, limit)
 
 
 def weighted_dist(
@@ -586,7 +598,7 @@ def weighted_dist(
     """Weighted distance from x to y if <= cap (when given), else INF."""
     _check_vertex(view.host, x)
     _check_vertex(view.host, y)
-    return _dijkstra(view, x, cap, excluded, y).get(y, INF)
+    return _dijkstra(view, x, cap, excluded, (y,)).get(y, INF)
 
 
 def weighted_ball(view: SubgraphView, v: int, radius: float) -> set[int]:

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .clustering import cluster_level
 from .graphs import (
-    INF,
     Multigraph,
     PathSeq,
     SubgraphView,
@@ -327,13 +326,14 @@ def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
         u, v = g.endpoints(eid)
         cap = t * g.weight(eid)
         tag, dist = maps.get(u, (-1, {}))
-        if dist.get(v, INF) <= cap:
+        # an unreached v never passes, not even a cap that overflows to inf
+        if v in dist and dist[v] <= cap:
             continue
         if tag != len(paths):
             reached = weighted_distances(hview, u, cap=t * top[u])
             dist = {x: reached[x] for x in far[u] if x in reached}
             maps[u] = (len(paths), dist)
-            if dist.get(v, INF) <= cap:
+            if v in dist and dist[v] <= cap:
                 continue
         hview.add((eid,))
         paths.append(PathSeq.from_graph(g, (u, v), (eid,)))

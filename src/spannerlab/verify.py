@@ -249,7 +249,8 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
             dh = search(hview, x, max(b for _, b in checks), faults) if checks else {}
             for y, bound in checks:
                 pairs += 1
-                if dh.get(y, INF) > bound:
+                # an unreached y fails, also against a bound that overflows
+                if y not in dh or dh[y] > bound:
                     actual = search(hview, x, None, faults).get(y, INF)
                     return VerificationReport(
                         False,

@@ -14,7 +14,12 @@ graph, each with its own scan order:
 4. global distance reduction: saturated-style edges are re-offered when they
    would shrink many inter-ball distances below k hops;
 5. a final greedy repair over the 2-paths that still violate the bound,
-   processed by ascending 2*w(lat) + (k-1)*w(sat).
+   processed by ascending 2*w(lat) + (k-1)*w(sat). Only the open 2-paths
+   are searched: neither edge kept by phases 1-4 and one edge saturated.
+   Phases 1 and 2 already give every other 2-path its bound (see
+   ``_open_two_paths``), and one Dijkstra per source, cut at its largest
+   bound and stopped once the far ends of its open 2-paths have settled,
+   tests them all.
 
 The spanner is the disjoint union of the five phase edge sets.
 
@@ -34,7 +39,7 @@ ball cut there gives every verdict a full one gives.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Mapping
@@ -220,6 +225,11 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # so vertices settle in nondecreasing distance: if the last of ``full``
     # settled is within a key, the candidate is saturated either way, and if
     # it is not, or fewer settled, the ball within the key is complete.
+    # No ball of v is built: ``dist_v`` is filled in settle order, so the
+    # size of v's ball within a key is a ``bisect_right`` over its values,
+    # and when that size does not saturate, the ball is complete, so a
+    # vertex of u's ball is new exactly when ``dist_v`` lacks it or holds it
+    # beyond the key (a key can overflow to inf, so "lacks" is tested apart).
     n_pow_R = n**R
     n_pow_R1 = n ** (R - 1)
     full = bisect_left(range(n + 1), n_pow_R, key=lambda size: size**k)
@@ -235,12 +245,12 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         for key, u, eid in cands:
             if dist_v is None:
                 dist_v = weighted_distances(hview, v, cap=cands[-1][0], limit=full)
-            ball_v = {x for x, d in dist_v.items() if d <= key}
-            if len(ball_v) ** k >= n_pow_R:
+                settle_order = list(dist_v.values())
+            if bisect_right(settle_order, key) ** k >= n_pow_R:
                 log3.append(Phase3Decision(v, u, eid, key, P3_SATURATED))
                 continue
             ball_u = weighted_ball(hview, u, (R - 1) * first_clustered[u])
-            grown = len(ball_u - ball_v)
+            grown = sum(1 for x in ball_u if x not in dist_v or dist_v[x] > key)
             if (10 * grown) ** k > n_pow_R1:
                 hview.add((eid,))
                 phase3.append(eid)
@@ -288,21 +298,24 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         else:
             log4.append((eid, P4_CLOSE))
 
-    # Phase 5: greedy repair of the 2-paths that still miss the bound,
-    # by ascending key, re-checked at processing time.
-    settled = cache(partial(weighted_distances, hview))
+    # Phase 5: greedy repair of the 2-paths that still miss the bound, by
+    # ascending key, re-checked at processing time. Only the open 2-paths
+    # (see ``_open_two_paths``) can miss it. They are grouped by x, and one
+    # Dijkstra per x, cut at the largest slack bound of its 2-paths and
+    # stopped once all their far ends have settled, tests them all: a larger
+    # cut makes the same pushes at or below a bound, so every distance
+    # within a bound is the one an uncut search gives.
     bad: list[tuple[float, int, int, int, int, int]] = []
-    for x, mid, y, e1, e2 in two_paths(g):
-        bound = two_path_bound(weight(e1), weight(e2), k)
-        if settled(x).get(y, INF) <= bound * (1 + _REL_EPS):
-            continue
-        sat_on = [e for e in (e1, e2) if e in sat_set]
-        if not sat_on:
-            raise RuntimeError(f"unrepaired 2-path ({x},{mid},{y}) has no saturated edge")
-        e_sat = max(sat_on, key=lambda e: (weight(e), e))
-        e_lat = e2 if e_sat == e1 else e1
-        key = 2 * weight(e_lat) + (k - 1) * weight(e_sat)
-        bad.append((key, x, mid, y, e_sat, e_lat))
+    for x, paths in _open_two_paths(g, hview.included, sat_set, k).items():
+        cap = max(bound for *_, bound in paths) * (1 + _REL_EPS)
+        dist = weighted_distances(hview, x, cap=cap, targets={y for _, y, *_ in paths})
+        for mid, y, e1, e2, bound in paths:
+            if y in dist and dist[y] <= bound * (1 + _REL_EPS):
+                continue
+            e_sat = max((e for e in (e1, e2) if e in sat_set), key=lambda e: (weight(e), e))
+            e_lat = e2 if e_sat == e1 else e1
+            key = 2 * weight(e_lat) + (k - 1) * weight(e_sat)
+            bad.append((key, x, mid, y, e_sat, e_lat))
     bad.sort()
 
     phase5: list[int] = []
@@ -310,7 +323,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     for key, x, mid, y, e_sat, e_lat in bad:
         bound = two_path_bound(weight(e_sat), weight(e_lat), k)
         cap = bound * (1 + _REL_EPS)
-        if weighted_dist(hview, x, y, cap=cap) <= cap:
+        if weighted_dist(hview, x, y, cap=cap) < INF:  # reached within the cap
             continue
         for eid in (e_sat, e_lat):
             if eid in hview.included:
@@ -334,6 +347,42 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
         phase4_log=tuple(log4),
         phase5_paths=tuple(adds5),
     )
+
+
+def _open_two_paths(
+    g: Multigraph, spanner: set[int], sat_set: frozenset[int], k: int
+) -> dict[int, list[tuple[int, int, int, int, float]]]:
+    """The 2-paths (x, mid, y, e1, e2) that phase 5 must test, as
+    x -> [(mid, y, e1, e2, bound)]: those with neither
+    edge in ``spanner``, the spanner of phases 1-4, and at least one edge in
+    ``sat_set``. Every other 2-path meets its bound B = w1 + w2 +
+    (2k - 2) * max(w1, w2) there already:
+
+    - one edge in the spanner, say e1: phase 1 leaves each edge a path of
+      weight at most (2k - 1) times its own, so d(x, y) <= w1 + (2k - 1) * w2
+      <= B;
+    - neither edge saturated: phase 2 skipped each edge only after its hop
+      test found a path of at most k edges, each no heavier than the edge,
+      so d(x, y) <= k * w1 + k * w2 <= B, as (k - 1)(w1 + w2) <= (2k - 2) *
+      max(w1, w2).
+
+    In floats, Dijkstra's value at y is at most the float sum along any x-y
+    path taken edge by edge, and each addition, like each of the few
+    operations giving B, is off by at most a relative 2**-53. Phase 2's
+    paths have at most 2k edges, and phase 1 tested its path's float sum
+    against (2k - 1) * w; a simple path has fewer edges than the host has
+    vertices, so the gap stays inside the ``_REL_EPS`` slack of phase 5 on
+    any host of fewer than about 4,000 vertices, and beyond that only
+    thousands of roundings all one way could cross it.
+    """
+    weight = g.weight
+    open_paths: dict[int, list[tuple[int, int, int, int, float]]] = {}
+    for x, mid, y, e1, e2 in two_paths(g):
+        if e1 in spanner or e2 in spanner or (e1 not in sat_set and e2 not in sat_set):
+            continue
+        bound = two_path_bound(weight(e1), weight(e2), k)
+        open_paths.setdefault(x, []).append((mid, y, e1, e2, bound))
+    return open_paths
 
 
 @dataclass(frozen=True)
@@ -363,6 +412,12 @@ def _random_simple_path(
         seen.add(u)
         cur = u
     return PathSeq.from_graph(g, verts, eids)
+
+
+def _ratio(dist: dict[int, float], y: int, bound: float) -> float:
+    """Distance over bound; INF when y is unreached, so that it fails also
+    against a bound that overflows to inf (INF / inf would be nan)."""
+    return dist[y] / bound if y in dist else INF
 
 
 def verify_weighted_bound(
@@ -395,8 +450,7 @@ def verify_weighted_bound(
     worst = 0.0
     worst_case: tuple[int, ...] | None = None
     for x, mid, y, e1, e2 in paths:
-        bound = two_path_bound(g.weight(e1), g.weight(e2), k)
-        ratio = settled(x).get(y, INF) / bound
+        ratio = _ratio(settled(x), y, two_path_bound(g.weight(e1), g.weight(e2), k))
         if ratio > worst:
             worst = ratio
             worst_case = (x, mid, y)
@@ -415,8 +469,7 @@ def verify_weighted_bound(
                 continue
             drawn += 1
             sampled += 1
-            bound = p.w + (2 * k - 2) * p.w_half
-            ratio = settled(p.x).get(p.y, INF) / bound
+            ratio = _ratio(settled(p.x), p.y, p.w + (2 * k - 2) * p.w_half)
             if ratio > worst:
                 worst = ratio
                 worst_case = p.vertices

@@ -276,6 +276,28 @@ def test_cli_weighted_budget_exit(tmp_path, monkeypatch):
     assert main(verify) == EXIT_OK
 
 
+def test_cli_overflowing_bounds_fail_unreached_pairs(tmp_path, capsys):
+    # the 1e308 edges make every bound inf; H = {0-1} leaves 2 unreached and
+    # H = {0-2} leaves 1 unreached, and neither passes
+    header = "# spanner-graph v1 n=3 weighted=1 multigraph=0\n"
+    path, triangle = tmp_path / "path", tmp_path / "triangle"
+    path.write_text(header + "0 1 1e308\n1 2 1e308\n")
+    triangle.write_text(header + "0 1 1e308\n1 2 1e308\n0 2 1\n")
+    first, light = tmp_path / "first", tmp_path / "light"
+    first.write_text(header + "0 1 1e308\n")
+    light.write_text(header + "0 2 1\n")
+    capsys.readouterr()
+    assert main(["verify", "weighted", "-i", str(path), "-s", str(first)]) == EXIT_COUNTEREXAMPLE
+    assert capsys.readouterr().out == "VIOLATED: ratio inf on path (0, 1, 2)\n"
+    code = main(["verify", "alpha-beta", "-k", "2", "-i", str(triangle), "-s", str(light)])
+    assert code == EXIT_COUNTEREXAMPLE
+    assert "pair (0,1)" in capsys.readouterr().out
+    out = str(tmp_path / "h")
+    for host in (path, triangle):
+        assert main(["span", "weighted", "-i", str(host), "-o", out]) == EXIT_OK
+        assert main(["verify", "weighted", "-i", str(host), "-s", out]) == EXIT_OK
+
+
 def test_no_command_touches_an_isolated_vertex(tmp_path, monkeypatch):
     # two edges under a header of 2**16 vertices: a command that walks every
     # vertex reads the missing adjacency of each isolated one

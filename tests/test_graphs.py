@@ -405,6 +405,40 @@ def test_view_add_matches_fresh_view(data):
         assert list(cut.items()) == list(got.items())[:limit]
 
 
+@settings(max_examples=200)
+@given(small_graphs(max_m=14, multigraph=True, weighted=True), st.data())
+def test_search_with_targets_is_the_full_search_cut_at_the_last(g, data):
+    # a search with targets is the full search in settle order, cut right
+    # after its last target settles; with a target out of reach it runs to
+    # its cap; weighted_dist is the full search read at y
+    view = g.view(edge_subset(data, g.m))
+    x = data.draw(st.integers(0, g.n - 1))
+    cap = data.draw(st.none() | st.floats(0.0, 6.0))
+    targets = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    full = weighted_distances(view, x, cap=cap)
+    got = weighted_distances(view, x, cap=cap, targets=targets)
+    settled = list(full.items())
+    if targets <= full.keys():
+        assert list(got.items()) == settled[: 1 + max(list(full).index(t) for t in targets)]
+    else:
+        assert list(got.items()) == settled
+    for y in targets:
+        assert weighted_dist(view, x, y, cap=cap) == full.get(y, INF)
+
+
+def test_search_with_targets_examples():
+    g = Multigraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 5.0)], weighted=True)
+    view = g.view()
+    assert weighted_distances(view, 0, targets=(1,)) == {0: 0.0, 1: 1.0}
+    assert weighted_distances(view, 0, targets=(0,)) == {0: 0.0}
+    assert weighted_distances(view, 0, targets=[2, 1, 2]) == {0: 0.0, 1: 1.0, 2: 2.0}
+    # vertex 4 is isolated: the search runs to its cap, or to the end
+    assert weighted_distances(view, 0, cap=2.5, targets=(4, 1)) == {0: 0.0, 1: 1.0, 2: 2.0}
+    assert list(weighted_distances(view, 0, targets=(4,))) == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        weighted_distances(view, 0, targets=(1, 5))
+
+
 def test_view_owns_its_edge_ids():
     g = cycle_graph(6)
     ids = {0, 1}

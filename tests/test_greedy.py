@@ -471,8 +471,8 @@ def fresh_search_multiplicative(g, t):
     kept = []
     for eid in sorted(range(g.m), key=lambda e: (g.weight(e), e)):
         u, v = g.endpoints(eid)
-        cap = t * g.weight(eid)
-        if weighted_dist(view, u, v, cap=cap) > cap:
+        # INF: v is not reached within the cap, which can overflow to inf
+        if weighted_dist(view, u, v, cap=t * g.weight(eid)) == graphs.INF:
             view.add((eid,))
             kept.append(eid)
     return kept
@@ -500,7 +500,23 @@ def multiplicative_replay_hosts():
     hosts += [cycle_graph(9), gen_hypercube(4).graph, Multigraph(6)]
     base = seeded_gnp(15, 0.3, 9)
     hosts.append(Multigraph(base.n, [(e.u, e.v) for e in base.edges() for _ in range(2)]))
-    return hosts
+    return hosts + overflow_hosts()
+
+
+def overflow_hosts():
+    """The path 0-1-2 and the triangle with a light edge 0-2, where every
+    cap t * w of a heavy edge overflows to inf."""
+    heavy = [(0, 1, 1e308), (1, 2, 1e308)]
+    return [Multigraph(3, heavy, weighted=True), Multigraph(3, heavy + [(0, 2, 1.0)], weighted=True)]
+
+
+def test_greedy_multiplicative_keeps_bridges_under_overflowing_caps():
+    # an unreached endpoint never passes the distance test, also when t * w
+    # is inf in floats
+    path, triangle = overflow_hosts()
+    for t in (1, 5):
+        assert greedy_multiplicative_spanner(path, t).edges == (0, 1)
+    assert greedy_multiplicative_spanner(triangle, 5).edges == (0, 2)
 
 
 def test_greedy_multiplicative_replays_fresh_searches():

@@ -136,6 +136,18 @@ def test_verify_alpha_beta_bound_overflowing_to_inf_passes(f):
     assert verify_alpha_beta(g, range(g.m), 1e308, 1e308, f).passed
 
 
+@pytest.mark.parametrize("f", [0, 1])
+def test_verify_alpha_beta_unreached_pair_fails_an_overflowing_bound(f):
+    # 0-1 weighs 1e308, so alpha * dist + beta is inf; H = {0-2} leaves
+    # vertex 1 unreached, and that fails against any bound
+    g = Multigraph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1.0)], weighted=True)
+    report = verify_alpha_beta(g, {2}, 2, 1, f)
+    assert not report.passed
+    assert report.counterexample == verify.Counterexample(0, 1, (), INF, INF)
+    # with one fault, 1-2 is needed once 0-1 fails
+    assert verify_alpha_beta(g, {0, 2} if f == 0 else {0, 1, 2}, 2, 1, f).passed
+
+
 def test_verify_alpha_beta_weighted_graphs():
     g = Multigraph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0)], weighted=True)
     assert verify_alpha_beta(g, {0, 1}, 1, 0).passed  # 0-2 via 1 costs 3 < 4

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import seeded_gnp
 from spannerlab import (
+    INF,
     BudgetExceededError,
     Multigraph,
     PathSeq,
@@ -325,6 +326,82 @@ def test_phase5_fires_on_adversarial_gadget():
     exhaustive_two_path_check(g, result.edges, 2)
 
 
+def pre_phase5_edges(result) -> set[int]:
+    return set(result.phase1) | set(result.phase2) | set(result.phase3) | set(result.phase4)
+
+
+def two_path_hosts():
+    hosts = [(gen_random(90, 0.1685, 0, weighted=True).graph, 3), (phase5_gadget()[0], 2)]
+    hosts += [(seeded_gnp(n, p, seed, weighted=True), k) for n, p, seed, k in ((40, 0.25, 1, 2), (50, 0.2, 2, 4))]
+    # vertices 0-14 isolated
+    base = seeded_gnp(45, 0.2, 3, weighted=True)
+    hosts.append((Multigraph(60, [(e.u + 15, e.v + 15, e.weight) for e in base.edges()], weighted=True), 5))
+    return hosts
+
+
+def test_skipped_two_paths_meet_their_bound_before_phase5():
+    # phase 5 searches only the open 2-paths: no edge in the spanner of
+    # phases 1-4 and a saturated edge. Every other 2-path must meet its
+    # bound in that spanner already, by Floyd-Warshall over its vertices
+    # with an edge
+    for g, k in two_path_hosts():
+        result = build_weighted_spanner(g, k)
+        pre = pre_phase5_edges(result)
+        sat = result.saturation.saturated
+        tested = {
+            (x, mid, y, e1, e2)
+            for x, paths in weighted._open_two_paths(g, pre, sat, k).items()
+            for mid, y, e1, e2, _ in paths
+        }
+        rank = {v: i for i, v in enumerate(g.vertices_with_edges())}
+        kept = [(rank[e.u], rank[e.v], e.weight) for e in g.edges() if e.id in pre]
+        dist = oracles.fw_weighted(len(rank), kept)
+        skipped = [path for path in two_paths(g) if path not in tested]
+        for x, mid, y, e1, e2 in skipped:
+            assert (e1 in pre or e2 in pre) or not (e1 in sat or e2 in sat)
+            bound = two_path_bound(g.weight(e1), g.weight(e2), k)
+            assert dist[rank[x]][rank[y]] <= bound * (1 + 1e-9), (g, k, x, mid, y)
+        assert len(skipped) > len(tested)
+        for x, mid, y, e1, e2 in tested:
+            assert e1 not in pre and e2 not in pre and (e1 in sat or e2 in sat)
+    g, e1, e2 = phase5_gadget()
+    result = build_weighted_spanner(g, 2)
+    opened = weighted._open_two_paths(g, pre_phase5_edges(result), result.saturation.saturated, 2)
+    assert (1, 2, e1, e2, 4.0) in opened[0]
+
+
+def test_phase5_searches_once_per_open_source(monkeypatch):
+    # one search per source of an open 2-path, cut at its largest slack
+    # bound and stopped at the far ends of its 2-paths
+    real = weighted.weighted_distances
+    searches = []
+
+    def recording(view, source, **kwargs):
+        dist = real(view, source, **kwargs)
+        if "targets" in kwargs:
+            searches.append((source, kwargs["cap"], set(kwargs["targets"]), dist))
+        return dist
+
+    monkeypatch.setattr(weighted, "weighted_distances", recording)
+    for g, k in two_path_hosts():
+        searches.clear()
+        result = build_weighted_spanner(g, k)
+        opened = weighted._open_two_paths(g, pre_phase5_edges(result), result.saturation.saturated, k)
+        assert [x for x, *_ in searches] == list(opened)
+        for x, cap, targets, dist in searches:
+            paths = opened[x]
+            assert targets == {y for _, y, *_ in paths}
+            assert cap == max(bound for *_, bound in paths) * (1 + weighted._REL_EPS)
+            assert max(dist.values()) <= cap
+    # the seed-0 host of the weighted benchmark: 285 of its 10,384 2-paths
+    # are open, from 71 of the 89 sources an uncut scan would search
+    g = gen_random(90, 0.1685, 0, weighted=True).graph
+    searches.clear()
+    result = build_weighted_spanner(g, 3)
+    opened = weighted._open_two_paths(g, pre_phase5_edges(result), result.saturation.saturated, 3)
+    assert (len(searches), sum(map(len, opened.values())), len(two_paths(g))) == (71, 285, 10384)
+
+
 def test_phase5_records_on_random_instances():
     for seed in range(25):
         g = seeded_gnp(16, 0.3, seed + 50, weighted=True)
@@ -368,6 +445,21 @@ def test_verify_weighted_bound_single_edges_served():
     dist = oracles.fw_weighted(g.n, kept)
     for e in g.edges():
         assert dist[e.u][e.v] <= (2 * k - 1) * e.weight * (1 + 1e-9)
+
+
+def test_overflowing_bounds_keep_bridges_and_fail_unreached_pairs():
+    # weights of 1e308 make every bound on the path 0-1-2 inf in floats; an
+    # unreached pair still fails it, with ratio INF
+    path = Multigraph(3, [(0, 1, 1e308), (1, 2, 1e308)], weighted=True)
+    report = verify_weighted_bound(path, [0], 2)
+    assert (report.passed, report.worst_ratio, report.worst_case) == (False, INF, (0, 1, 2))
+    triangle = Multigraph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1.0)], weighted=True)
+    assert not verify_weighted_bound(triangle, [2], 2).passed
+    for g, kept in ((path, (0, 1)), (triangle, (0, 2))):
+        for k in (2, 3):
+            result = build_weighted_spanner(g, k)
+            assert result.edges == result.phase1 == kept
+            assert verify_weighted_bound(g, result, k, max_hops=3, sample=5).passed
 
 
 def test_verify_weighted_bound_budget():
