@@ -535,10 +535,11 @@ def _dijkstra(
     adj = view._adj
     ws = view.host._ws
     excl = excluded if excluded else None
-    # with no targets ``pending`` stays empty and never matches, and an int
-    # sentinel stands for no limit (``dist`` is never empty when it is
-    # tested), so the per-vertex stop tests stay cheap
-    pending = set(targets)
+    # the per-vertex stop tests stay cheap: with no targets ``pending`` is
+    # the empty tuple, whose membership test is cheaper than an int compare,
+    # and an int sentinel that never matches stands for no limit (``dist``
+    # is never empty when it is tested)
+    pending = set(targets) if targets else ()
     stop_size = 0 if limit is None else limit
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source)]

@@ -414,12 +414,6 @@ def _random_simple_path(
     return PathSeq.from_graph(g, verts, eids)
 
 
-def _ratio(dist: dict[int, float], y: int, bound: float) -> float:
-    """Distance over bound; INF when y is unreached, so that it fails also
-    against a bound that overflows to inf (INF / inf would be nan)."""
-    return dist[y] / bound if y in dist else INF
-
-
 def verify_weighted_bound(
     g: Multigraph,
     h,
@@ -450,7 +444,10 @@ def verify_weighted_bound(
     worst = 0.0
     worst_case: tuple[int, ...] | None = None
     for x, mid, y, e1, e2 in paths:
-        ratio = _ratio(settled(x), y, two_path_bound(g.weight(e1), g.weight(e2), k))
+        # an unreached y gets the ratio INF, also against a bound that
+        # overflows to inf, where INF / inf would be nan and pass
+        dist = settled(x)
+        ratio = dist[y] / two_path_bound(g.weight(e1), g.weight(e2), k) if y in dist else INF
         if ratio > worst:
             worst = ratio
             worst_case = (x, mid, y)
@@ -469,7 +466,8 @@ def verify_weighted_bound(
                 continue
             drawn += 1
             sampled += 1
-            ratio = _ratio(settled(p.x), p.y, p.w + (2 * k - 2) * p.w_half)
+            dist = settled(p.x)
+            ratio = dist[p.y] / (p.w + (2 * k - 2) * p.w_half) if p.y in dist else INF
             if ratio > worst:
                 worst = ratio
                 worst_case = p.vertices
