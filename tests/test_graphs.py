@@ -405,7 +405,6 @@ def test_view_add_matches_fresh_view(data):
         assert list(cut.items()) == list(got.items())[:limit]
 
 
-@settings(max_examples=200)
 @given(small_graphs(max_m=14, multigraph=True, weighted=True), st.data())
 def test_search_with_targets_is_the_full_search_cut_at_the_last(g, data):
     # a search with targets is the full search in settle order, cut right
