@@ -439,8 +439,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"need r >= d, got d={args.d} and r={args.r} (r defaults to 2k)")
     if args.command == "span" and args.algo == "eft-exact" and args.d not in (1, 2):
         parser.error("span eft-exact supports only -d 1 or -d 2")
+    if args.command == "span" and args.algo == "weighted" and args.k < 2:
+        parser.error(f"span weighted needs -k 2 or more, got {args.k}")
     if args.command == "gen" and args.family == "hypercube" and args.k > 16:
         parser.error(f"gen hypercube supports -k up to 16, got {args.k}")
+    if args.command == "gen" and args.family == "gnp" and args.n > MAX_VERTICES:
+        parser.error(f"gen gnp supports -n up to {MAX_VERTICES}, got {args.n}")
     try:
         if args.command == "gen":
             return _cmd_gen(args)
@@ -454,7 +458,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BUDGET
     except (GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # gen reads no file, so its bad values all come from its arguments
+        return EXIT_USAGE if args.command == "gen" else EXIT_DATA
     except OSError as exc:
         detail = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
         print(f"error: {detail}", file=sys.stderr)

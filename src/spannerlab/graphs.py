@@ -4,16 +4,17 @@ Every construction in this package works on subgraphs of a fixed host graph,
 identified by edge-id subsets. The host graph is immutable. A subgraph view
 owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
-``SubgraphView.add``. The kernels below answer bounded-radius hop/weighted
-distance, lexicographic shortest path, ball and girth queries by scanning
-only the view's edges. ``bfs_layers`` yields hop layers on demand and can
-record the lex-first BFS tree, which ``tree_path`` walks: ``shortest_path``
-is that walk on a search stopped at its target, the pairwise greedy keeps
-one tree per source, and the cluster tests stop at the first thin layer.
-``neighbor_masks`` and ``hop_layers`` give BFS
-layers as int bitmasks over the ranks of the vertices with an edge, one OR
-per frontier vertex; the fault-free hop oracles of ``verify`` use them. This
-module holds every graph search in the package; other modules read
+``SubgraphView.add``. Four loops do all the searching, each over a view's
+edges only:
+
+- ``_grow`` takes one BFS layer and records a mark per vertex reached: the
+  depth for ``hop_distances``, ball membership for ``hop_distance``;
+- ``_layers`` (``bfs_layers``) yields layers on demand, records parent edge
+  ids and can stop mid-layer; ``tree_path`` walks its lex-first BFS tree;
+- ``hop_layers`` takes layers as int bitmasks over ``neighbor_masks``;
+- ``weighted_distances`` is the Dijkstra.
+
+This module is the only one that reads graph internals; others read
 adjacency lists only to enumerate neighbors, never to search.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "hop_distances",
     "bfs_layers",
     "tree_path",
+    "tree_edges",
     "neighbor_masks",
     "hop_layers",
     "shortest_path",
@@ -300,6 +302,22 @@ def _check_vertex(g: Multigraph, v: int) -> None:
         raise ValueError(f"vertex {v} not in graph with n={g.n}")
 
 
+def _grow(adj, frontier: list[int], seen: dict, mark, excl) -> list[int]:
+    """The next BFS layer after ``frontier``: every neighbor not yet in
+    ``seen``, over edges whose id is not in ``excl``, in discovery order.
+    Each is recorded in ``seen`` with ``mark``."""
+    nxt: list[int] = []
+    for v in frontier:
+        for u, eid in adj[v]:
+            if u in seen:
+                continue
+            if excl is not None and eid in excl:
+                continue
+            seen[u] = mark
+            nxt.append(u)
+    return nxt
+
+
 def hop_distance(
     view: SubgraphView,
     x: int,
@@ -309,8 +327,13 @@ def hop_distance(
 ) -> float:
     """Exact hop distance between x and y if it is <= cutoff, else INF.
 
-    ``excluded`` edge ids are treated as absent. Implemented as bidirectional
-    layered BFS, so the cost is governed by the cutoff, not the graph size.
+    ``excluded`` edge ids are treated as absent. The search grows a ball
+    around each end, one layer at a time, the side with the smaller frontier
+    first, so the cost is governed by the cutoff, not the graph size. While
+    the ball of radius a around x and the ball of radius b around y are
+    disjoint, d(x, y) > a + b. So the first new layer that meets the other
+    ball puts the ends exactly a + b + 1 apart, and a side that runs dry
+    has walked its whole component without meeting the other end.
     """
     host = view.host
     _check_vertex(host, x)
@@ -321,46 +344,18 @@ def hop_distance(
         return 0
     adj = view._adj
     excl = excluded if excluded else None
-
-    dist_a: dict[int, int] = {x: 0}
-    dist_b: dict[int, int] = {y: 0}
-    frontier_a = [x]
-    frontier_b = [y]
-    depth_a = depth_b = 0
-    best = INF
-    while (
-        frontier_a
-        and frontier_b
-        and depth_a + depth_b < cutoff
-        and best > depth_a + depth_b + 1
-    ):
-        if len(frontier_a) <= len(frontier_b):
-            frontier, seen, other = frontier_a, dist_a, dist_b
-            depth_a += 1
-            depth = depth_a
-            from_a = True
-        else:
-            frontier, seen, other = frontier_b, dist_b, dist_a
-            depth_b += 1
-            depth = depth_b
-            from_a = False
-        nxt: list[int] = []
-        for v in frontier:
-            for u, eid in adj[v]:
-                if u in seen:
-                    continue
-                if excl is not None and eid in excl:
-                    continue
-                seen[u] = depth
-                o = other.get(u)
-                if o is not None and depth + o < best:
-                    best = depth + o
-                nxt.append(u)
-        if from_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
-    return best if best <= cutoff else INF
+    # front and ball are the side grown next; the balls are dicts for _grow,
+    # their values unused
+    front, ball, other_front, other_ball = [x], {x: None}, [y], {y: None}
+    for hops in range(1, cutoff + 1):
+        if len(front) > len(other_front):
+            front, ball, other_front, other_ball = other_front, other_ball, front, ball
+        front = _grow(adj, front, ball, None, excl)
+        if not front:
+            return INF
+        if not other_ball.keys().isdisjoint(front):
+            return hops
+    return INF
 
 
 def hop_distances(
@@ -378,19 +373,10 @@ def hop_distances(
     excl = excluded if excluded else None
     dist = {source: 0}
     frontier = [source]
-    depth = 0
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for u, eid in adj[v]:
-                if u in dist:
-                    continue
-                if excl is not None and eid in excl:
-                    continue
-                dist[u] = depth
-                nxt.append(u)
-        frontier = nxt
+    for depth in range(1, cutoff + 1):
+        frontier = _grow(adj, frontier, dist, depth, excl)
+        if not frontier:
+            break
     return dist
 
 
@@ -460,6 +446,26 @@ def tree_path(g: Multigraph, tree: dict[int, int], y: int) -> tuple[int, ...]:
     return tuple(eids)
 
 
+def tree_edges(view: SubgraphView, dist: dict[int, float], hops: bool) -> set[int]:
+    """One tight parent edge per vertex of ``dist`` but the source: the first
+    (neighbor, id) in the view's adjacency with ``dist[u] + w == dist[v]``,
+    where w is 1 when ``hops`` is set and the edge's weight otherwise. ``dist``
+    is a map of ``hop_distances`` or ``weighted_distances``, which fill it in
+    settle order. Only a u settled before v may be its parent, so the edges
+    form a tree even where a tiny weight is absorbed by a large distance."""
+    adj = view._adj
+    ws = None if hops else view.host._ws
+    settled: set[int] = set()
+    tree: set[int] = set()
+    for v, dv in dist.items():
+        for u, eid in adj[v]:
+            if u in settled and dist[u] + (1 if ws is None else ws[eid]) == dv:
+                tree.add(eid)
+                break
+        settled.add(v)
+    return tree
+
+
 def neighbor_masks(view: SubgraphView) -> list[int]:
     """Neighbor bitmasks of a view over host ranks: rank i is the i-th vertex
     of ``view.host.vertices_with_edges()``, and bit j of entry i is set when
@@ -521,17 +527,26 @@ def shortest_path(
     return tree_path(view.host, tree, y) if y in tree else None
 
 
-def _dijkstra(
+def weighted_distances(
     view: SubgraphView,
     source: int,
-    cap: float | None,
-    excluded: Collection[int],
-    targets: Collection[int] = (),
+    cap: float | None = None,
+    excluded: Collection[int] = frozenset(),
     limit: int | None = None,
+    targets: Collection[int] = (),
 ) -> dict[int, float]:
-    """Settled Dijkstra distances from source, pruned at ``cap`` when given;
-    the search stops as soon as every vertex of ``targets`` is settled, or
-    ``limit`` vertices are."""
+    """Dijkstra distances from source, pruned at ``cap`` when given. With
+    ``limit`` the search stops after that many settled vertices: weights are
+    positive, so they are the ``limit`` nearest in settle order. With
+    ``targets`` it stops once all of them are settled, so the map is the
+    full one cut right after the last target; a target never reached lets
+    the search run to ``cap``. The map is filled in settle order, so its
+    values are nondecreasing."""
+    _check_vertex(view.host, source)
+    for t in targets:
+        _check_vertex(view.host, t)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     adj = view._adj
     ws = view.host._ws
     excl = excluded if excluded else None
@@ -566,29 +581,6 @@ def _dijkstra(
     return dist
 
 
-def weighted_distances(
-    view: SubgraphView,
-    source: int,
-    cap: float | None = None,
-    excluded: Collection[int] = frozenset(),
-    limit: int | None = None,
-    targets: Collection[int] = (),
-) -> dict[int, float]:
-    """Dijkstra distances from source, pruned at ``cap`` when given. With
-    ``limit`` the search stops after that many settled vertices: weights are
-    positive, so they are the ``limit`` nearest in settle order. With
-    ``targets`` it stops once all of them are settled, so the map is the
-    full one cut right after the last target; a target never reached lets
-    the search run to ``cap``. The map is filled in settle order, so its
-    values are nondecreasing."""
-    _check_vertex(view.host, source)
-    for t in targets:
-        _check_vertex(view.host, t)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
-    return _dijkstra(view, source, cap, excluded, targets, limit)
-
-
 def weighted_dist(
     view: SubgraphView,
     x: int,
@@ -597,9 +589,7 @@ def weighted_dist(
     excluded: Collection[int] = frozenset(),
 ) -> float:
     """Weighted distance from x to y if <= cap (when given), else INF."""
-    _check_vertex(view.host, x)
-    _check_vertex(view.host, y)
-    return _dijkstra(view, x, cap, excluded, (y,)).get(y, INF)
+    return weighted_distances(view, x, cap, excluded, targets=(y,)).get(y, INF)
 
 
 def weighted_ball(view: SubgraphView, v: int, radius: float) -> set[int]:

@@ -54,6 +54,7 @@ from .graphs import (
     hop_distances,
     hop_layers,
     neighbor_masks,
+    tree_edges,
     weighted_distances,
 )
 
@@ -128,25 +129,6 @@ def _fault_sets(m: int, f: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(combinations(range(m), size) for size in range(f + 1))
 
 
-def _tree_edges(view: SubgraphView, dist: dict[int, float], ws) -> set[int]:
-    """One tight parent edge per vertex of ``dist`` but the source: the first
-    (neighbor, id) in the view's adjacency with ``dist[u] + w == dist[v]``,
-    where w is ``ws[id]``, or 1 when ``ws`` is None. Only a u settled before v
-    (earlier in ``dist``, which the kernels fill in settle order) may be its
-    parent, so the edges form a tree even where a tiny weight is absorbed by
-    a large distance."""
-    adj = view._adj
-    settled: set[int] = set()
-    tree: set[int] = set()
-    for v, dv in dist.items():
-        for u, eid in adj[v]:
-            if u in settled and dist[u] + (1 if ws is None else ws[eid]) == dv:
-                tree.add(eid)
-                break
-        settled.add(v)
-    return tree
-
-
 def _check_masks(
     gview: SubgraphView, hview: SubgraphView, sources: list[int], reach, bound_of
 ) -> VerificationReport:
@@ -218,16 +200,15 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     sources = g.vertices_with_edges()
     n_fault_sets = sum(comb(m, size) for size in range(f + 1))
     check_budget(n_fault_sets * comb(len(sources), 2), budget)
-    if f == 0 and (reach is not None or not g.weighted):
+    hops = reach is not None or not g.weighted
+    if f == 0 and hops:
         return _check_masks(gview, hview, sources, reach, bound_of)
     # a cut of None searches the whole graph
-    if g.weighted and reach is None:
-        ws = g._ws
+    if not hops:
 
         def search(view, x, cut, faults):
             return weighted_distances(view, x, cap=cut, excluded=faults)
     else:
-        ws = None
 
         def search(view, x, cut, faults):
             # a bound can overflow to inf; no hop distance exceeds n
@@ -259,7 +240,7 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
                         fault_sets,
                     )
             if f and not faults:
-                trees.append((_tree_edges(gview, dist, ws) | _tree_edges(hview, dh, ws), len(checks)))
+                trees.append((tree_edges(gview, dist, hops) | tree_edges(hview, dh, hops), len(checks)))
     return VerificationReport(True, None, pairs, fault_sets)
 
 

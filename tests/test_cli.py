@@ -19,6 +19,7 @@ from spannerlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_VERTICES,
     GraphParseError,
     emit_graph,
     format_graph,
@@ -391,6 +392,13 @@ def _run_cli(cwd, *args, timeout=None):
         ("verify", "dr", "-d", "3", "-r", "2", "-i", "g", "-s", "g"),
         ("verify", "weighted", "--max-hops", "-1", "-i", "g", "-s", "g"),
         ("verify", "weighted", "--max-hops", "1", "-i", "g", "-s", "g"),
+        ("span", "weighted", "-k", "1", "-i", "g", "-o", "h"),
+        ("gen", "weighted-lb", "--base", "cycle:x", "-o", "h"),
+        ("gen", "weighted-lb", "--base", "path:-1", "-o", "h"),
+        ("gen", "weighted-lb", "--base", "foo", "-o", "h"),
+        ("gen", "weighted-lb", "-k", "3", "--base", "cycle:5", "-o", "h"),
+        ("gen", "eft-lb", "--base", "foo", "-o", "h"),
+        ("gen", "gnp", "-n", str(MAX_VERTICES + 1), "-o", "h"),
     ],
 )
 def test_cli_argument_errors_are_64(tmp_path, args):

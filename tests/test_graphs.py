@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -150,14 +151,33 @@ def test_pathseq_validation_and_aggregates():
         PathSeq.from_graph(g, (0, 1), (2,))
 
 
-@given(small_graphs(), st.data())
+@st.composite
+def midsize_multigraphs(draw):
+    """A seeded multigraph on 30 to 80 vertices: a sparse G(n, 6/n), a hub
+    (vertex 0) joined to a quarter of the others, and parallel copies of an
+    eighth of the edges. Frontiers around the hub outgrow the others, so
+    both ends of a hop_distance search grow before the balls meet."""
+    n = draw(st.integers(30, 80))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 6 / n]
+    edges += [(0, v) for v in rng.sample(range(1, n), n // 4)]
+    edges += rng.sample(edges, len(edges) // 8)
+    return Multigraph(n, edges)
+
+
+@given(small_graphs(multigraph=True) | midsize_multigraphs(), st.data())
 def test_hop_distance_matches_oracle(g, data):
+    # a partial view of a multigraph, up to two excluded ids, every cutoff
+    included = edge_subset(data, g.m)
+    faults = data.draw(st.sets(st.integers(0, g.m - 1), max_size=2)) if g.m else set()
     x = data.draw(st.integers(0, g.n - 1))
     y = data.draw(st.integers(0, g.n - 1))
-    cutoff = data.draw(st.integers(0, g.n + 2))
-    oracle = oracles.fw_hop(g.n, oracles.edges_of(g))[x][y]
-    expected = oracle if oracle <= cutoff else INF
-    assert hop_distance(g.view(), x, y, cutoff) == expected
+    absent = (set(range(g.m)) - included) | faults
+    oracle = oracles.fw_hop(g.n, oracles.edges_of(g), excluded=absent)[x][y]
+    view = g.view(included)
+    for cutoff in range(g.n + 3):
+        expected = oracle if oracle <= cutoff else INF
+        assert hop_distance(view, x, y, cutoff, excluded=faults) == expected
 
 
 @given(small_graphs(), st.data())

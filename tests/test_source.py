@@ -106,3 +106,29 @@ def test_no_unused_imports_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{site}" for site in _unused_imports(tree)]
     assert found == []
+
+
+_GRAPH_INTERNALS = {"_adj", "_ws", "_us", "_vs", "_pair_ids"}
+
+
+def _internal_reads(tree: ast.AST) -> list[str]:
+    """Sites that read an adjacency or edge array of a graph or view."""
+    return sorted(
+        f"{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _GRAPH_INTERNALS
+    )
+
+
+def test_only_graphs_reads_graph_internals():
+    # every scan of adjacency lives in graphs.py, next to the search loops;
+    # another module reading the arrays is a loop that escaped it
+    sample = "def f(g, view):\n    ws = g._ws\n    return view._adj[0], g.adj(0)\n"
+    assert _internal_reads(ast.parse(sample)) == ["2 ._ws", "3 ._adj"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "graphs":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{site}" for site in _internal_reads(tree)]
+    assert found == []

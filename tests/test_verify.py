@@ -196,7 +196,7 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     simple = gen_random(20, 0.4, 0).graph
     g = Multigraph(simple.n, [(e.u, e.v) for e in simple.edges() for _ in range(2)])
     h, _ = eft_greedy_exact(g, 2, 4, 2)
-    counts = {"hop_distances": 0, "_tree_edges": 0, "neighbor_masks": 0, "hop_layers": 0}
+    counts = {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 0, "hop_layers": 0}
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -209,7 +209,7 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     # f = 0 builds no trees and runs no dict search: one layer search from
     # each of the 20 sources in G, and one in H from the 17 with a pair
     assert verify_dr(g, h, 2, 4) == verify.VerificationReport(True, None, 107, 1)
-    assert counts == {"hop_distances": 0, "_tree_edges": 0, "neighbor_masks": 2, "hop_layers": 37}
+    assert counts == {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 2, "hop_layers": 37}
     # 5,291 searches without the skip; the report is the same, and f = 1
     # keeps the dict searches
     assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
