@@ -214,6 +214,8 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     # keeps the dict searches
     assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
     assert counts["hop_distances"] == 990
+    # one G tree and one H tree per source of the fault-free pass
+    assert counts["tree_edges"] == 2 * 20
     assert (counts["neighbor_masks"], counts["hop_layers"]) == (2, 37)
 
 
