@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import generators
 from .fault_tolerant import (
@@ -141,29 +141,22 @@ def parse_graph(path: str) -> Multigraph:
         return parse_graph_text(fh.read())
 
 
-def format_graph(g: Multigraph) -> str:
-    multi = 0 if g.is_simple() else 1
+def format_graph(g: Multigraph, edge_ids: Iterable[int] | None = None) -> str:
+    """File text of g, or of its subgraph on ``edge_ids`` in id order."""
+    ids = range(g.m) if edge_ids is None else sorted(edge_ids)
+    ends = [g.endpoints(eid) for eid in ids]
+    multi = 1 if len({(min(u, v), max(u, v)) for u, v in ends}) < len(ends) else 0
     out = [f"{HEADER_PREFIX} n={g.n} weighted={1 if g.weighted else 0} multigraph={multi}"]
-    for e in g.edges():
-        if g.weighted:
-            out.append(f"{e.u} {e.v} {e.weight!r}")
-        else:
-            out.append(f"{e.u} {e.v}")
+    if g.weighted:
+        out += [f"{u} {v} {g.weight(eid)!r}" for eid, (u, v) in zip(ids, ends)]
+    else:
+        out += [f"{u} {v}" for u, v in ends]
     return "\n".join(out) + "\n"
 
 
-def emit_graph(g: Multigraph, path: str) -> None:
+def emit_graph(g: Multigraph, path: str, edge_ids: Iterable[int] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
-
-
-def subgraph_of(g: Multigraph, edge_ids) -> Multigraph:
-    """New graph over g's vertex range containing the given edges, id order."""
-    rows = []
-    for eid in sorted(edge_ids):
-        u, v = g.endpoints(eid)
-        rows.append((u, v, g.weight(eid)))
-    return Multigraph(g.n, rows, weighted=g.weighted)
+        fh.write(format_graph(g, edge_ids))
 
 
 def match_subgraph(g: Multigraph, h: Multigraph) -> frozenset[int]:
@@ -174,16 +167,17 @@ def match_subgraph(g: Multigraph, h: Multigraph) -> frozenset[int]:
     """
     if h.n != g.n:
         raise ValueError(f"vertex count mismatch: host n={g.n}, candidate n={h.n}")
-    pool: dict[tuple[int, int, float], list[int]] = {}
-    for e in g.edges():
-        key = (min(e.u, e.v), max(e.u, e.v), e.weight)
-        pool.setdefault(key, []).append(e.id)
-    for ids in pool.values():
-        ids.sort(reverse=True)
+    # Only the pairs that h names are pooled, each once: weight -> host ids,
+    # largest first, so pop() gives the smallest.
+    pools: dict[tuple[int, int], dict[float, list[int]]] = {}
     chosen = []
     for e in h.edges():
-        key = (min(e.u, e.v), max(e.u, e.v), e.weight)
-        ids = pool.get(key)
+        pair = (min(e.u, e.v), max(e.u, e.v))
+        if pair not in pools:
+            pools[pair] = by_weight = {}
+            for eid in reversed(g.edge_ids_between(*pair)):
+                by_weight.setdefault(g.weight(eid), []).append(eid)
+        ids = pools[pair].get(e.weight)
         if not ids:
             raise ValueError(f"candidate edge ({e.u},{e.v},{e.weight}) not in host graph")
         chosen.append(ids.pop())
@@ -222,12 +216,36 @@ _unit_closed = _checked(float, lambda v: 0 <= v <= 1, "float in [0, 1]")
 _unit_open = _checked(float, lambda v: 0 < v < 1, "float in (0, 1)")
 
 
+# The lambdas look each builder up in its module's namespace at call time,
+# so a tracer that rebinds those names sees every call.
+_FAMILIES = {
+    "big-clique": lambda a: generators.gen_big_clique(a.t),
+    "hypercube": lambda a: generators.gen_hypercube(a.k),
+    "weighted-lb": lambda a: generators.gen_weighted_lower_bound(generators.named_graph(a.base), a.eps, a.k),
+    "eft-lb": lambda a: generators.gen_eft_lower_bound(generators.named_graph(a.base), a.f),
+    "gnp": lambda a: generators.gen_random(a.n, a.p, a.seed, a.weighted),
+}
+
+# eft-exact and eft-fast return (result, BlockingRecord), the rest a result.
+_SPANS = {
+    "greedy-dr": lambda g, a: greedy_dr_spanner(g, a.d, a.r),
+    "parallel": lambda g, a: parallel_greedy_spanner(g, a.k, matching_rounds(g)),
+    "sqrt-k": lambda g, a: sqrt_k_spanner(g, a.k),
+    "union": lambda g, a: union_hybrid_spanner(g, a.k),
+    "weighted": lambda g, a: build_weighted_spanner(g, a.k),
+    "eft-exact": lambda g, a: eft_greedy_exact(g, a.d, a.r, a.f),
+    "eft-fast": lambda g, a: eft_modified_greedy(g, a.k, a.f),
+    "eft-union": lambda g, a: eft_union_spanner(g, a.k, a.f, fast=a.fast),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spanner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance family")
-    gen.add_argument("family", choices=["big-clique", "hypercube", "weighted-lb", "eft-lb", "gnp"])
+    gen.set_defaults(run=_cmd_gen)
+    gen.add_argument("family", choices=_FAMILIES)
     gen.add_argument("-t", type=_at_least(2), default=4, help="clique side for big-clique")
     gen.add_argument("-k", type=_positive_int, default=3, help="dimension / stretch parameter")
     gen.add_argument("-f", type=_positive_int, default=1, help="fault budget for eft-lb")
@@ -240,19 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True)
 
     span = sub.add_parser("span", help="run a spanner construction")
-    span.add_argument(
-        "algo",
-        choices=[
-            "greedy-dr",
-            "parallel",
-            "sqrt-k",
-            "union",
-            "weighted",
-            "eft-exact",
-            "eft-fast",
-            "eft-union",
-        ],
-    )
+    span.set_defaults(run=_cmd_span)
+    span.add_argument("algo", choices=_SPANS)
     span.add_argument("-k", type=_positive_int, default=2)
     span.add_argument("-d", type=_positive_int, default=2)
     span.add_argument("-r", type=_nonnegative_int, default=None, help="default 2k")
@@ -263,6 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     span.add_argument("--trace", default=None, help="write line-delimited provenance records")
 
     ver = sub.add_parser("verify", help="verify a spanner contract")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("contract", choices=["dr", "eft", "alpha-beta", "weighted"])
     ver.add_argument("-i", "--input", required=True, help="host graph file")
     ver.add_argument("-s", "--spanner", required=True, help="candidate subgraph file")
@@ -277,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_CHECK_BUDGET)
 
     stats = sub.add_parser("stats", help="report size and girth of a graph file")
+    stats.set_defaults(run=_cmd_stats)
     stats.add_argument("-s", "--spanner", required=True)
     stats.add_argument("-k", type=_positive_int, required=True)
     return parser
@@ -319,30 +328,14 @@ def _trace_records(result) -> list[dict]:
                 }
             )
         return records
-    for i, p in enumerate(result.paths):
-        rec = {
-            "event": "add",
-            "index": i,
-            "vertices": list(p.vertices),
-            "edges": list(p.edge_ids),
-        }
-        records.append(rec)
-    return records
+    return [
+        {"event": "add", "index": i, "vertices": list(p.vertices), "edges": list(p.edge_ids)}
+        for i, p in enumerate(result.paths)
+    ]
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "big-clique":
-        bundle = generators.gen_big_clique(args.t)
-    elif args.family == "hypercube":
-        bundle = generators.gen_hypercube(args.k)
-    elif args.family == "weighted-lb":
-        base = generators.named_graph(args.base)
-        bundle = generators.gen_weighted_lower_bound(base, args.eps, args.k)
-    elif args.family == "eft-lb":
-        base = generators.named_graph(args.base)
-        bundle = generators.gen_eft_lower_bound(base, args.f)
-    else:
-        bundle = generators.gen_random(args.n, args.p, args.seed, args.weighted)
+    bundle = _FAMILIES[args.family](args)
     emit_graph(bundle.graph, args.output)
     print(f"wrote {bundle.tag}: n={bundle.graph.n} m={bundle.graph.m} -> {args.output}")
     return EXIT_OK
@@ -350,26 +343,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_span(args) -> int:
     g = parse_graph(args.input)
-    k = args.k
-    blocking = None
-    if args.algo == "greedy-dr":
-        result = greedy_dr_spanner(g, args.d, args.r)
-    elif args.algo == "parallel":
-        result = parallel_greedy_spanner(g, k, matching_rounds(g))
-    elif args.algo == "sqrt-k":
-        result = sqrt_k_spanner(g, k)
-    elif args.algo == "union":
-        result = union_hybrid_spanner(g, k)
-    elif args.algo == "weighted":
-        result = build_weighted_spanner(g, k)
-    elif args.algo == "eft-exact":
-        result, blocking = eft_greedy_exact(g, args.d, args.r, args.f)
-    elif args.algo == "eft-fast":
-        result, blocking = eft_modified_greedy(g, k, args.f)
-    else:
-        result = eft_union_spanner(g, k, args.f, fast=args.fast)
-    edges = tuple(result.edges)
-    emit_graph(subgraph_of(g, edges), args.output)
+    result = _SPANS[args.algo](g, args)
+    result, blocking = result if isinstance(result, tuple) else (result, None)
+    emit_graph(g, args.output, result.edges)
     if args.trace:
         records = _trace_records(result)
         if blocking is not None:
@@ -378,7 +354,7 @@ def _cmd_span(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    print(f"{args.algo}: kept {len(edges)} of {g.m} edges -> {args.output}")
+    print(f"{args.algo}: kept {len(result.edges)} of {g.m} edges -> {args.output}")
     return EXIT_OK
 
 
@@ -441,18 +417,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("span eft-exact supports only -d 1 or -d 2")
     if args.command == "span" and args.algo == "weighted" and args.k < 2:
         parser.error(f"span weighted needs -k 2 or more, got {args.k}")
-    if args.command == "gen" and args.family == "hypercube" and args.k > 16:
-        parser.error(f"gen hypercube supports -k up to 16, got {args.k}")
     if args.command == "gen" and args.family == "gnp" and args.n > MAX_VERTICES:
         parser.error(f"gen gnp supports -n up to {MAX_VERTICES}, got {args.n}")
+    if args.command == "gen" and args.family == "big-clique" and args.t**2 > MAX_VERTICES:
+        parser.error(f"gen big-clique supports -t up to {math.isqrt(MAX_VERTICES)}, got {args.t}")
+    if args.command == "gen" and args.family.endswith("-lb"):
+        # the lower-bound families double the base's vertices
+        _, base_n = generators._sized_spec(args.base) or (None, 0)
+        if 2 * base_n > MAX_VERTICES:
+            parser.error(f"gen {args.family}: --base {args.base} has more than {MAX_VERTICES // 2} vertices")
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "span":
-            return _cmd_span(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_stats(args)
+        return args.run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

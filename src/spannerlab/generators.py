@@ -80,22 +80,29 @@ _NAMED = {
 }
 
 
+_SIZED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph, "star": star_graph}
+
+
+def _sized_spec(spec: str):
+    """(builder, N) for a "cycle:N", "path:N", "complete:N" or "star:N"
+    spec, else None; builds nothing, so a caller can check N first."""
+    kind, _, arg = spec.partition(":")
+    try:
+        return _SIZED[kind], int(arg)
+    except (KeyError, ValueError):
+        return None
+
+
 def named_graph(spec: str) -> Multigraph:
     """Catalog lookup: "petersen", "heawood", "cycle:N", "path:N",
     "complete:N", "star:N"."""
     if spec in _NAMED:
         return _NAMED[spec]()
-    if ":" in spec:
-        kind, _, arg = spec.partition(":")
-        sized = {
-            "cycle": cycle_graph,
-            "path": path_graph,
-            "complete": complete_graph,
-            "star": star_graph,
-        }
-        if kind in sized:
-            return sized[kind](int(arg))
-    raise ValueError(f"unknown graph spec {spec!r}")
+    sized = _sized_spec(spec)
+    if sized is None:
+        raise ValueError(f"unknown graph spec {spec!r}")
+    build, n = sized
+    return build(n)
 
 
 def gen_big_clique(t: int) -> InstanceBundle:

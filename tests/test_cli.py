@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import small_graphs
-from spannerlab import Multigraph, graphs
+from spannerlab import Multigraph, generators, graphs
 from spannerlab.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -209,6 +213,41 @@ def test_round_trip_identity(tmp_path):
     assert format_graph(back) == format_graph(g)
 
 
+def test_format_graph_subset():
+    header = "# spanner-graph v1 n=4 weighted=1 multigraph={}\n"
+    g = Multigraph(4, [(0, 1, 0.1), (2, 1, 1 / 3), (1, 0, 0.1), (2, 3, 2.5e-300)], weighted=True)
+    whole = "0 1 0.1\n2 1 0.3333333333333333\n1 0 0.1\n2 3 2.5e-300\n"
+    assert format_graph(g) == header.format(1) + whole
+    assert format_graph(g, range(g.m)) == format_graph(g)
+    assert format_graph(g, [2, 0]) == header.format(1) + "0 1 0.1\n1 0 0.1\n"
+    assert format_graph(g, {3, 0, 1}) == header.format(0) + "0 1 0.1\n2 1 0.3333333333333333\n2 3 2.5e-300\n"
+    assert format_graph(g, ()) == header.format(0)
+    for ids in ([], [1, 3], [3, 2, 0], [0, 1, 2, 3]):
+        back = parse_graph_text(format_graph(g, ids))
+        assert (back.n, back.weighted) == (g.n, True)
+        assert [(e.u, e.v, e.weight) for e in back.edges()] == [
+            (*g.endpoints(eid), g.weight(eid)) for eid in sorted(ids)
+        ]
+    plain = Multigraph(3, [(0, 1), (1, 2), (1, 0)])
+    assert format_graph(plain) == "# spanner-graph v1 n=3 weighted=0 multigraph=1\n0 1\n1 2\n1 0\n"
+    assert format_graph(plain, [1, 2]) == "# spanner-graph v1 n=3 weighted=0 multigraph=0\n1 2\n1 0\n"
+
+
+def _key(u, v, w):
+    return min(u, v), max(u, v), w
+
+
+def _smallest_ids(g, h):
+    """Per (pair, weight) key, the smallest host ids, as many as h has edges
+    with that key."""
+    want = Counter(_key(e.u, e.v, e.weight) for e in h.edges())
+    chosen = set()
+    for key, count in want.items():
+        ids = sorted(e.id for e in g.edges() if _key(e.u, e.v, e.weight) == key)
+        chosen.update(ids[:count])
+    return frozenset(chosen)
+
+
 def test_match_subgraph_multigraph_counts():
     g = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
     h = Multigraph(3, [(0, 1), (1, 2)])
@@ -216,6 +255,32 @@ def test_match_subgraph_multigraph_counts():
     too_many = Multigraph(3, [(0, 1), (0, 1), (0, 1)])
     with pytest.raises(ValueError):
         match_subgraph(g, too_many)
+    for seed in range(60):
+        rng = random.Random(seed)
+        weighted = seed % 2 == 1
+        weights = (0.5, 0.25, 1 / 3) if weighted else (1.0,)
+        n = rng.randint(2, 7)
+        # pair (0, 1) carries both of two weights on a weighted host
+        rows = [(0, 1, weights[0]), (1, 0, weights[-1])]
+        for _ in range(rng.randint(0, 24)):
+            u, v = rng.sample(range(n), 2)
+            rows.append((u, v, rng.choice(weights)))
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 8))]
+        rng.shuffle(rows)
+        g = Multigraph(n, rows, weighted=weighted)
+        picked = [e for e in g.edges() if rng.random() < 0.6]
+        rng.shuffle(picked)
+        cand = [(e.v, e.u, e.weight) if rng.random() < 0.5 else (e.u, e.v, e.weight) for e in picked]
+        h = Multigraph(n, cand, weighted=weighted)
+        assert match_subgraph(g, h) == _smallest_ids(g, h), seed
+        # one copy more of some key than the host has
+        e = rng.choice(list(g.edges()))
+        key = _key(e.u, e.v, e.weight)
+        have = sum(_key(*row) == key for row in cand)
+        host = sum(_key(f.u, f.v, f.weight) == key for f in g.edges())
+        over = Multigraph(n, cand + [(e.u, e.v, e.weight)] * (host - have + 1), weighted=weighted)
+        with pytest.raises(ValueError, match="not in host graph"):
+            match_subgraph(g, over)
 
 
 def test_cli_hypercube_pipeline(tmp_path, capsys):
@@ -403,10 +468,60 @@ def _run_cli(cwd, *args, timeout=None):
 )
 def test_cli_argument_errors_are_64(tmp_path, args):
     assert main(["gen", "hypercube", "-k", "3", "-o", str(tmp_path / "g")]) == EXIT_OK
-    proc = _run_cli(tmp_path, *args)
+    proc = _run_cli(tmp_path, *args, timeout=30)
     assert proc.returncode == EXIT_USAGE
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "h").exists()
+
+
+class _BuilderCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args, over",
+    [
+        (("big-clique", "-t", "4097"), True),
+        (("big-clique", "-t", "4096"), False),
+        (("weighted-lb", "--base", "cycle:8388609"), True),
+        (("weighted-lb", "--base", "path:8388609"), True),
+        (("weighted-lb", "--base", "cycle:8388608"), False),
+        (("eft-lb", "--base", "complete:8388609"), True),
+        (("eft-lb", "--base", "star:8388609"), True),
+        (("eft-lb", "--base", "star:8388608"), False),
+    ],
+)
+def test_gen_vertex_caps_act_before_any_generator(tmp_path, monkeypatch, capsys, args, over):
+    # every generator raises when called, so a missing check fails at once
+    # instead of building gigabytes; a value at the cap reaches the builder
+    def called(*_, **__):
+        raise _BuilderCalled
+
+    for name in generators.__all__:
+        if isinstance(getattr(generators, name), types.FunctionType):
+            monkeypatch.setattr(generators, name, called)
+    out = tmp_path / "h"
+    argv = ["gen", *args, "-o", str(out)]
+    if not over:
+        with pytest.raises(_BuilderCalled):
+            main(argv)
+        return
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    stderr = capsys.readouterr().err
+    assert "error:" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_readme_names_the_cli_choices(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for command in ("gen", "span", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        documented = re.findall(rf"^- `{command} (\{{[^}}]*\}})`", readme, re.M)
+        assert re.findall(r"\{[^}]*\}", usage) == documented, command
 
 
 @pytest.mark.parametrize(
