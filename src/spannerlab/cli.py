@@ -8,7 +8,12 @@ File format (one graph per file)::
 Edge ids are assigned by position among edge lines (zero-based); blank lines
 and further ``#`` comments are ignored and do not consume ids; numbers are
 ASCII, without underscores; n may not exceed ``MAX_VERTICES`` (2**24),
-checked before any allocation. Exit codes:
+checked before any allocation. The canonical form that ``format_graph``
+writes (exactly that header, then ``u v`` or ``u v w`` lines of ASCII
+digits, one space apart, each ending in a newline) is read in one pass;
+every other accepted form (comments, blank lines, tabs, CRLF, signs, no
+final newline) goes through a per-line loop and gives the same graph, and
+any bad file gets the same error at the same line either way. Exit codes:
 0 success, 2 verification counterexample, 3 budget exceeded, 64 usage error,
 65 malformed input data, 74 a file that cannot be read or written.
 """
@@ -18,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from operator import eq
 from typing import Iterable, Sequence
 
 from . import generators
@@ -57,6 +64,10 @@ HEADER_PREFIX = "# spanner-graph v1"
 # No command walks the isolated vertices of a file, but the cluster and
 # saturation tests compare exact integer powers of n, so n still bounds work.
 MAX_VERTICES = 2**24
+# The lower-bound families may write as many edges as a file may have
+# vertices. This stops a traceback, not a large job: building and writing
+# takes about 420 bytes and 4 us per edge, so about 7 GB at the cap.
+MAX_GEN_EDGES = 2**24
 
 
 class GraphParseError(ValueError):
@@ -72,7 +83,62 @@ def _number(kind, token: str):
     return kind(token)
 
 
+# The text format_graph writes. [0-9] and not \d, which also matches the
+# non-ASCII digits that int() and float() read and _number rejects.
+_CANONICAL_HEADER = re.compile(r"# spanner-graph v1 n=([0-9]+) weighted=([01]) multigraph=([01])\n")
+_CANONICAL_BODY = {
+    False: re.compile(r"(?:[0-9]+ [0-9]+\n)*"),
+    True: re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?\n)*"),
+}
+
+
 def parse_graph_text(text: str) -> Multigraph:
+    """The graph of a file's text; ``GraphParseError`` names the first bad line.
+
+    Text in the canonical form is read in one pass; all other text, and
+    canonical text that fails a check, goes through the line loop, which
+    gives the same graph or the error."""
+    g = _read_canonical(text)
+    return _read_lines(text) if g is None else g
+
+
+def _read_canonical(text: str) -> Multigraph | None:
+    """The graph of canonical text, or None; never raises.
+
+    One regex match checks the shape of the whole body, so its tokens are
+    ASCII numerals in ``u v [w]`` order: ids are nonnegative ints and no
+    weight is NaN. The checks the line loop makes per line then run over
+    whole lists, and the graph is built without checking them again.
+    """
+    head = _CANONICAL_HEADER.match(text)
+    if head is None:
+        return None
+    weighted = head[2] == "1"
+    if not _CANONICAL_BODY[weighted].fullmatch(text, head.end()):
+        return None
+    tokens = text[head.end() :].split()
+    step = 3 if weighted else 2
+    try:
+        n = int(head[1])
+        us = list(map(int, tokens[0::step]))
+        vs = list(map(int, tokens[1::step]))
+        ws = list(map(float, tokens[2::3])) if weighted else [1.0] * len(us)
+    except ValueError:  # a numeral past int()'s digit limit
+        return None
+    if n > MAX_VERTICES or (us and max(max(us), max(vs)) >= n) or any(map(eq, us, vs)):
+        return None
+    if weighted and ws and not (min(ws) > 0 and math.isfinite(max(ws))):
+        return None
+    if head[3] == "0":
+        # with no self-loops, a pair repeats iff some (u, v) repeats or
+        # also occurs as (v, u)
+        pairs = set(zip(us, vs))
+        if len(pairs) < len(us) or not pairs.isdisjoint(zip(vs, us)):
+            return None
+    return Multigraph._from_checked(n, us, vs, ws, weighted)
+
+
+def _read_lines(text: str) -> Multigraph:
     lines = text.splitlines()
     header = None
     header_line = 0
@@ -422,10 +488,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "gen" and args.family == "big-clique" and args.t**2 > MAX_VERTICES:
         parser.error(f"gen big-clique supports -t up to {math.isqrt(MAX_VERTICES)}, got {args.t}")
     if args.command == "gen" and args.family.endswith("-lb"):
-        # the lower-bound families double the base's vertices
-        _, base_n = generators._sized_spec(args.base) or (None, 0)
+        # the lower-bound families double the base's vertices, add one leaf
+        # edge per base vertex, and eft-lb writes f copies of each base edge
+        _, base_n, base_m = generators._spec(args.base) or (None, 0, 0)
         if 2 * base_n > MAX_VERTICES:
             parser.error(f"gen {args.family}: --base {args.base} has more than {MAX_VERTICES // 2} vertices")
+        m = base_m * (args.f if args.family == "eft-lb" else 1) + base_n
+        if m > MAX_GEN_EDGES:
+            parser.error(f"gen {args.family} would write {m} edges, more than the cap of {MAX_GEN_EDGES}")
     try:
         return args.run(args)
     except BudgetExceededError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import Multigraph, PathSeq, girth, hop_distances
 from .greedy import PathCollection
@@ -74,35 +75,43 @@ def heawood_graph() -> Multigraph:
     return Multigraph(14, edges)
 
 
+# name -> (builder, vertex count, edge count)
 _NAMED = {
-    "petersen": petersen_graph,
-    "heawood": heawood_graph,
+    "petersen": (petersen_graph, 10, 15),
+    "heawood": (heawood_graph, 14, 21),
+}
+
+# kind -> (builder, edge count of the graph on N vertices)
+_SIZED = {
+    "cycle": (cycle_graph, lambda n: n),
+    "path": (path_graph, lambda n: max(n - 1, 0)),
+    "complete": (complete_graph, lambda n: n * (n - 1) // 2),
+    "star": (star_graph, lambda n: max(n - 1, 0)),
 }
 
 
-_SIZED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph, "star": star_graph}
-
-
-def _sized_spec(spec: str):
-    """(builder, N) for a "cycle:N", "path:N", "complete:N" or "star:N"
-    spec, else None; builds nothing, so a caller can check N first."""
+def _spec(spec: str):
+    """(builder, vertex count, edge count) of a catalog spec, the builder
+    taking no argument, else None; builds nothing, so a caller can check
+    the size first."""
+    if spec in _NAMED:
+        return _NAMED[spec]
     kind, _, arg = spec.partition(":")
     try:
-        return _SIZED[kind], int(arg)
+        build, edges = _SIZED[kind]
+        n = int(arg)
     except (KeyError, ValueError):
         return None
+    return partial(build, n), n, edges(n)
 
 
 def named_graph(spec: str) -> Multigraph:
     """Catalog lookup: "petersen", "heawood", "cycle:N", "path:N",
     "complete:N", "star:N"."""
-    if spec in _NAMED:
-        return _NAMED[spec]()
-    sized = _sized_spec(spec)
-    if sized is None:
+    found = _spec(spec)
+    if found is None:
         raise ValueError(f"unknown graph spec {spec!r}")
-    build, n = sized
-    return build(n)
+    return found[0]()
 
 
 def gen_big_clique(t: int) -> InstanceBundle:

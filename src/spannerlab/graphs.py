@@ -25,6 +25,7 @@ from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 from typing import Collection, Iterable, Iterator
 
 INF = math.inf
@@ -116,18 +117,38 @@ class Multigraph:
             us.append(u)
             vs.append(v)
             ws.append(w)
+        self._index(us, vs, ws)
+
+    @classmethod
+    def _from_checked(cls, n: int, us: list[int], vs: list[int], ws: list[float], weighted: bool) -> "Multigraph":
+        """The graph ``cls(n, zip(us, vs, ws), weighted)`` builds, from edge
+        lists the caller has already checked as ``__init__`` does: ints in
+        range, no self-loop, floats that are 1.0 or, when weighted, positive
+        and finite."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.weighted = weighted
+        g._index(us, vs, ws)
+        return g
+
+    def _index(self, us: list[int], vs: list[int], ws: list[float]) -> None:
+        """Store the edge lists and build the adjacency and pair index."""
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
         adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        pair_ids: dict[tuple[int, int], list[int]] = {}
-        for eid in range(len(us)):
-            a, b = us[eid], vs[eid]
+        for eid, a, b in zip(count(), us, vs):
             adj[a].append((b, eid))
             adj[b].append((a, eid))
-            pair_ids.setdefault((min(a, b), max(a, b)), []).append(eid)
         self._adj = _Adjacency((v, tuple(sorted(nbrs))) for v, nbrs in adj.items())
-        self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
+        pairs = [(a, b) if a < b else (b, a) for a, b in zip(us, vs)]
+        # one id per pair, the common case, is one dict build in C
+        self._pair_ids = dict(zip(pairs, zip(count())))
+        if len(self._pair_ids) < len(pairs):
+            pair_ids: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+            for eid, pair in enumerate(pairs):
+                pair_ids[pair].append(eid)
+            self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
 
     @property
     def m(self) -> int:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import small_graphs
-from spannerlab import Multigraph, generators, graphs
+from spannerlab import Multigraph, cli, generators, graphs
 from spannerlab.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -197,6 +197,146 @@ def test_cli_underscore_number_is_65(tmp_path, capsys, text, where):
     (tmp_path / "g").write_text(text)
     assert main(["stats", "-s", str(tmp_path / "g"), "-k", "2"]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {where} ")
+
+
+def _same_graph(g, h):
+    assert (g.n, g.weighted, g.m) == (h.n, h.weighted, h.m)
+    assert list(g.edges()) == list(h.edges())
+    assert [g.adj(v) for v in range(g.n)] == [h.adj(v) for v in range(h.n)]
+    assert [g.edge_ids_between(u, v) for u in range(g.n) for v in range(u + 1, g.n)] == [
+        h.edge_ids_between(u, v) for u in range(h.n) for v in range(u + 1, h.n)
+    ]
+
+
+_BIG_NUMERAL = "1" + "0" * 4999  # past int()'s 4300-digit limit; float() reads inf
+_MUTATIONS = (
+    "range", "loop", "duplicate", "weight", "digits", "tab", "trailing-space",
+    "no-final-newline", "plus", "non-ascii", "two-tokens",
+)
+
+
+def _mutate(g, kind, data) -> str:
+    """format_graph(g) with one token or line changed, as ``kind`` says."""
+    lines = format_graph(g).splitlines()
+    edge_lines = list(range(1, len(lines)))
+    pick = lambda: data.draw(st.sampled_from(edge_lines))  # noqa: E731
+    tokens = lambda i: lines[i].split()  # noqa: E731
+    if kind == "range":
+        i, j = pick(), data.draw(st.integers(0, 1))
+        row = tokens(i)
+        row[j] = str(data.draw(st.sampled_from([g.n, g.n + 1, 10**30])))
+        lines[i] = " ".join(row)
+    elif kind == "loop":
+        i = pick()
+        row = tokens(i)
+        row[1] = row[0]
+        lines[i] = " ".join(row)
+    elif kind == "duplicate":
+        i, j = pick(), pick()
+        u, v, *rest = tokens(i)
+        lines[j] = " ".join([*data.draw(st.sampled_from([[u, v], [v, u]])), *tokens(j)[2:]])
+        lines[0] = lines[0].replace("multigraph=1", "multigraph=0")
+    elif kind == "weight":
+        i = pick()
+        lines[i] = " ".join(tokens(i)[:2] + [data.draw(st.sampled_from(["1e400", "nan", "0", "0.0", "1e-400"]))])
+    elif kind in ("digits", "plus", "non-ascii"):
+        # the header's n=... token, or any token of an edge line
+        i = data.draw(st.sampled_from([0, *edge_lines]))
+        row = tokens(i)
+        j = 3 if i == 0 else data.draw(st.integers(0, len(row) - 1))
+        prefix, token = ("n=", row[j][2:]) if i == 0 else ("", row[j])
+        if kind == "digits":
+            token = _BIG_NUMERAL
+        elif kind == "plus":
+            token = "+" + token
+        else:
+            c = data.draw(st.sampled_from([c for c, ch in enumerate(token) if ch.isdigit()]))
+            token = token[:c] + chr(ord(data.draw(st.sampled_from(_ZEROS))) + int(token[c])) + token[c + 1 :]
+        row[j] = prefix + token
+        lines[i] = " ".join(row)
+    elif kind == "tab":
+        i = data.draw(st.sampled_from([0, *edge_lines]))
+        row = tokens(i)
+        j = data.draw(st.integers(1, len(row) - 1))
+        lines[i] = " ".join(row[:j]) + "\t" + " ".join(row[j:])
+    elif kind == "trailing-space":
+        i = data.draw(st.sampled_from([0, *edge_lines]))
+        lines[i] += " "
+    elif kind == "two-tokens":
+        i = pick()
+        lines[i] = " ".join(tokens(i)[:2])
+    text = "\n".join(lines)
+    return text if kind == "no-final-newline" else text + "\n"
+
+
+@given(
+    small_graphs(max_n=8, max_m=10, min_m=1)
+    | small_graphs(max_n=8, max_m=10, min_m=1, multigraph=True)
+    | small_graphs(max_n=8, max_m=10, min_m=1, weighted=True)
+    | small_graphs(max_n=8, max_m=10, min_m=1, multigraph=True, weighted=True),
+    st.sampled_from(_MUTATIONS),
+    st.data(),
+)
+def test_one_pass_route_matches_the_line_loop(g, kind, data):
+    # one changed token or line: both routes give the same graph, or the
+    # same error at the same line
+    text = _mutate(g, kind, data)
+    fast = cli._read_canonical(text)
+    try:
+        slow = cli._read_lines(text)
+    except GraphParseError as err:
+        assert fast is None
+        with pytest.raises(GraphParseError) as again:
+            parse_graph_text(text)
+        assert (str(again.value), again.value.line) == (str(err), err.line)
+        return
+    _same_graph(parse_graph_text(text), slow)
+    if fast is not None:
+        _same_graph(fast, slow)
+
+
+def _no_line_loop(monkeypatch):
+    def refuse(text):
+        raise AssertionError("canonical text reached the line loop")
+
+    monkeypatch.setattr(cli, "_read_lines", refuse)
+
+
+_GEN_ARGS = {
+    "big-clique": ["-t", "5"],
+    "hypercube": ["-k", "5"],
+    "weighted-lb": ["-k", "2", "--base", "petersen"],
+    "eft-lb": ["-f", "3", "--base", "heawood"],
+    "gnp": ["-n", "40", "-p", "0.3", "--seed", "4"],
+}
+
+
+def test_every_gen_family_is_read_in_one_pass(monkeypatch):
+    # a change to format_graph or to the regexes that sends canonical files
+    # back to the line loop fails here
+    _no_line_loop(monkeypatch)
+    assert set(_GEN_ARGS) == set(cli._FAMILIES)
+    graphs = [
+        cli._FAMILIES[family](cli._build_parser().parse_args(["gen", family, *args, "-o", "x"])).graph
+        for family, args in _GEN_ARGS.items()
+    ]
+    graphs.append(generators.gen_random(40, 0.3, 4, weighted=True).graph)
+    assert {g.weighted for g in graphs} == {False, True}
+    for g in graphs:
+        _same_graph(parse_graph_text(format_graph(g)), g)
+        _same_graph(parse_graph_text(format_graph(g, range(0, g.m, 2))), Multigraph(
+            g.n, [(*g.endpoints(e), g.weight(e)) for e in range(0, g.m, 2)], weighted=g.weighted
+        ))
+
+
+@given(st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False), min_size=1, max_size=12))
+def test_weight_reprs_are_read_in_one_pass(weights):
+    # reprs such as 5e-324, 1e-05, 2.5e+20 and 1.7976931348623157e+308
+    g = Multigraph(len(weights) + 1, [(i, i + 1, w) for i, w in enumerate(weights)], weighted=True)
+    text = format_graph(g)
+    back = cli._read_canonical(text)
+    assert back is not None, text
+    _same_graph(back, g)
 
 
 def test_round_trip_identity(tmp_path):
@@ -492,6 +632,34 @@ class _BuilderCalled(Exception):
     ],
 )
 def test_gen_vertex_caps_act_before_any_generator(tmp_path, monkeypatch, capsys, args, over):
+    _check_gen_cap(tmp_path, monkeypatch, capsys, args, over)
+
+
+_CAP = cli.MAX_GEN_EDGES
+
+
+@pytest.mark.parametrize(
+    "args, over",
+    [
+        # weighted-lb writes base edges + base n, eft-lb base edges * f + base n
+        (("weighted-lb", "--base", f"cycle:{_CAP // 2}"), False),
+        # complete:N writes N(N + 1)/2 edges: 16,776,528 and 16,782,321
+        (("weighted-lb", "--base", "complete:5792"), False),
+        (("weighted-lb", "--base", "complete:5793"), True),
+        (("weighted-lb", "--base", "complete:8388608"), True),
+        (("eft-lb", "--base", "cycle:8", "-f", str(_CAP // 8 - 1)), False),
+        (("eft-lb", "--base", "star:2", "-f", str(_CAP - 1)), True),
+        (("eft-lb", "--base", "path:2", "-f", str(_CAP - 2)), False),
+        (("eft-lb", "--base", "petersen", "-f", str((_CAP - 10) // 15)), False),
+        (("eft-lb", "--base", "petersen", "-f", str((_CAP - 10) // 15 + 1)), True),
+        (("eft-lb", "-f", "1000000000"), True),
+    ],
+)
+def test_gen_edge_cap_acts_before_any_generator(tmp_path, monkeypatch, capsys, args, over):
+    _check_gen_cap(tmp_path, monkeypatch, capsys, args, over)
+
+
+def _check_gen_cap(tmp_path, monkeypatch, capsys, args, over):
     # every generator raises when called, so a missing check fails at once
     # instead of building gigabytes; a value at the cap reaches the builder
     def called(*_, **__):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from spannerlab import girth, greedy_path_collection_spanner, parallel_greedy_spanner
+from spannerlab import generators, girth, greedy_path_collection_spanner, parallel_greedy_spanner
 from spannerlab.generators import (
     cycle_graph,
     gen_big_clique,
@@ -119,3 +119,15 @@ def test_catalog_graphs():
     assert named_graph("petersen").m == 15
     with pytest.raises(ValueError):
         named_graph("mystery:3")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["petersen", "heawood", "cycle:3", "cycle:9", "path:0", "path:1", "path:6",
+     "complete:0", "complete:1", "complete:7", "star:0", "star:1", "star:5"],
+)
+def test_spec_counts_match_the_built_graph(spec):
+    # the CLI caps gen by these counts before anything is built
+    _, n, m = generators._spec(spec)
+    g = named_graph(spec)
+    assert (n, m) == (g.n, g.m)
