@@ -199,6 +199,30 @@ def test_cli_underscore_number_is_65(tmp_path, capsys, text, where):
     assert capsys.readouterr().err.startswith(f"error: {where} ")
 
 
+_HEAD = "# spanner-graph v1 n={} weighted={} multigraph={}\n"
+
+
+@pytest.mark.parametrize(
+    "text, match, line",
+    [
+        (_HEAD.format(2, 0, 0) + "0 1\n1 2\n", "out of range", 3),
+        (_HEAD.format(3, 0, 1) + "0 1\n2 2\n", "self-loop", 3),
+        (_HEAD.format(3, 0, 0) + "0 1\n1 2\n1 0\n", "multigraph=0", 4),
+        (_HEAD.format(3, 1, 0) + "0 1 0.5\n1 2 1e400\n", "nonpositive weight inf", 3),
+        (_HEAD.format(3, 1, 1) + "0 1 0.0\n", "nonpositive weight 0.0", 2),
+        (_HEAD.format(3, 1, 0) + "0 1 " + "9" * 5000 + "\n", "nonpositive weight inf", 2),
+        (_HEAD.format(3, 0, 1) + "0 1\n2 " + "1" * 5000 + "\n", "4300", 3),
+        (_HEAD.format("1" * 5000, 0, 0), "malformed header", 1),
+    ],
+)
+def test_parse_canonical_text_failing_a_check_names_its_line(text, match, line):
+    # the one-pass route declines and the line loop names the line
+    assert cli._read_canonical(text) is None
+    with pytest.raises(GraphParseError, match=match) as err:
+        parse_graph_text(text)
+    assert err.value.line == line
+
+
 def _same_graph(g, h):
     assert (g.n, g.weighted, g.m) == (h.n, h.weighted, h.m)
     assert list(g.edges()) == list(h.edges())
