@@ -139,6 +139,7 @@ def _read_canonical(text: str) -> Multigraph | None:
 
 
 def _read_lines(text: str) -> Multigraph:
+    """The line loop: reads every accepted form and raises every error."""
     lines = text.splitlines()
     header = None
     header_line = 0

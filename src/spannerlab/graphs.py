@@ -120,7 +120,9 @@ class Multigraph:
         self._index(us, vs, ws)
 
     @classmethod
-    def _from_checked(cls, n: int, us: list[int], vs: list[int], ws: list[float], weighted: bool) -> "Multigraph":
+    def _from_checked(
+        cls, n: int, us: list[int], vs: list[int], ws: list[float], weighted: bool
+    ) -> "Multigraph":
         """The graph ``cls(n, zip(us, vs, ws), weighted)`` builds, from edge
         lists the caller has already checked as ``__init__`` does: ints in
         range, no self-loop, floats that are 1.0 or, when weighted, positive
