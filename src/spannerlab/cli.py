@@ -64,9 +64,10 @@ HEADER_PREFIX = "# spanner-graph v1"
 # No command walks the isolated vertices of a file, but the cluster and
 # saturation tests compare exact integer powers of n, so n still bounds work.
 MAX_VERTICES = 2**24
-# The lower-bound families may write as many edges as a file may have
-# vertices. This stops a traceback, not a large job: building and writing
-# takes about 420 bytes and 4 us per edge, so about 7 GB at the cap.
+# gen may write as many edges as a file may have vertices. This stops a
+# traceback, not a large job: building and writing took about 370 bytes of
+# peak memory and 2.7 us per edge (gen eft-lb, 1,048,580 edges, Python 3.11
+# on a 2-vCPU host), so about 6 GB at the cap.
 MAX_GEN_EDGES = 2**24
 
 
@@ -108,7 +109,8 @@ def _read_canonical(text: str) -> Multigraph | None:
     One regex match checks the shape of the whole body, so its tokens are
     ASCII numerals in ``u v [w]`` order: ids are nonnegative ints and no
     weight is NaN. The checks the line loop makes per line then run over
-    whole lists, and the graph is built without checking them again.
+    whole lists, and the graph is built without checking them again; under
+    ``multigraph=0`` it must then be simple.
     """
     head = _CANONICAL_HEADER.match(text)
     if head is None:
@@ -129,13 +131,8 @@ def _read_canonical(text: str) -> Multigraph | None:
         return None
     if weighted and ws and not (min(ws) > 0 and math.isfinite(max(ws))):
         return None
-    if head[3] == "0":
-        # with no self-loops, a pair repeats iff some (u, v) repeats or
-        # also occurs as (v, u)
-        pairs = set(zip(us, vs))
-        if len(pairs) < len(us) or not pairs.isdisjoint(zip(vs, us)):
-            return None
-    return Multigraph._from_checked(n, us, vs, ws, weighted)
+    g = Multigraph._from_checked(n, us, vs, ws, weighted)
+    return g if head[3] == "1" or g.is_simple() else None
 
 
 def _read_lines(text: str) -> Multigraph:
@@ -465,7 +462,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     h = parse_graph(args.spanner)
-    rep = size_report(h, h.n, args.k)
+    rep = size_report(h.m, h.n, args.k)
     print(
         f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}"
     )
@@ -486,15 +483,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"span weighted needs -k 2 or more, got {args.k}")
     if args.command == "gen" and args.family == "gnp" and args.n > MAX_VERTICES:
         parser.error(f"gen gnp supports -n up to {MAX_VERTICES}, got {args.n}")
-    if args.command == "gen" and args.family == "big-clique" and args.t**2 > MAX_VERTICES:
-        parser.error(f"gen big-clique supports -t up to {math.isqrt(MAX_VERTICES)}, got {args.t}")
-    if args.command == "gen" and args.family.endswith("-lb"):
-        # the lower-bound families double the base's vertices, add one leaf
-        # edge per base vertex, and eft-lb writes f copies of each base edge
-        _, base_n, base_m = generators._spec(args.base) or (None, 0, 0)
-        if 2 * base_n > MAX_VERTICES:
-            parser.error(f"gen {args.family}: --base {args.base} has more than {MAX_VERTICES // 2} vertices")
-        m = base_m * (args.f if args.family == "eft-lb" else 1) + base_n
+    if args.command == "gen":
+        m = 0  # hypercube: gen_hypercube takes k <= 16
+        if args.family == "big-clique":
+            # t(t - 1)/2 clique edges and t - 1 leaf edges per clique vertex
+            m = 3 * args.t * (args.t - 1) // 2
+        elif args.family == "gnp":
+            # the expected count p·n(n - 1)/2, rounded up
+            m = math.ceil(args.p * (args.n * (args.n - 1) // 2))
+        elif args.family.endswith("-lb"):
+            # the lower-bound families double the base's vertices, add one leaf
+            # edge per base vertex, and eft-lb writes f copies of each base edge
+            _, base_n, base_m = generators._spec(args.base) or (None, 0, 0)
+            if 2 * base_n > MAX_VERTICES:
+                parser.error(f"gen {args.family}: --base {args.base} has more than {MAX_VERTICES // 2} vertices")
+            m = base_m * (args.f if args.family == "eft-lb" else 1) + base_n
         if m > MAX_GEN_EDGES:
             parser.error(f"gen {args.family} would write {m} edges, more than the cap of {MAX_GEN_EDGES}")
     try:

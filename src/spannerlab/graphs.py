@@ -21,7 +21,7 @@ adjacency lists only to enumerate neighbors, never to search.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -88,7 +88,7 @@ class Multigraph:
     across threads.
     """
 
-    __slots__ = ("n", "weighted", "_us", "_vs", "_ws", "_adj", "_pair_ids")
+    __slots__ = ("n", "weighted", "_us", "_vs", "_ws", "_adj")
 
     def __init__(self, n: int, edges: Iterable = (), weighted: bool = False):
         if n < 0:
@@ -134,7 +134,7 @@ class Multigraph:
         return g
 
     def _index(self, us: list[int], vs: list[int], ws: list[float]) -> None:
-        """Store the edge lists and build the adjacency and pair index."""
+        """Store the edge lists and build the adjacency."""
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
@@ -143,14 +143,6 @@ class Multigraph:
             adj[a].append((b, eid))
             adj[b].append((a, eid))
         self._adj = _Adjacency((v, tuple(sorted(nbrs))) for v, nbrs in adj.items())
-        pairs = [(a, b) if a < b else (b, a) for a, b in zip(us, vs)]
-        # one id per pair, the common case, is one dict build in C
-        self._pair_ids = dict(zip(pairs, zip(count())))
-        if len(self._pair_ids) < len(pairs):
-            pair_ids: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-            for eid, pair in enumerate(pairs):
-                pair_ids[pair].append(eid)
-            self._pair_ids = {p: tuple(ids) for p, ids in pair_ids.items()}
 
     @property
     def m(self) -> int:
@@ -177,10 +169,15 @@ class Multigraph:
         return self._adj[v]
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
-        return self._pair_ids.get((min(u, v), max(u, v)), ())
+        """Ids of the edges joining u and v, ascending: the run of v in u's
+        (neighbor, id)-sorted adjacency."""
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, (v,))
+        return tuple(eid for _, eid in nbrs[i : bisect_left(nbrs, (v + 1,), i)])
 
     def is_simple(self) -> bool:
-        return all(len(ids) == 1 for ids in self._pair_ids.values())
+        """No two edges join the same pair: no adjacency repeats a neighbor."""
+        return all(len(dict(nbrs)) == len(nbrs) for nbrs in self._adj.values())
 
     def view(self, included: Iterable[int] | None = None) -> "SubgraphView":
         return SubgraphView(self, included)

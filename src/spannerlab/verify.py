@@ -282,17 +282,11 @@ def verify_alpha_beta(
     return _check_pairs(g, h, f, budget, reach=None, bound_of=lambda dist: alpha * dist + beta)
 
 
-def size_report(h, n: int, k: float | None) -> SizeReport:
-    """Edge count of a candidate against the n**(1 + 1/k) yardstick.
+def size_report(edges: int, n: int, k: float | None) -> SizeReport:
+    """An edge count against the n**(1 + 1/k) yardstick.
 
     ``k=None`` (or infinity) means the yardstick degenerates to n itself.
     """
-    if isinstance(h, Multigraph):
-        edges = h.m
-    elif hasattr(h, "edges") and not callable(getattr(h, "edges")):
-        edges = len(h.edges)
-    else:
-        edges = len(set(int(e) for e in h))
     if n <= 0:
         return SizeReport(edges, n, k, 0.0 if edges == 0 else INF)
     exponent = 1.0 if k is None or k == INF else 1.0 + 1.0 / k

@@ -647,7 +647,7 @@ class _BuilderCalled(Exception):
     "args, over",
     [
         (("big-clique", "-t", "4097"), True),
-        (("big-clique", "-t", "4096"), False),
+        (("big-clique", "-t", "4096"), True),
         (("weighted-lb", "--base", "cycle:8388609"), True),
         (("weighted-lb", "--base", "path:8388609"), True),
         (("weighted-lb", "--base", "cycle:8388608"), False),
@@ -678,6 +678,12 @@ _CAP = cli.MAX_GEN_EDGES
         (("eft-lb", "--base", "petersen", "-f", str((_CAP - 10) // 15)), False),
         (("eft-lb", "--base", "petersen", "-f", str((_CAP - 10) // 15 + 1)), True),
         (("eft-lb", "-f", "1000000000"), True),
+        # big-clique writes 1.5·t(t - 1) edges: 16,768,488 and 16,778,520
+        (("big-clique", "-t", "3344"), False),
+        (("big-clique", "-t", "3345"), True),
+        # gnp expects p·n(n - 1)/2 edges: 16,776,528 and 16,782,321 at p = 1
+        (("gnp", "-n", "5793", "-p", "1"), False),
+        (("gnp", "-n", "5794", "-p", "1"), True),
     ],
 )
 def test_gen_edge_cap_acts_before_any_generator(tmp_path, monkeypatch, capsys, args, over):

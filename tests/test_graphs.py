@@ -21,7 +21,7 @@ from spannerlab import (
     weighted_dist,
     weighted_distances,
 )
-from spannerlab.generators import cycle_graph, path_graph, petersen_graph
+from spannerlab.generators import cycle_graph, gen_random, path_graph, petersen_graph
 from spannerlab.graphs import bfs_layers, shortest_path, tree_path
 
 
@@ -42,11 +42,32 @@ def test_multigraph_rejects_bad_ids_and_weights():
             Multigraph(2, [(0, 1, bad)], weighted=True)
 
 
-def test_parallel_edges_have_distinct_ids():
-    g = Multigraph(2, [(0, 1), (0, 1), (1, 0)])
-    assert g.m == 3
-    assert g.edge_ids_between(0, 1) == (0, 1, 2)
-    assert not g.is_simple()
+@settings(max_examples=200)
+@given(small_graphs(multigraph=True))
+def test_parallel_edges_have_distinct_ids(g):
+    fixed = Multigraph(2, [(0, 1), (0, 1), (1, 0)])
+    assert fixed.m == 3
+    assert fixed.edge_ids_between(0, 1) == (0, 1, 2)
+    assert not fixed.is_simple()
+    # pair queries against a scan of the edge list, out-of-range ids included
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            naive = tuple(e.id for e in g.edges() if {e.u, e.v} == {u, v})
+            assert g.edge_ids_between(u, v) == naive, (u, v)
+    assert g.is_simple() == (len({frozenset((e.u, e.v)) for e in g.edges()}) == g.m)
+
+
+def test_multigraph_retains_under_250_bytes_per_edge():
+    # the edge arrays plus one (neighbor, id)-sorted adjacency, no second index
+    edges = [(e.u, e.v) for e in gen_random(400, 0.25, 0).graph.edges()]
+    tracemalloc.start()
+    try:
+        g = Multigraph(400, edges)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(edges) > 20000
+    assert retained < 250 * g.m
 
 
 def test_hop_distance_cycle_detour():

@@ -108,7 +108,7 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
-_GRAPH_INTERNALS = {"_adj", "_ws", "_us", "_vs", "_pair_ids"}
+_GRAPH_INTERNALS = {"_adj", "_ws", "_us", "_vs"}
 
 
 def _internal_reads(tree: ast.AST) -> list[str]:
