@@ -29,6 +29,7 @@ from operator import eq
 from typing import Iterable, Sequence
 
 from . import generators
+from .generators import catalog_entry
 from .fault_tolerant import (
     eft_greedy_exact,
     eft_modified_greedy,
@@ -64,11 +65,21 @@ HEADER_PREFIX = "# spanner-graph v1"
 # No command walks the isolated vertices of a file, but the cluster and
 # saturation tests compare exact integer powers of n, so n still bounds work.
 MAX_VERTICES = 2**24
-# gen may write as many edges as a file may have vertices. This stops a
+# gen may ask for as much work as a file may have vertices: the edges it
+# writes, or for gnp the vertex pairs it draws (see _FAMILIES). This stops a
 # traceback, not a large job: building and writing took about 370 bytes of
 # peak memory and 2.7 us per edge (gen eft-lb, 1,048,580 edges, Python 3.11
-# on a 2-vCPU host), so about 6 GB at the cap.
+# on a 2-vCPU host), so about 6 GB at the cap. big-clique is the exception:
+# the 2-path collection it builds and never writes brings it to about 486
+# bytes per edge, about 8 GB at its cap of t = 3344.
 MAX_GEN_EDGES = 2**24
+# -k of span, verify and stats. The cluster tests of span parallel and span
+# weighted compare |B|**k with n**r exactly at every radius r up to k, on
+# integers of up to k·log2(n) bits, so their work grows faster than k**2: on
+# a 100-vertex, 511-edge gnp file span parallel took 0.7 s at k = 1024 and
+# 4.1 s at 2048, and span weighted on its weighted twin 1.0 s and 6.3 s
+# (same host). verify and stats turn k into a float, which 10**400 overflows.
+MAX_K = 1024
 
 
 class GraphParseError(ValueError):
@@ -274,32 +285,59 @@ def _at_least(low: int):
 
 
 _positive_int = _at_least(1)
+_stretch = _checked(int, lambda v: 1 <= v <= MAX_K, f"int in [1, {MAX_K}]")
 _nonnegative_int = _at_least(0)
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
 _unit_closed = _checked(float, lambda v: 0 <= v <= 1, "float in [0, 1]")
 _unit_open = _checked(float, lambda v: 0 < v < 1, "float in (0, 1)")
 
 
-# The lambdas look each builder up in its module's namespace at call time,
-# so a tracer that rebinds those names sees every call.
+# family -> (builder, work): work counts what the arguments ask for, and
+# gen checks it against MAX_GEN_EDGES before any generator runs. It is the
+# edges written, but for gnp the n(n - 1)/2 vertex pairs that gen_random
+# draws whatever p is, which bounds the edges too. No vertex cap is needed
+# besides: MAX_GEN_EDGES == MAX_VERTICES; a catalog base on N vertices has at
+# least N - 1 edges, so an -lb family writes at least 2N - 1 edges on its 2N
+# vertices; and n(n - 1)/2 <= 2**24 forces n <= 5793. The builder lambdas
+# look each builder up in its module's namespace at call time, so a tracer
+# that rebinds those names sees every call.
 _FAMILIES = {
-    "big-clique": lambda a: generators.gen_big_clique(a.t),
-    "hypercube": lambda a: generators.gen_hypercube(a.k),
-    "weighted-lb": lambda a: generators.gen_weighted_lower_bound(generators.named_graph(a.base), a.eps, a.k),
-    "eft-lb": lambda a: generators.gen_eft_lower_bound(generators.named_graph(a.base), a.f),
-    "gnp": lambda a: generators.gen_random(a.n, a.p, a.seed, a.weighted),
+    # t(t - 1)/2 clique edges and t - 1 leaf edges per clique vertex
+    "big-clique": (lambda a: generators.gen_big_clique(a.t), lambda a: 3 * a.t * (a.t - 1) // 2),
+    # gen_hypercube takes only k <= 16, at most 524,288 edges
+    "hypercube": (lambda a: generators.gen_hypercube(a.k), lambda a: 0),
+    "weighted-lb": (
+        lambda a: generators.gen_weighted_lower_bound(generators.named_graph(a.base), a.eps, a.k),
+        lambda a: _lb_edges(a.base, 1),
+    ),
+    "eft-lb": (
+        lambda a: generators.gen_eft_lower_bound(generators.named_graph(a.base), a.f),
+        lambda a: _lb_edges(a.base, a.f),
+    ),
+    "gnp": (lambda a: generators.gen_random(a.n, a.p, a.seed, a.weighted), lambda a: a.n * (a.n - 1) // 2),
 }
 
-# eft-exact and eft-fast return (result, BlockingRecord), the rest a result.
+
+def _lb_edges(base: str, copies: int) -> int:
+    """``copies`` of each base edge and a leaf edge per base vertex; 0 for an
+    unknown spec, which the builder rejects."""
+    _, n, m = catalog_entry(base) or (None, 0, 0)
+    return m * copies + n
+
+
+# algorithm -> (construction, rule): a rule gives the usage error for
+# arguments that its algorithm does not take, else a false value (the parser
+# already takes only d >= 1). eft-exact and eft-fast return (result,
+# BlockingRecord), the rest a result.
 _SPANS = {
-    "greedy-dr": lambda g, a: greedy_dr_spanner(g, a.d, a.r),
-    "parallel": lambda g, a: parallel_greedy_spanner(g, a.k, matching_rounds(g)),
-    "sqrt-k": lambda g, a: sqrt_k_spanner(g, a.k),
-    "union": lambda g, a: union_hybrid_spanner(g, a.k),
-    "weighted": lambda g, a: build_weighted_spanner(g, a.k),
-    "eft-exact": lambda g, a: eft_greedy_exact(g, a.d, a.r, a.f),
-    "eft-fast": lambda g, a: eft_modified_greedy(g, a.k, a.f),
-    "eft-union": lambda g, a: eft_union_spanner(g, a.k, a.f, fast=a.fast),
+    "greedy-dr": (lambda g, a: greedy_dr_spanner(g, a.d, a.r), None),
+    "parallel": (lambda g, a: parallel_greedy_spanner(g, a.k, matching_rounds(g)), None),
+    "sqrt-k": (lambda g, a: sqrt_k_spanner(g, a.k), None),
+    "union": (lambda g, a: union_hybrid_spanner(g, a.k), None),
+    "weighted": (lambda g, a: build_weighted_spanner(g, a.k), lambda a: a.k < 2 and "needs -k 2 or more"),
+    "eft-exact": (lambda g, a: eft_greedy_exact(g, a.d, a.r, a.f), lambda a: a.d > 2 and "takes -d 1 or 2 only"),
+    "eft-fast": (lambda g, a: eft_modified_greedy(g, a.k, a.f), None),
+    "eft-union": (lambda g, a: eft_union_spanner(g, a.k, a.f, fast=a.fast), None),
 }
 
 
@@ -324,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     span = sub.add_parser("span", help="run a spanner construction")
     span.set_defaults(run=_cmd_span)
     span.add_argument("algo", choices=_SPANS)
-    span.add_argument("-k", type=_positive_int, default=2)
+    span.add_argument("-k", type=_stretch, default=2)
     span.add_argument("-d", type=_positive_int, default=2)
     span.add_argument("-r", type=_nonnegative_int, default=None, help="default 2k")
     span.add_argument("-f", type=_nonnegative_int, default=1)
@@ -341,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("-d", type=_positive_int, default=2)
     ver.add_argument("-r", type=_nonnegative_int, default=None, help="default 2k")
     ver.add_argument("-f", type=_nonnegative_int, default=0)
-    ver.add_argument("-k", type=_positive_int, default=2)
+    ver.add_argument("-k", type=_stretch, default=2)
     ver.add_argument("--alpha", type=_nonnegative_float, default=None)
     ver.add_argument("--beta", type=_nonnegative_float, default=None)
     ver.add_argument("--max-hops", type=_at_least(2), default=2)
@@ -351,63 +389,55 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="report size and girth of a graph file")
     stats.set_defaults(run=_cmd_stats)
     stats.add_argument("-s", "--spanner", required=True)
-    stats.add_argument("-k", type=_positive_int, required=True)
+    stats.add_argument("-k", type=_stretch, required=True)
     return parser
 
 
 def _trace_records(result) -> list[dict]:
-    records: list[dict] = []
-    if hasattr(result, "phase1"):
-        records.append({"event": "phase", "phase": 1, "edges": sorted(result.phase1)})
-        records.append({"event": "phase", "phase": 2, "edges": sorted(result.phase2)})
-        records.append(
-            {
-                "event": "saturated",
-                "edges": sorted(result.saturation.saturated),
-                "thresholds": {str(v): w for v, w in result.saturation.thresholds.items()},
-            }
-        )
-        for dec in result.phase3_log:
-            records.append(
-                {
-                    "event": "phase3",
-                    "vertex": dec.vertex,
-                    "neighbor": dec.neighbor,
-                    "edge": dec.edge_id,
-                    "key": dec.key,
-                    "verdict": dec.verdict,
-                }
-            )
-        for eid, verdict in result.phase4_log:
-            records.append({"event": "phase4", "edge": eid, "verdict": verdict})
-        for add in result.phase5_paths:
-            records.append(
-                {
-                    "event": "phase5",
-                    "vertices": list(add.path.vertices),
-                    "edges": list(add.path.edge_ids),
-                    "sat_edge": add.sat_edge,
-                    "lat_edge": add.lat_edge,
-                    "key": add.key,
-                }
-            )
-        return records
+    if not hasattr(result, "phase1"):
+        return [
+            {"event": "add", "index": i, "vertices": list(p.vertices), "edges": list(p.edge_ids)}
+            for i, p in enumerate(result.paths)
+        ]
+    sat = result.saturation
+    thresholds = {str(v): w for v, w in sat.thresholds.items()}
     return [
-        {"event": "add", "index": i, "vertices": list(p.vertices), "edges": list(p.edge_ids)}
-        for i, p in enumerate(result.paths)
+        {"event": "phase", "phase": 1, "edges": sorted(result.phase1)},
+        {"event": "phase", "phase": 2, "edges": sorted(result.phase2)},
+        {"event": "saturated", "edges": sorted(sat.saturated), "thresholds": thresholds},
+        *(
+            {"event": "phase3", "vertex": d.vertex, "neighbor": d.neighbor, "edge": d.edge_id,
+             "key": d.key, "verdict": d.verdict}
+            for d in result.phase3_log
+        ),
+        *({"event": "phase4", "edge": eid, "verdict": verdict} for eid, verdict in result.phase4_log),
+        *(
+            {"event": "phase5", "vertices": list(a.path.vertices), "edges": list(a.path.edge_ids),
+             "sat_edge": a.sat_edge, "lat_edge": a.lat_edge, "key": a.key}
+            for a in result.phase5_paths
+        ),
     ]
 
 
 def _cmd_gen(args) -> int:
-    bundle = _FAMILIES[args.family](args)
+    build, work = _FAMILIES[args.family]
+    count = work(args)
+    if count > MAX_GEN_EDGES:
+        message = f"gen {args.family} asks for {count} edges or vertex pairs, more than the cap of {MAX_GEN_EDGES}"
+        raise argparse.ArgumentError(None, message)
+    bundle = build(args)
     emit_graph(bundle.graph, args.output)
     print(f"wrote {bundle.tag}: n={bundle.graph.n} m={bundle.graph.m} -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_span(args) -> int:
+    run, rule = _SPANS[args.algo]
+    problem = rule and rule(args)
+    if problem:
+        raise argparse.ArgumentError(None, f"span {args.algo} {problem}")
     g = parse_graph(args.input)
-    result = _SPANS[args.algo](g, args)
+    result = run(g, args)
     result, blocking = result if isinstance(result, tuple) else (result, None)
     emit_graph(g, args.output, result.edges)
     if args.trace:
@@ -463,9 +493,7 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     h = parse_graph(args.spanner)
     rep = size_report(h.m, h.n, args.k)
-    print(
-        f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}"
-    )
+    print(f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}")
     return EXIT_OK
 
 
@@ -477,31 +505,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.r = 2 * args.k
         if args.r < args.d:
             parser.error(f"need r >= d, got d={args.d} and r={args.r} (r defaults to 2k)")
-    if args.command == "span" and args.algo == "eft-exact" and args.d not in (1, 2):
-        parser.error("span eft-exact supports only -d 1 or -d 2")
-    if args.command == "span" and args.algo == "weighted" and args.k < 2:
-        parser.error(f"span weighted needs -k 2 or more, got {args.k}")
-    if args.command == "gen" and args.family == "gnp" and args.n > MAX_VERTICES:
-        parser.error(f"gen gnp supports -n up to {MAX_VERTICES}, got {args.n}")
-    if args.command == "gen":
-        m = 0  # hypercube: gen_hypercube takes k <= 16
-        if args.family == "big-clique":
-            # t(t - 1)/2 clique edges and t - 1 leaf edges per clique vertex
-            m = 3 * args.t * (args.t - 1) // 2
-        elif args.family == "gnp":
-            # the expected count p·n(n - 1)/2, rounded up
-            m = math.ceil(args.p * (args.n * (args.n - 1) // 2))
-        elif args.family.endswith("-lb"):
-            # the lower-bound families double the base's vertices, add one leaf
-            # edge per base vertex, and eft-lb writes f copies of each base edge
-            _, base_n, base_m = generators._spec(args.base) or (None, 0, 0)
-            if 2 * base_n > MAX_VERTICES:
-                parser.error(f"gen {args.family}: --base {args.base} has more than {MAX_VERTICES // 2} vertices")
-            m = base_m * (args.f if args.family == "eft-lb" else 1) + base_n
-        if m > MAX_GEN_EDGES:
-            parser.error(f"gen {args.family} would write {m} edges, more than the cap of {MAX_GEN_EDGES}")
     try:
         return args.run(args)
+    except argparse.ArgumentError as exc:  # a value outside its table row's limit
+        parser.error(str(exc))
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

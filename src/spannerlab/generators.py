@@ -30,6 +30,7 @@ __all__ = [
     "petersen_graph",
     "heawood_graph",
     "named_graph",
+    "catalog_entry",
 ]
 
 
@@ -90,7 +91,7 @@ _SIZED = {
 }
 
 
-def _spec(spec: str):
+def catalog_entry(spec: str):
     """(builder, vertex count, edge count) of a catalog spec, the builder
     taking no argument, else None; builds nothing, so a caller can check
     the size first."""
@@ -108,7 +109,7 @@ def _spec(spec: str):
 def named_graph(spec: str) -> Multigraph:
     """Catalog lookup: "petersen", "heawood", "cycle:N", "path:N",
     "complete:N", "star:N"."""
-    found = _spec(spec)
+    found = catalog_entry(spec)
     if found is None:
         raise ValueError(f"unknown graph spec {spec!r}")
     return found[0]()

@@ -25,7 +25,6 @@ from .clustering import cluster_level
 from .graphs import (
     Multigraph,
     PathSeq,
-    SubgraphView,
     bfs_layers,
     hop_distance,
     hop_distances,
@@ -105,17 +104,6 @@ def _path_union(n: int, paths: Sequence[PathSeq]) -> Multigraph:
     return Multigraph(n, [(a, b) for p in paths for a, b in zip(p.vertices, p.vertices[1:])])
 
 
-def _check_distant_half(view: SubgraphView, vertices: tuple[int, ...], r: int) -> None:
-    # Any freshly repaired 2-path has one half still far in the pre-addition
-    # graph: the halves sum to more than r, so one exceeds r // 2.
-    x, mid, y = vertices
-    half = r // 2
-    a = hop_distance(view, x, mid, half)
-    b = hop_distance(view, mid, y, half)
-    if a <= half and b <= half:
-        raise RuntimeError(f"2-path ({x},{mid},{y}) lost both distant halves")
-
-
 def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     """Repair every pair at host distance exactly d to distance <= r.
 
@@ -154,8 +142,6 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
             if y in ball or (stale and hop_distance(hview, x, y, r) <= r):
                 continue
             p = _repair_path(g, tree, x, y)
-            if d == 2:
-                _check_distant_half(hview, p.vertices, r)
             hview.add(p.edge_ids)
             paths.append(p)
             stale = True
@@ -176,8 +162,6 @@ def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResul
     start = 0
     for p in coll.paths:
         if hop_distance(uview, p.x, p.y, r) > r:
-            if p.hop_length == 2:
-                _check_distant_half(uview, p.vertices, r)
             uview.add(range(start, start + p.hop_length))
             kept.append(p)
         start += p.hop_length

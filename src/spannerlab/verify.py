@@ -190,11 +190,14 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     inside the cuts as it was: removing edges only raises the values a search
     computes, and each tree path still sums to the fault-free value, also in
     floats. So (F, x) is skipped, and its pairs are counted from the cache.
+    f is clamped to m first: no fault set has more than m edges, so the sets
+    and their count stay the same.
     """
     ids = as_edge_ids(g, h)
     hview = g.view(ids)
     gview = g.view()
     n, m = g.n, g.m
+    f = min(f, m)
     # an isolated vertex is in no pair, so only vertices with an edge are
     # sources, and only pairs among them count against the budget
     sources = g.vertices_with_edges()

@@ -431,7 +431,9 @@ def verify_weighted_bound(
     recomputed from scratch in the candidate subgraph. Reports the worst
     observed ratio of distance to bound. Raises ``ValueError`` for
     ``max_hops < 2`` or ``sample < 0``, and ``BudgetExceededError`` before
-    any search when the paths to check exceed ``budget``.
+    any search when the paths to check exceed ``budget``. No length is
+    walked when ``sample`` is 0, nor past N - 1 for the N vertices with an
+    edge, since no draw finds a simple path of more hops.
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")
@@ -456,10 +458,10 @@ def verify_weighted_bound(
     # a path starts at a vertex with an edge; on a host without isolated
     # vertices the draws are those of randrange(n)
     starts = g.vertices_with_edges()
-    for length in range(3, max_hops + 1):
-        drawn = 0
-        attempts = 0
-        while starts and drawn < sample and attempts < 20 * max(sample, 1):
+    longest = min(max_hops, len(starts) - 1) if sample else 2
+    for length in range(3, longest + 1):
+        drawn = attempts = 0
+        while drawn < sample and attempts < 20 * sample:
             attempts += 1
             p = _random_simple_path(g, starts, length, rng)
             if p is None:

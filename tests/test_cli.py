@@ -23,6 +23,7 @@ from spannerlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_K,
     MAX_VERTICES,
     GraphParseError,
     emit_graph,
@@ -342,7 +343,7 @@ def test_every_gen_family_is_read_in_one_pass(monkeypatch):
     monkeypatch.setattr(cli, "_read_lines", refuse)
     assert set(_GEN_ARGS) == set(cli._FAMILIES)
     graphs = [
-        cli._FAMILIES[family](cli._build_parser().parse_args(["gen", family, *args, "-o", "x"])).graph
+        cli._FAMILIES[family][0](cli._build_parser().parse_args(["gen", family, *args, "-o", "x"])).graph
         for family, args in _GEN_ARGS.items()
     ]
     graphs.append(generators.gen_random(40, 0.3, 4, weighted=True).graph)
@@ -629,6 +630,16 @@ def _run_cli(cwd, *args, timeout=None):
         ("gen", "weighted-lb", "-k", "3", "--base", "cycle:5", "-o", "h"),
         ("gen", "eft-lb", "--base", "foo", "-o", "h"),
         ("gen", "gnp", "-n", str(MAX_VERTICES + 1), "-o", "h"),
+        # -k past MAX_K: a cluster test past it takes seconds, and 10**400
+        # overflows a float
+        ("span", "parallel", "-k", "4096", "-i", "g", "-o", "h"),
+        ("span", "weighted", "-k", "4096", "-i", "g", "-o", "h"),
+        ("verify", "weighted", "-k", "1" + "0" * 400, "-i", "g", "-s", "g"),
+        ("verify", "alpha-beta", "-k", "1" + "0" * 400, "-i", "g", "-s", "g"),
+        ("stats", "-s", "g", "-k", "1" + "0" * 400),
+        ("span", "sqrt-k", "-k", str(MAX_K + 1), "-i", "g", "-o", "h"),
+        ("verify", "dr", "-k", str(MAX_K + 1), "-i", "g", "-s", "g"),
+        ("stats", "-s", "g", "-k", str(MAX_K + 1)),
     ],
 )
 def test_cli_argument_errors_are_64(tmp_path, args):
@@ -684,6 +695,10 @@ _CAP = cli.MAX_GEN_EDGES
         # gnp expects p·n(n - 1)/2 edges: 16,776,528 and 16,782,321 at p = 1
         (("gnp", "-n", "5793", "-p", "1"), False),
         (("gnp", "-n", "5794", "-p", "1"), True),
+        # gnp draws once per vertex pair whatever p is: 5793 * 5792 / 2 pairs
+        (("gnp", "-n", "5793", "-p", "0"), False),
+        (("gnp", "-n", "5794", "-p", "0"), True),
+        (("gnp", "-n", str(2**24), "-p", "0"), True),
     ],
 )
 def test_gen_edge_cap_acts_before_any_generator(tmp_path, monkeypatch, capsys, args, over):
@@ -711,6 +726,23 @@ def _check_gen_cap(tmp_path, monkeypatch, capsys, args, over):
     stderr = capsys.readouterr().err
     assert "error:" in stderr and "Traceback" not in stderr
     assert not out.exists()
+
+
+def test_every_parameter_at_its_cap_finishes(tmp_path):
+    # each run has bounded work at the cap; a budget exit is a finish too
+    for name, weighted in (("g", []), ("w", ["--weighted"])):
+        assert main(["gen", "gnp", "-n", "30", "-p", "0.2", *weighted, "-o", str(tmp_path / name)]) == EXIT_OK
+    runs = [("span", algo, "-k", str(MAX_K), "-i", "w" if algo == "weighted" else "g", "-o", "h") for algo in cli._SPANS]
+    runs += [
+        ("verify", "eft", "-f", str(10**9), "-i", "g", "-s", "g"),
+        ("verify", "weighted", "--max-hops", str(10**9), "--samples", "0", "-i", "w", "-s", "w"),
+        ("verify", "alpha-beta", "-k", str(MAX_K), "-i", "g", "-s", "g"),
+        ("stats", "-s", "g", "-k", str(MAX_K)),
+    ]
+    for args in runs:
+        proc = _run_cli(tmp_path, *args, timeout=20)
+        assert proc.returncode in (EXIT_OK, EXIT_BUDGET), (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_readme_names_the_cli_choices(capsys):

@@ -128,6 +128,6 @@ def test_catalog_graphs():
 )
 def test_spec_counts_match_the_built_graph(spec):
     # the CLI caps gen by these counts before anything is built
-    _, n, m = generators._spec(spec)
+    _, n, m = generators.catalog_entry(spec)
     g = named_graph(spec)
     assert (n, m) == (g.n, g.m)

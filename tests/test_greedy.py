@@ -211,8 +211,8 @@ def test_greedy_dr_family_matches_replay_on_midsize_hosts(host):
 def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
     """One host BFS tree per vertex with an edge gives the pairs and the
     repair paths, so the greedy runs no shortest-path search; one spanner
-    ball per source with pairs; pair-by-pair searches are left only for the
-    distant-half checks and for misses after the source added a path."""
+    ball per source with pairs; pair-by-pair searches are left only for
+    misses after the source added a path."""
     g = seeded_gnp(n, p, 0)
     pairs = oracles.pairs_at_distance(g.n, oracles.edges_of(g), 2)
     calls = {"bfs_layers": 0, "hop_distances": 0, "hop_distance": 0}
@@ -291,6 +291,37 @@ def test_path_collection_prefix_distance_replay():
         prefix_edges.extend(
             (a, b) for a, b in zip(p.vertices, p.vertices[1:])
         )
+
+
+def _assert_distant_halves(n, paths, r):
+    """Each kept 2-path, replayed against the union of the paths kept before
+    it, has a half longer than r // 2 there: the halves sum to at least
+    d(x, y) > r, which the greedy's test promised."""
+    before: list[tuple[int, int]] = []
+    for p in paths:
+        x, mid, y = p.vertices
+        dist = oracles.fw_hop(n, before)
+        assert max(dist[x][mid], dist[mid][y]) > r // 2, (p.vertices, r)
+        before += [(x, mid), (mid, y)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kept_two_paths_have_a_distant_half(seed):
+    g = seeded_gnp(14, 0.3, seed)
+    two_paths = [
+        PathSeq.from_graph(g, (x, mid, y))
+        for x in range(g.n)
+        for mid in sorted({u for u, _ in g.adj(x)})
+        for y in sorted({u for u, _ in g.adj(mid)})
+        if y > x
+    ]
+    random.Random(seed).shuffle(two_paths)
+    coll = PathCollection(g.n, tuple(two_paths))
+    clique = gen_big_clique(3 + seed % 4)
+    for r in range(2, 7):
+        _assert_distant_halves(g.n, greedy_dr_spanner(g, 2, r).paths, r)
+        _assert_distant_halves(g.n, greedy_path_collection_spanner(coll, r).paths, r)
+        _assert_distant_halves(clique.graph.n, greedy_path_collection_spanner(clique.paths, r).paths, r)
 
 
 def test_parallel_greedy_hypercube_adds_everything():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -85,6 +86,40 @@ def test_verify_eft_budget():
     with pytest.raises(BudgetExceededError) as err:
         verify_eft(g, range(g.m), 2, 4, 2, budget=100)
     assert err.value.required > 100
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+def test_fault_budget_past_the_edge_count_is_clamped():
+    # no fault set has more than m edges, so f beyond m names the same sets
+    g = path_graph(4)
+    report = _timed(lambda: verify_eft(g, range(g.m), 2, 4, 10**7))
+    assert report == verify_eft(g, range(g.m), 2, 4, g.m)
+    assert report.fault_sets_checked == 8
+    host = seeded_gnp(30, 0.2, 0)
+    errors = []
+    for f in (10**8, host.m):
+        with pytest.raises(BudgetExceededError) as err:
+            _timed(lambda: verify_alpha_beta(host, range(host.m), 2, 1, f))
+        errors.append(err.value.required)
+    assert errors[0] == errors[1] == (2**host.m) * comb(len(host.vertices_with_edges()), 2)
+
+
+def test_weighted_check_walks_only_lengths_that_draw():
+    # no draw finds a simple path of more than N - 1 hops for the N vertices
+    # with an edge, and with no samples no length draws at all
+    g = Multigraph(6, [(i, i + 1, 1.0 + i) for i in range(5)], weighted=True)
+    h = range(g.m)
+    report = _timed(lambda: verify_weighted_bound(g, h, 2, max_hops=10**9, sample=0))
+    assert report == verify_weighted_bound(g, h, 2, max_hops=2, sample=0)
+    report = _timed(lambda: verify_weighted_bound(g, h, 2, max_hops=3000, sample=3))
+    assert report == verify_weighted_bound(g, h, 2, max_hops=5, sample=3)
+    assert report.sampled_checked == 3 * 3  # at lengths 3, 4 and 5
 
 
 @pytest.mark.parametrize(
