@@ -493,7 +493,9 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     h = parse_graph(args.spanner)
     rep = size_report(h.m, h.n, args.k)
-    print(f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}")
+    print(
+        f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}"
+    )
     return EXIT_OK
 
 
