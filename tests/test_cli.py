@@ -732,7 +732,10 @@ def test_every_parameter_at_its_cap_finishes(tmp_path):
     # each run has bounded work at the cap; a budget exit is a finish too
     for name, weighted in (("g", []), ("w", ["--weighted"])):
         assert main(["gen", "gnp", "-n", "30", "-p", "0.2", *weighted, "-o", str(tmp_path / name)]) == EXIT_OK
-    runs = [("span", algo, "-k", str(MAX_K), "-i", "w" if algo == "weighted" else "g", "-o", "h") for algo in cli._SPANS]
+    runs = [
+        ("span", algo, "-k", str(MAX_K), "-i", "w" if algo == "weighted" else "g", "-o", "h")
+        for algo in cli._SPANS
+    ]
     runs += [
         ("verify", "eft", "-f", str(10**9), "-i", "g", "-s", "g"),
         ("verify", "weighted", "--max-hops", str(10**9), "--samples", "0", "-i", "w", "-s", "w"),
