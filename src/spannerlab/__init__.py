@@ -50,17 +50,17 @@ from .verify import (
     Counterexample,
     SizeReport,
     VerificationReport,
+    WeightedBoundReport,
     size_report,
     verify_alpha_beta,
     verify_dr,
     verify_eft,
+    verify_weighted_bound,
 )
 from .weighted import (
     SaturationRecord,
-    WeightedBoundReport,
     WeightedSpannerResult,
     build_weighted_spanner,
-    verify_weighted_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

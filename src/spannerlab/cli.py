@@ -49,8 +49,9 @@ from .verify import (
     verify_alpha_beta,
     verify_dr,
     verify_eft,
+    verify_weighted_bound,
 )
-from .weighted import build_weighted_spanner, verify_weighted_bound
+from .weighted import build_weighted_spanner
 
 __all__ = ["main", "parse_graph", "parse_graph_text", "emit_graph", "format_graph"]
 
@@ -341,6 +342,37 @@ _SPANS = {
 }
 
 
+def _pairs_verdict(rep) -> str:
+    if rep.passed:
+        return f"contract holds: {rep.pairs_checked} pairs, {rep.fault_sets_checked} fault sets"
+    ce = rep.counterexample
+    return f"VIOLATED: pair ({ce.x},{ce.y}) faults {list(ce.faults)} distance {ce.distance} exceeds bound {ce.bound}"
+
+
+def _weighted_verdict(rep) -> str:
+    counts = f"{rep.two_paths_checked} 2-paths, {rep.sampled_checked} sampled"
+    if rep.passed:
+        return f"weighted contract holds: worst ratio {rep.worst_ratio:.6f} ({counts})"
+    return f"VIOLATED: ratio {rep.worst_ratio:.6f} on path {rep.worst_case}"
+
+
+# contract -> (check, verdict): check runs the oracle on the host and the candidate's
+# edge ids, verdict gives its report's line. alpha-beta defaults to the ints k and k - 1.
+_CONTRACTS = {
+    "dr": (lambda g, h, a: verify_dr(g, h, a.d, a.r, a.budget), _pairs_verdict),
+    "eft": (lambda g, h, a: verify_eft(g, h, a.d, a.r, a.f, a.budget), _pairs_verdict),
+    "alpha-beta": (
+        lambda g, h, a: verify_alpha_beta(
+            g, h, a.k if a.alpha is None else a.alpha, a.k - 1 if a.beta is None else a.beta, a.f, a.budget
+        ),
+        _pairs_verdict,
+    ),
+    "weighted": (
+        lambda g, h, a: verify_weighted_bound(g, h, a.k, a.max_hops, a.samples, budget=a.budget), _weighted_verdict
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spanner", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -373,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="verify a spanner contract")
     ver.set_defaults(run=_cmd_verify)
-    ver.add_argument("contract", choices=["dr", "eft", "alpha-beta", "weighted"])
+    ver.add_argument("contract", choices=_CONTRACTS)
     ver.add_argument("-i", "--input", required=True, help="host graph file")
     ver.add_argument("-s", "--spanner", required=True, help="candidate subgraph file")
     ver.add_argument("-d", type=_positive_int, default=2)
@@ -453,41 +485,11 @@ def _cmd_span(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check, verdict = _CONTRACTS[args.contract]
     g = parse_graph(args.input)
-    h_graph = parse_graph(args.spanner)
-    ids = match_subgraph(g, h_graph)
-    if args.contract == "weighted":
-        report = verify_weighted_bound(
-            g, ids, args.k, max_hops=args.max_hops, sample=args.samples, budget=args.budget
-        )
-        if report.passed:
-            print(
-                f"weighted contract holds: worst ratio {report.worst_ratio:.6f} "
-                f"({report.two_paths_checked} 2-paths, {report.sampled_checked} sampled)"
-            )
-            return EXIT_OK
-        print(f"VIOLATED: ratio {report.worst_ratio:.6f} on path {report.worst_case}")
-        return EXIT_COUNTEREXAMPLE
-    if args.contract == "dr":
-        report = verify_dr(g, ids, args.d, args.r, args.budget)
-    elif args.contract == "eft":
-        report = verify_eft(g, ids, args.d, args.r, args.f, args.budget)
-    else:
-        alpha = args.k if args.alpha is None else args.alpha
-        beta = (args.k - 1) if args.beta is None else args.beta
-        report = verify_alpha_beta(g, ids, alpha, beta, args.f, args.budget)
-    if report.passed:
-        print(
-            f"contract holds: {report.pairs_checked} pairs, "
-            f"{report.fault_sets_checked} fault sets"
-        )
-        return EXIT_OK
-    ce = report.counterexample
-    print(
-        f"VIOLATED: pair ({ce.x},{ce.y}) faults {list(ce.faults)} "
-        f"distance {ce.distance} exceeds bound {ce.bound}"
-    )
-    return EXIT_COUNTEREXAMPLE
+    report = check(g, match_subgraph(g, parse_graph(args.spanner)), args)
+    print(verdict(report))
+    return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_stats(args) -> int:

@@ -11,12 +11,14 @@ keeps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .graphs import Multigraph, SubgraphView, bfs_layers, hop_distance
 
-__all__ = ["ClusteringTrace", "has_cluster", "cluster_level", "greedy_clustering"]
+__all__ = ["ClusteringTrace", "has_cluster", "cluster_level", "greedy_clustering", "least_ball_sizes"]
 
 ACCEPTED = "added"
 REJECTED_CLOSE = "endpoints-within-s"
@@ -31,6 +33,18 @@ class ClusteringTrace:
     decisions: tuple[tuple[int, str], ...]
 
 
+@lru_cache(maxsize=64)
+def least_ball_sizes(n: int, k: int, radius: int) -> tuple[int, ...]:
+    """Entry r, for r <= radius, is the least ball size s with s**k >= n**r,
+    or n + 1 when no ball of at most n vertices reaches it (as at r > k).
+
+    The comparison is exact integer arithmetic; floating logs would misorder
+    near-boundary cases. s**k grows with s, so a bisection finds each entry.
+    A run asks for a few (n, k, radius), so the last 64 tables are kept.
+    """
+    return tuple(bisect_left(range(n + 1), n**r, key=lambda s: s**k) for r in range(radius + 1))
+
+
 def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
     """Largest l <= radius such that |B(v,r)| >= n**(r/k) for every r <= l,
     where n is the host's vertex count.
@@ -38,17 +52,17 @@ def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
     The ball grows one BFS layer at a time and the search stops at the first
     radius that fails, so a vertex whose first layer is thin costs only that
     layer. Radii past the last nonempty layer are tested with the ball as it
-    stands. The threshold comparison is done in exact integer arithmetic as
-    |B|**k >= n**r; floating logs would misorder near-boundary cases.
+    stands. A ball holds at most n vertices, so |B|**k >= n**r exactly when
+    |B| reaches ``least_ball_sizes(n, k, radius)[r]``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = view.host.n
+    need = least_ball_sizes(view.host.n, k, radius)
     layers = bfs_layers(view, v, radius)
     size = 1
     for r in range(1, radius + 1):
         size += len(next(layers, ()))
-        if size**k < n**r:
+        if size < need[r]:
             return r - 1
     return radius
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .graphs import Multigraph, PathSeq, girth, hop_distances
-from .greedy import PathCollection
+from .greedy import PathCollection, matching_rounds
 
 __all__ = [
     "InstanceBundle",
@@ -141,21 +141,16 @@ def gen_big_clique(t: int) -> InstanceBundle:
 
 
 def gen_hypercube(k: int) -> InstanceBundle:
-    """k-dimensional hypercube with its dimension matchings in index order."""
+    """k-dimensional hypercube with its dimension matchings in index order.
+
+    Edges are listed dimension by dimension, so ``matching_rounds`` gives
+    back the dimensions as its rounds.
+    """
     if not 1 <= k <= 16:
         raise ValueError("k must be between 1 and 16")
     n = 1 << k
-    edges = []
-    matchings = []
-    for dim in range(k):
-        bit = 1 << dim
-        start = len(edges)
-        for x in range(n):
-            if not x & bit:
-                edges.append((x, x | bit))
-        matchings.append(tuple(range(start, len(edges))))
-    g = Multigraph(n, edges)
-    return InstanceBundle(g, None, tuple(matchings), f"hypercube(k={k})")
+    g = Multigraph(n, [(x, x | 1 << dim) for dim in range(k) for x in range(n) if not x >> dim & 1])
+    return InstanceBundle(g, None, tuple(matching_rounds(g)), f"hypercube(k={k})")
 
 
 def gen_weighted_lower_bound(base: Multigraph, eps: float, k: int) -> InstanceBundle:

@@ -4,7 +4,9 @@ Everything here recomputes distances from scratch against the host graph and
 a candidate edge subset; nothing is shared with construction-time state, so a
 passing report is an independent certificate. Fault sets are enumerated by
 size then lexicographic edge ids, and the first counterexample in that order
-is the one reported.
+is the one reported. The weighted bound w(P) + (2k - 2) * w_half(P)
+(``verify_weighted_bound``) is checked on every 2-path and on seeded samples
+of longer simple paths, so only its 2-path part is exhaustive.
 
 Both exhaustive oracles test a fault set F and source x with one search on
 each side: one in G - F finds the pairs and their bounds, and one in H - F,
@@ -40,7 +42,9 @@ fault-free searches, so it still shares nothing with a construction.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, chain, combinations
 from math import comb
 from operator import or_
@@ -50,11 +54,13 @@ from .graphs import (
     INF,
     BudgetExceededError,
     Multigraph,
+    PathSeq,
     SubgraphView,
     hop_distances,
     hop_layers,
     neighbor_masks,
     tree_edges,
+    two_paths,
     weighted_distances,
 )
 
@@ -62,10 +68,12 @@ __all__ = [
     "Counterexample",
     "VerificationReport",
     "SizeReport",
+    "WeightedBoundReport",
     "DEFAULT_CHECK_BUDGET",
     "verify_dr",
     "verify_eft",
     "verify_alpha_beta",
+    "verify_weighted_bound",
     "size_report",
     "as_edge_ids",
 ]
@@ -283,6 +291,103 @@ def verify_alpha_beta(
     if not (0 <= alpha < INF and 0 <= beta < INF) or f < 0:
         raise ValueError(f"need finite alpha, beta >= 0 and f >= 0, got {alpha}, {beta}, {f}")
     return _check_pairs(g, h, f, budget, reach=None, bound_of=lambda dist: alpha * dist + beta)
+
+
+@dataclass(frozen=True)
+class WeightedBoundReport:
+    passed: bool
+    worst_ratio: float
+    worst_case: tuple[int, ...] | None
+    two_paths_checked: int
+    sampled_checked: int
+
+
+def _random_simple_path(
+    g: Multigraph, starts: list[int], length: int, rng: random.Random
+) -> PathSeq | None:
+    start = rng.choice(starts)
+    verts = [start]
+    eids = []
+    seen = {start}
+    cur = start
+    for _ in range(length):
+        options = [(u, eid) for u, eid in g.adj(cur) if u not in seen]
+        if not options:
+            return None
+        u, eid = rng.choice(options)
+        verts.append(u)
+        eids.append(eid)
+        seen.add(u)
+        cur = u
+    return PathSeq.from_graph(g, verts, eids)
+
+
+def verify_weighted_bound(
+    g: Multigraph,
+    h,
+    k: int,
+    max_hops: int = 2,
+    sample: int = 0,
+    seed: int = 0,
+    budget: int = DEFAULT_CHECK_BUDGET,
+) -> WeightedBoundReport:
+    """Check dist_H(x, y) <= w(P) + (2k-2)*w_half(P) over paths of g.
+
+    All 2-paths are checked exhaustively; for each hop length from 3 to
+    ``max_hops``, up to ``sample`` random simple paths are drawn from a
+    seeded generator, each from a vertex with an edge. Distances are
+    recomputed from scratch in the candidate subgraph. Reports the worst
+    observed ratio of distance to bound. Raises ``ValueError`` for
+    ``max_hops < 2`` or ``sample < 0``, and ``BudgetExceededError`` before
+    any search when the paths to check exceed ``budget``. No length is
+    walked when ``sample`` is 0, nor past N - 1 for the N vertices with an
+    edge, since no draw finds a simple path of more hops.
+    """
+    if not g.is_simple():
+        raise ValueError("weighted bound verification requires a simple host graph")
+    if max_hops < 2 or sample < 0:
+        raise ValueError("need max_hops >= 2 and sample >= 0")
+    ids = as_edge_ids(g, h)
+    paths = two_paths(g)
+    check_budget(len(paths) + sample * (max_hops - 2), budget)
+    settled = cache(partial(weighted_distances, g.view(ids)))
+    worst = 0.0
+    worst_case: tuple[int, ...] | None = None
+    for x, mid, y, e1, e2 in paths:
+        # an unreached y gets the ratio INF, also against a bound that
+        # overflows to inf, where INF / inf would be nan and pass
+        dist, w1, w2 = settled(x), g.weight(e1), g.weight(e2)
+        ratio = dist[y] / (w1 + w2 + (2 * k - 2) * max(w1, w2)) if y in dist else INF
+        if ratio > worst:
+            worst = ratio
+            worst_case = (x, mid, y)
+    sampled = 0
+    rng = random.Random(seed)
+    # a path starts at a vertex with an edge; on a host without isolated
+    # vertices the draws are those of randrange(n)
+    starts = g.vertices_with_edges()
+    longest = min(max_hops, len(starts) - 1) if sample else 2
+    for length in range(3, longest + 1):
+        drawn = attempts = 0
+        while drawn < sample and attempts < 20 * sample:
+            attempts += 1
+            p = _random_simple_path(g, starts, length, rng)
+            if p is None:
+                continue
+            drawn += 1
+            sampled += 1
+            dist = settled(p.x)
+            ratio = dist[p.y] / (p.w + (2 * k - 2) * p.w_half) if p.y in dist else INF
+            if ratio > worst:
+                worst = ratio
+                worst_case = p.vertices
+    return WeightedBoundReport(
+        passed=worst <= 1 + 1e-9,
+        worst_ratio=worst,
+        worst_case=worst_case,
+        two_paths_checked=len(paths),
+        sampled_checked=sampled,
+    )
 
 
 def size_report(edges: int, n: int, k: float | None) -> SizeReport:

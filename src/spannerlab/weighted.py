@@ -38,13 +38,11 @@ ball cut there gives every verdict a full one gives.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Mapping
 
-from .clustering import has_cluster
+from .clustering import has_cluster, least_ball_sizes
 from .graphs import (
     INF,
     Multigraph,
@@ -57,16 +55,13 @@ from .graphs import (
     weighted_distances,
 )
 from .greedy import greedy_multiplicative_spanner
-from .verify import DEFAULT_CHECK_BUDGET, as_edge_ids, check_budget
 
 __all__ = [
     "SaturationRecord",
     "Phase3Decision",
     "Phase5Addition",
     "WeightedSpannerResult",
-    "WeightedBoundReport",
     "build_weighted_spanner",
-    "verify_weighted_bound",
     "two_path_bound",
 ]
 
@@ -230,9 +225,8 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     # and when that size does not saturate, the ball is complete, so a
     # vertex of u's ball is new exactly when ``dist_v`` lacks it or holds it
     # beyond the key (a key can overflow to inf, so "lacks" is tested apart).
-    n_pow_R = n**R
     n_pow_R1 = n ** (R - 1)
-    full = bisect_left(range(n + 1), n_pow_R, key=lambda size: size**k)
+    full = least_ball_sizes(n, k, R)[R]
     phase3: list[int] = []
     log3: list[Phase3Decision] = []
     for v in g.vertices_with_edges():
@@ -246,7 +240,7 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             if dist_v is None:
                 dist_v = weighted_distances(hview, v, cap=cands[-1][0], limit=full)
                 settle_order = list(dist_v.values())
-            if bisect_right(settle_order, key) ** k >= n_pow_R:
+            if bisect_right(settle_order, key) >= full:
                 log3.append(Phase3Decision(v, u, eid, key, P3_SATURATED))
                 continue
             ball_u = weighted_ball(hview, u, (R - 1) * first_clustered[u])
@@ -383,100 +377,3 @@ def _open_two_paths(
         bound = two_path_bound(weight(e1), weight(e2), k)
         open_paths.setdefault(x, []).append((mid, y, e1, e2, bound))
     return open_paths
-
-
-@dataclass(frozen=True)
-class WeightedBoundReport:
-    passed: bool
-    worst_ratio: float
-    worst_case: tuple[int, ...] | None
-    two_paths_checked: int
-    sampled_checked: int
-
-
-def _random_simple_path(
-    g: Multigraph, starts: list[int], length: int, rng: random.Random
-) -> PathSeq | None:
-    start = rng.choice(starts)
-    verts = [start]
-    eids = []
-    seen = {start}
-    cur = start
-    for _ in range(length):
-        options = [(u, eid) for u, eid in g.adj(cur) if u not in seen]
-        if not options:
-            return None
-        u, eid = rng.choice(options)
-        verts.append(u)
-        eids.append(eid)
-        seen.add(u)
-        cur = u
-    return PathSeq.from_graph(g, verts, eids)
-
-
-def verify_weighted_bound(
-    g: Multigraph,
-    h,
-    k: int,
-    max_hops: int = 2,
-    sample: int = 0,
-    seed: int = 0,
-    budget: int = DEFAULT_CHECK_BUDGET,
-) -> WeightedBoundReport:
-    """Check dist_H(x, y) <= w(P) + (2k-2)*w_half(P) over paths of g.
-
-    All 2-paths are checked exhaustively; for each hop length from 3 to
-    ``max_hops``, up to ``sample`` random simple paths are drawn from a
-    seeded generator, each from a vertex with an edge. Distances are
-    recomputed from scratch in the candidate subgraph. Reports the worst
-    observed ratio of distance to bound. Raises ``ValueError`` for
-    ``max_hops < 2`` or ``sample < 0``, and ``BudgetExceededError`` before
-    any search when the paths to check exceed ``budget``. No length is
-    walked when ``sample`` is 0, nor past N - 1 for the N vertices with an
-    edge, since no draw finds a simple path of more hops.
-    """
-    if not g.is_simple():
-        raise ValueError("weighted bound verification requires a simple host graph")
-    if max_hops < 2 or sample < 0:
-        raise ValueError("need max_hops >= 2 and sample >= 0")
-    ids = as_edge_ids(g, h)
-    paths = two_paths(g)
-    check_budget(len(paths) + sample * (max_hops - 2), budget)
-    settled = cache(partial(weighted_distances, g.view(ids)))
-    worst = 0.0
-    worst_case: tuple[int, ...] | None = None
-    for x, mid, y, e1, e2 in paths:
-        # an unreached y gets the ratio INF, also against a bound that
-        # overflows to inf, where INF / inf would be nan and pass
-        dist = settled(x)
-        ratio = dist[y] / two_path_bound(g.weight(e1), g.weight(e2), k) if y in dist else INF
-        if ratio > worst:
-            worst = ratio
-            worst_case = (x, mid, y)
-    sampled = 0
-    rng = random.Random(seed)
-    # a path starts at a vertex with an edge; on a host without isolated
-    # vertices the draws are those of randrange(n)
-    starts = g.vertices_with_edges()
-    longest = min(max_hops, len(starts) - 1) if sample else 2
-    for length in range(3, longest + 1):
-        drawn = attempts = 0
-        while drawn < sample and attempts < 20 * sample:
-            attempts += 1
-            p = _random_simple_path(g, starts, length, rng)
-            if p is None:
-                continue
-            drawn += 1
-            sampled += 1
-            dist = settled(p.x)
-            ratio = dist[p.y] / (p.w + (2 * k - 2) * p.w_half) if p.y in dist else INF
-            if ratio > worst:
-                worst = ratio
-                worst_case = p.vertices
-    return WeightedBoundReport(
-        passed=worst <= 1 + 1e-9,
-        worst_ratio=worst,
-        worst_case=worst_case,
-        two_paths_checked=len(paths),
-        sampled_checked=sampled,
-    )

@@ -530,6 +530,56 @@ def test_cli_overflowing_bounds_fail_unreached_pairs(tmp_path, capsys):
         assert main(["verify", "weighted", "-i", str(host), "-s", out]) == EXIT_OK
 
 
+_VERDICT_FILES = {
+    "c5": "n=5 weighted=0 multigraph=0\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+    "p5": "n=5 weighted=0 multigraph=0\n0 1\n1 2\n2 3\n3 4\n",
+    "w5": "n=5 weighted=1 multigraph=0\n0 1 1.5\n1 2 1\n2 3 2\n3 4 1\n0 4 3\n",
+    "wp5": "n=5 weighted=1 multigraph=0\n0 1 1.5\n1 2 1\n2 3 2\n3 4 1\n",
+    "kite": "n=5 weighted=1 multigraph=0\n0 1 3\n0 2 2\n0 3 1\n0 4 3\n1 4 1\n2 4 3\n",
+    "kite-": "n=5 weighted=1 multigraph=0\n0 1 3\n0 2 2\n0 3 1\n0 4 3\n1 4 1\n",
+    "tri": "n=3 weighted=1 multigraph=0\n0 1 1\n1 2 1\n0 2 10\n",
+    "wedge": "n=3 weighted=1 multigraph=0\n1 2 1\n0 2 10\n",
+}
+
+
+@pytest.mark.parametrize(
+    "args, host, spanner, code, line",
+    [
+        ("dr -d 2 -r 2", "c5", "c5", EXIT_OK, "contract holds: 5 pairs, 1 fault sets"),
+        ("dr -d 1 -r 2", "c5", "p5", EXIT_COUNTEREXAMPLE, "VIOLATED: pair (0,4) faults [] distance 4 exceeds bound 2"),
+        ("eft -d 1 -r 4 -f 1", "c5", "c5", EXIT_OK, "contract holds: 25 pairs, 6 fault sets"),
+        (
+            "eft -d 1 -r 4 -f 1", "c5", "p5", EXIT_COUNTEREXAMPLE,
+            "VIOLATED: pair (0,4) faults [0] distance inf exceeds bound 4",
+        ),
+        # the default alpha = k and beta = k - 1 are ints, and so is the bound
+        ("alpha-beta -k 3", "c5", "p5", EXIT_OK, "contract holds: 10 pairs, 1 fault sets"),
+        ("alpha-beta", "c5", "p5", EXIT_COUNTEREXAMPLE, "VIOLATED: pair (0,4) faults [] distance 4 exceeds bound 3"),
+        ("alpha-beta --alpha 2 --beta 1.5", "c5", "c5", EXIT_OK, "contract holds: 10 pairs, 1 fault sets"),
+        (
+            "alpha-beta --alpha 2 --beta 1.5", "c5", "p5", EXIT_COUNTEREXAMPLE,
+            "VIOLATED: pair (0,4) faults [] distance 4 exceeds bound 3.5",
+        ),
+        (
+            "weighted --max-hops 3", "w5", "wp5", EXIT_OK,
+            "weighted contract holds: worst ratio 0.454545 (5 2-paths, 200 sampled)",
+        ),
+        # with seed 0 the one 4-hop draw finds no simple path in 20 attempts
+        (
+            "weighted --max-hops 4 --samples 1", "kite", "kite-", EXIT_OK,
+            "weighted contract holds: worst ratio 0.500000 (11 2-paths, 1 sampled)",
+        ),
+        ("weighted", "tri", "wedge", EXIT_COUNTEREXAMPLE, "VIOLATED: ratio 2.500000 on path (0, 1, 2)"),
+    ],
+)
+def test_every_contract_prints_its_verdict_line(tmp_path, capsys, args, host, spanner, code, line):
+    for name, text in _VERDICT_FILES.items():
+        (tmp_path / name).write_text(f"# spanner-graph v1 {text}")
+    argv = ["verify", *args.split(), "-i", str(tmp_path / host), "-s", str(tmp_path / spanner)]
+    assert main(argv) == code
+    assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_no_command_touches_an_isolated_vertex(tmp_path, monkeypatch):
     # two edges under a header of 2**16 vertices: a command that walks every
     # vertex reads the missing adjacency of each isolated one

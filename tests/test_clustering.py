@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import seeded_gnp, small_graphs
@@ -19,8 +20,9 @@ from spannerlab import (
     parallel_greedy_spanner,
 )
 from spannerlab import clustering, greedy
-from spannerlab.clustering import ACCEPTED, REJECTED_CLOSE, REJECTED_CLUSTERED
-from spannerlab.generators import complete_graph, path_graph, star_graph
+from spannerlab.cli import MAX_K
+from spannerlab.clustering import ACCEPTED, REJECTED_CLOSE, REJECTED_CLUSTERED, least_ball_sizes
+from spannerlab.generators import complete_graph, gen_random, path_graph, star_graph
 
 
 def test_cluster_level_star():
@@ -234,3 +236,21 @@ def test_neighborhood_exchange(g, data):
     assert not (oracles.ball(g.n, edges, u, ell) & oracles.ball(g.n, edges, v, ell + 1))
     joined = edges + [(u, v)]
     assert oracles.ball(g.n, joined, u, ell) <= oracles.ball(g.n, joined, v, ell + 1)
+
+
+@given(st.integers(0, 60), st.integers(1, 8), st.integers(0, 10))
+@example(4, 2, 1)  # 2**2 == 4**1: the least size is 2, not 3
+@example(2, 1, 3)  # 2**r > 2 for r >= 2: no ball of 2 vertices reaches it
+def test_least_ball_sizes_match_a_scan(n, k, radius):
+    radius = min(radius, k + 2)
+    scan = tuple(min((s for s in range(n + 1) if s**k >= n**r), default=n + 1) for r in range(radius + 1))
+    assert least_ball_sizes(n, k, radius) == scan
+
+
+def test_parallel_greedy_at_the_k_cap_is_fast():
+    # cluster tests at every radius up to k compare ball sizes with one
+    # cached table, not |B|**k with n**r; this took 7.5 s without it
+    g = gen_random(1000, 0.01, 0).graph
+    start = time.perf_counter()
+    parallel_greedy_spanner(g, MAX_K, matching_rounds(g))
+    assert time.perf_counter() - start < 3.0

@@ -367,8 +367,13 @@ def test_parallel_greedy_matches_sequential_on_singleton_rounds():
 
 
 def test_matching_rounds_recovers_hypercube_dimensions():
-    bundle = gen_hypercube(4)
-    assert tuple(matching_rounds(bundle.graph)) == bundle.matchings
+    # round d is the edges whose endpoints differ in bit d, in id order
+    for k in range(1, 9):
+        bundle = gen_hypercube(k)
+        g = bundle.graph
+        dims = [tuple(e for e in range(g.m) if g.endpoints(e)[0] ^ g.endpoints(e)[1] == 1 << d) for d in range(k)]
+        assert matching_rounds(g) == dims, k
+        assert bundle.matchings == tuple(dims), k
 
 
 def rescanned_rounds(g):

@@ -132,3 +132,33 @@ def test_only_graphs_reads_graph_internals():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{site}" for site in _internal_reads(tree)]
     assert found == []
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The spannerlab modules a module imports, by short name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["spannerlab" if node.level == 1 else "", node.module]))
+            names = [module] if module != "spannerlab" else [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("spannerlab."))
+    return found
+
+
+def test_oracles_and_constructions_are_layered():
+    # an oracle that reuses a construction's code certifies that code with
+    # itself, so verify reads only graphs; and no construction or generator
+    # leans on the oracles
+    sample = "from . import greedy\nfrom .graphs import INF\nimport spannerlab.verify\nfrom spannerlab import cli\n"
+    assert _package_imports(ast.parse(sample)) == {"cli", "greedy", "graphs", "verify"}
+    imports = {
+        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert imports["verify"] <= {"graphs"}
+    users = ("clustering", "greedy", "weighted", "fault_tolerant", "generators")
+    assert [name for name in users if "verify" in imports[name]] == []
