@@ -75,11 +75,12 @@ MAX_VERTICES = 2**24
 # bytes per edge, about 8 GB at its cap of t = 3344.
 MAX_GEN_EDGES = 2**24
 # -k of span, verify and stats. The cluster tests of span parallel and span
-# weighted compare |B|**k with n**r exactly at every radius r up to k, on
-# integers of up to k·log2(n) bits, so their work grows faster than k**2: on
-# a 100-vertex, 511-edge gnp file span parallel took 0.7 s at k = 1024 and
-# 4.1 s at 2048, and span weighted on its weighted twin 1.0 s and 6.3 s
-# (same host). verify and stats turn k into a float, which 10**400 overflows.
+# weighted compare |B| at every radius r up to k with a table of least sizes,
+# built once per run from exact powers of up to k·log2(n) bits. By subprocess
+# on a 2-vCPU host: span parallel 0.2 s at k = 1024 and 0.4 s at 2048 on a
+# 100-vertex, 511-edge gnp file, span weighted 0.2 s and 0.3 s on its weighted
+# twin, and 0.4 s and 2.1-2.3 s at 1024 on G(1000, .01). verify and stats
+# turn k into a float, which 10**400 overflows.
 MAX_K = 1024
 
 

@@ -249,7 +249,7 @@ def test_least_ball_sizes_match_a_scan(n, k, radius):
 
 def test_parallel_greedy_at_the_k_cap_is_fast():
     # cluster tests at every radius up to k compare ball sizes with one
-    # cached table, not |B|**k with n**r; this took 7.5 s without it
+    # cached table, not |B|**k with n**r, which took 7.5 s on a 2-vCPU host
     g = gen_random(1000, 0.01, 0).graph
     start = time.perf_counter()
     parallel_greedy_spanner(g, MAX_K, matching_rounds(g))
