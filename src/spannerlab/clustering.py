@@ -11,7 +11,7 @@ keeps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -51,20 +51,26 @@ def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
 
     The ball grows one BFS layer at a time and the search stops at the first
     radius that fails, so a vertex whose first layer is thin costs only that
-    layer. Radii past the last nonempty layer are tested with the ball as it
-    stands. A ball holds at most n vertices, so |B|**k >= n**r exactly when
-    |B| reaches ``least_ball_sizes(n, k, radius)[r]``.
+    layer. A ball holds at most n vertices, so |B|**k >= n**r exactly when
+    |B| reaches ``need[r]``, entry r of ``least_ball_sizes(n, k, radius)``.
+
+    Once the layers run out, every radius past the last one has the final
+    ball, so one bisection of ``need`` replaces the per-radius tests. For
+    n >= 1 (v is a vertex), n**r grows with r, so ``need`` is nondecreasing.
+    Every radius up to the last layer passed with a ball no larger than the
+    final one, so the entries of ``need`` above the final size are a suffix
+    past the last layer. The level is the radius just before that suffix
+    starts, or ``radius`` when it is empty.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     need = least_ball_sizes(view.host.n, k, radius)
-    layers = bfs_layers(view, v, radius)
     size = 1
-    for r in range(1, radius + 1):
-        size += len(next(layers, ()))
+    for r, layer in enumerate(bfs_layers(view, v, radius), 1):
+        size += len(layer)
         if size < need[r]:
             return r - 1
-    return radius
+    return bisect_right(need, size) - 1
 
 
 def has_cluster(view: SubgraphView, v: int, ell: int, k: int) -> bool:

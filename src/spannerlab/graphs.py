@@ -4,15 +4,20 @@ Every construction in this package works on subgraphs of a fixed host graph,
 identified by edge-id subsets. The host graph is immutable. A subgraph view
 owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
-``SubgraphView.add``. Four loops do all the searching, each over a view's
-edges only:
+``SubgraphView.add``. Four loops do all the searching over a view's edges:
 
 - ``_grow`` takes one BFS layer and records a mark per vertex reached: the
   depth for ``hop_distances``, ball membership for ``hop_distance``;
 - ``_layers`` (``bfs_layers``) yields layers on demand, records parent edge
   ids and can stop mid-layer; ``tree_path`` walks its lex-first BFS tree;
-- ``hop_layers`` takes layers as int bitmasks over ``neighbor_masks``;
+- ``_reach`` ORs the neighbor masks of a set of ranks, the one step of every
+  search over int bitmasks: ``hop_layers`` over ``neighbor_masks``, the
+  bidirectional ``mask_distance`` and the lex-first ``layer_path``;
 - ``weighted_distances`` is the Dijkstra.
+
+A spanner that only grows can also be kept as ``GrowingMasks``, two ORs per
+added edge. A mask is as wide as its highest neighbor rank, so
+``growing_masks`` gives one only on hosts within ``MASK_RULE``.
 
 This module is the only one that reads graph internals; others read
 adjacency lists only to enumerate neighbors, never to search.
@@ -43,8 +48,13 @@ __all__ = [
     "bfs_layers",
     "tree_path",
     "tree_edges",
+    "MASK_RULE",
+    "GrowingMasks",
+    "growing_masks",
     "neighbor_masks",
     "hop_layers",
+    "mask_distance",
+    "layer_path",
     "shortest_path",
     "weighted_dist",
     "weighted_distances",
@@ -503,6 +513,52 @@ def neighbor_masks(view: SubgraphView) -> list[int]:
     return masks
 
 
+# Mask tables run on a host whose N vertices with an edge have
+# N * N <= MASK_RULE * m, so each table takes at most MASK_RULE / 8 = 128
+# bytes per host edge. Past it the dict searches run: they are the only ones
+# that fit in memory on a large sparse host.
+MASK_RULE = 1024
+
+
+class GrowingMasks:
+    """``neighbor_masks`` of a subgraph that only grows: ``rank`` maps each
+    vertex with an edge in ``host`` to its rank, ``masks`` starts with no
+    edge, and ``add`` sets two bits per edge."""
+
+    __slots__ = ("host", "rank", "masks")
+
+    def __init__(self, host: Multigraph, verts: list[int]):
+        self.host = host
+        self.rank = {v: i for i, v in enumerate(verts)}
+        self.masks = [0] * len(verts)
+
+    def add(self, eids: Iterable[int]) -> None:
+        us, vs, rank, masks = self.host._us, self.host._vs, self.rank, self.masks
+        for eid in eids:
+            i, j = rank[us[eid]], rank[vs[eid]]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+
+
+def growing_masks(g: Multigraph) -> GrowingMasks | None:
+    """An empty ``GrowingMasks`` over g, or None when g's N vertices with an
+    edge have N * N > MASK_RULE * m."""
+    verts = g.vertices_with_edges()
+    if len(verts) * len(verts) > MASK_RULE * g.m:
+        return None
+    return GrowingMasks(g, verts)
+
+
+def _reach(masks: list[int], bits: int) -> int:
+    """The union of the masks of the ranks set in ``bits``: one OR per rank."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def hop_layers(masks: list[int], source: int, cutoff: int) -> list[int]:
     """Breadth-first layers of a source rank over ``neighbor_masks``: bit j
     of entry d is set when rank j is exactly d hops from ``source``. A layer
@@ -514,17 +570,57 @@ def hop_layers(masks: list[int], source: int, cutoff: int) -> list[int]:
     frontier = seen = 1 << source
     layers = [frontier]
     while len(layers) <= cutoff:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
+        frontier = _reach(masks, frontier) & ~seen
         if not frontier:
             break
         seen |= frontier
         layers.append(frontier)
     return layers
+
+
+def mask_distance(masks: list[int], i: int, j: int, cutoff: int) -> float:
+    """``hop_distance`` between ranks i and j over neighbor masks: exact if
+    it is <= cutoff, else INF. Each side grows as a seen mask, the smaller
+    frontier first, and the first new layer that meets the other side's
+    seen mask puts the ends exactly the hops taken apart (the argument of
+    ``hop_distance``)."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    if i == j:
+        return 0
+    front, seen, other_front, other_seen = 1 << i, 1 << i, 1 << j, 1 << j
+    for hops in range(1, cutoff + 1):
+        if front.bit_count() > other_front.bit_count():
+            front, seen, other_front, other_seen = other_front, other_seen, front, seen
+        front = _reach(masks, front) & ~seen
+        if not front:
+            return INF
+        if front & other_seen:
+            return hops
+        seen |= front
+    return INF
+
+
+def layer_path(masks: list[int], layers: list[int], target: int) -> list[int]:
+    """Ranks of the lexicographically smallest shortest path from the source
+    of ``hop_layers`` ``layers`` to ``target``, a rank in its last layer.
+
+    Walking back from the target, ``on[t]`` keeps the ranks of layer t next
+    to ``on[t + 1]``: exactly those on some shortest path to the target.
+    Walking forward, each step takes the lowest such neighbor, which gives
+    the smallest vertex sequence; it is the ``bfs_layers`` tree path, whose
+    parents come first in a discovery order that follows these sequences."""
+    on = layers[:]
+    on[-1] = 1 << target
+    for t in range(len(on) - 2, 0, -1):
+        on[t] &= _reach(masks, on[t + 1])
+    cur = layers[0].bit_length() - 1
+    path = [cur]
+    for bits in on[1:]:
+        step = bits & masks[cur]
+        cur = (step & -step).bit_length() - 1
+        path.append(cur)
+    return path
 
 
 def shortest_path(

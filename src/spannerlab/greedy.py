@@ -8,26 +8,36 @@ are deterministic: pairs are scanned in lexicographic order and the repair
 path is the lexicographically smallest shortest path under id-sorted
 adjacency.
 
-The pairwise greedy works one source at a time: one host BFS tree per source
+The pairwise greedy works one source at a time: one host BFS per source
 gives both its pairs and their repair paths, and one BFS ball of radius r in
 the spanner answers every pair of that source until the source adds a path,
 after which a miss is re-tested pair by pair (see ``greedy_dr_spanner``).
+It and the parallel greedy search neighbor masks over vertex ranks on hosts
+within ``graphs.MASK_RULE`` and the views' adjacency past it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from math import isqrt
+from operator import or_
 from typing import Iterable, Sequence
 
 from .clustering import cluster_level
 from .graphs import (
+    GrowingMasks,
     Multigraph,
     PathSeq,
     bfs_layers,
+    growing_masks,
     hop_distance,
     hop_distances,
+    hop_layers,
+    layer_path,
+    mask_distance,
+    neighbor_masks,
     tree_path,
     weighted_distances,
 )
@@ -112,21 +122,32 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     smallest shortest d-path of the host graph.
 
     Per source x (only vertices with an edge have pairs) one host BFS cut
-    at d records its tree: the layer d hops out holds x's pairs, and the
-    tree path to y is the repair path, since parents are set at discovery
-    and a search stopped at y would have set the same ones. For x's first
-    pair one BFS ball of radius r around x is taken in the spanner; a pair
-    whose y lies in the ball is served. The ball goes stale once x adds a
-    path, and from then on a y outside it is re-tested with its own
-    bidirectional search. This is exact: while the scan is at x the spanner
-    changes only through x's own additions, so before the first of them the
-    ball is the exact cut ball (y outside means distance > r), and after it
-    distances only shrink, so y inside still proves distance <= r.
+    at d gives x's pairs: the layer d hops out. For x's first pair one BFS
+    ball of radius r around x is taken in the spanner; a pair whose y lies
+    in the ball is served. The ball goes stale once x adds a path, and from
+    then on a y outside it is re-tested with its own bidirectional search.
+    This is exact: while the scan is at x the spanner changes only through
+    x's own additions, so before the first of them the ball is the exact
+    cut ball (y outside means distance > r), and after it distances only
+    shrink, so y inside still proves distance <= r.
+
+    Within ``graphs.MASK_RULE`` the searches run on neighbor masks over
+    vertex ranks (``_greedy_dr_masks``), else on the views' adjacency
+    (``_greedy_dr_trees``); both add the same paths.
     """
     if g.weighted:
         raise ValueError("greedy_dr_spanner expects an unweighted graph")
     if d < 1 or r < d:
         raise ValueError("need d >= 1 and r >= d")
+    h = growing_masks(g)
+    paths = _greedy_dr_trees(g, d, r) if h is None else _greedy_dr_masks(g, h, d, r)
+    return _result(g.n, paths, "greedy-dr", d=d, r=r)
+
+
+def _greedy_dr_trees(g: Multigraph, d: int, r: int) -> list[PathSeq]:
+    """The pairwise greedy on views. x's host BFS records its tree, and the
+    tree path to y is the repair path, since parents are set at discovery
+    and a search stopped at y would have set the same ones."""
     full = g.view()
     hview = g.view(set())
     paths: list[PathSeq] = []
@@ -145,7 +166,37 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
             hview.add(p.edge_ids)
             paths.append(p)
             stale = True
-    return _result(g.n, paths, "greedy-dr", d=d, r=r)
+    return paths
+
+
+def _greedy_dr_masks(g: Multigraph, h: GrowingMasks, d: int, r: int) -> list[PathSeq]:
+    """The pairwise greedy on masks over the ranks of h, which grows with
+    the spanner. Ranks follow vertex order, so x's pairs are the bits of
+    its host layer d above its own rank, taken lowest first. The repair
+    path is ``layer_path``, the lex-first one the host BFS tree gives, and
+    its edge ids are the lowest ones, as the tree's (neighbor, id) scan
+    picks."""
+    gmasks, hmasks = neighbor_masks(g.view()), h.masks
+    verts = list(h.rank)
+    paths: list[PathSeq] = []
+    for i in range(len(verts)):
+        layers = hop_layers(gmasks, i, d)
+        # a search that ran out before d has nothing exactly d away
+        far = layers[d] & (-1 << (i + 1)) if len(layers) > d else 0
+        if not far:
+            continue
+        ball, stale = reduce(or_, hop_layers(hmasks, i, r)), False
+        while far:
+            low = far & -far
+            far ^= low
+            j = low.bit_length() - 1
+            if ball & low or (stale and mask_distance(hmasks, i, j, r) <= r):
+                continue
+            p = PathSeq.from_graph(g, [verts[t] for t in layer_path(gmasks, layers, j)])
+            h.add(p.edge_ids)
+            paths.append(p)
+            stale = True
+    return paths
 
 
 def greedy_path_collection_spanner(coll: PathCollection, r: int) -> SpannerResult:
@@ -206,17 +257,23 @@ def parallel_greedy_spanner(
     an orientation toward the endpoint whose cluster level was lower in the
     pre-round spanner (ties toward the smaller id); in-degrees under this
     orientation witness the arboricity bound.
+
+    Within ``graphs.MASK_RULE`` the distance test is ``mask_distance`` over
+    masks that grow with the spanner, else ``hop_distance`` on its view; the
+    cluster levels are read from the view.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     threshold = 2 * k - 1
     hview = g.view(set())
+    h = growing_masks(g)
     orientation: dict[int, int] = {}
     rounds_added: list[tuple[int, ...]] = []
     paths: list[PathSeq] = []
     for rnd, matching in enumerate(matchings):
         ids = sorted(matching)
         used: set[int] = set()
+        ends = []
         for eid in ids:
             if not 0 <= eid < g.m:
                 raise ValueError(f"edge id {eid} not in graph")
@@ -225,17 +282,24 @@ def parallel_greedy_spanner(
                 clash = u if u in used else v
                 raise ValueError(f"round {rnd} is not a matching: vertex {clash} repeats")
             used.update((u, v))
-        passing = [
-            eid
-            for eid in ids
-            if hop_distance(hview, *g.endpoints(eid), threshold) > threshold
-        ]
+            ends.append((u, v))
+        if h is None:
+            passing = [eid for eid, (u, v) in zip(ids, ends) if hop_distance(hview, u, v, threshold) > threshold]
+        else:
+            rank = h.rank
+            passing = [
+                eid
+                for eid, (u, v) in zip(ids, ends)
+                if mask_distance(h.masks, rank[u], rank[v], threshold) > threshold
+            ]
         for eid in passing:
             u, v = g.endpoints(eid)
             lu = cluster_level(hview, u, k)
             lv = cluster_level(hview, v, k)
             orientation[eid] = u if (lu, u) <= (lv, v) else v
         hview.add(passing)
+        if h is not None:
+            h.add(passing)
         rounds_added.append(tuple(passing))
         paths.extend(PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in passing)
     return _result(

@@ -247,6 +247,24 @@ def test_least_ball_sizes_match_a_scan(n, k, radius):
     assert least_ball_sizes(n, k, radius) == scan
 
 
+@given(small_graphs(max_n=10, max_m=20, multigraph=True), st.integers(1, 12), st.integers(0, 14), st.integers(0, 9))
+@example(Multigraph(4, [(0, 1), (0, 2), (0, 3)]), 2, 2, 0)  # 4**2 == 4**2 past the last layer
+@example(Multigraph(8, [(0, 1), (0, 2), (0, 3)]), 2, 4, 0)  # passes r = 2, fails r = 3
+def test_level_matches_a_per_radius_scan(g, k, radius, v):
+    """``_level`` against a scan that tests |B(v, r)|**k >= n**r at every
+    radius in turn, with ball sizes from Floyd-Warshall. A small graph runs
+    out of layers early, so radii up to k + 2 are mostly answered by the
+    bisection of ``least_ball_sizes``."""
+    radius, v = min(radius, k + 2), v % g.n
+    dist = oracles.fw_hop(g.n, oracles.edges_of(g))[v]
+    level = radius
+    for r in range(1, radius + 1):
+        if sum(d <= r for d in dist) ** k < g.n**r:
+            level = r - 1
+            break
+    assert clustering._level(g.view(), v, k, radius) == level
+
+
 def test_parallel_greedy_at_the_k_cap_is_fast():
     # cluster tests at every radius up to k compare ball sizes with one
     # cached table, not |B|**k with n**r, which took 7.5 s on a 2-vCPU host

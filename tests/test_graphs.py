@@ -22,7 +22,7 @@ from spannerlab import (
     weighted_distances,
 )
 from spannerlab.generators import cycle_graph, gen_random, path_graph, petersen_graph
-from spannerlab.graphs import bfs_layers, shortest_path, tree_path
+from spannerlab.graphs import GrowingMasks, bfs_layers, layer_path, mask_distance, shortest_path, tree_path
 
 
 def test_multigraph_rejects_self_loops():
@@ -108,9 +108,10 @@ def test_hop_distance_respects_cutoff():
         lambda view, x, y: hop_distances(view, x, -1),
         lambda view, x, y: shortest_path(view, x, y, -1),
         lambda view, x, y: hop_layers(neighbor_masks(view), x, -1),
+        lambda view, x, y: mask_distance(neighbor_masks(view), x, y, -1),
         lambda view, x, y: bfs_layers(view, x, -1),
     ],
-    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers", "bfs_layers"],
+    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers", "mask_distance", "bfs_layers"],
 )
 @pytest.mark.parametrize("y", [0, 2])
 def test_searches_reject_negative_cutoff(search, y):
@@ -375,6 +376,38 @@ def test_hop_layers_match_oracle(g, data):
     while len(expected) > 1 and not expected[-1]:
         expected.pop()
     assert layers == expected
+
+
+@given(small_graphs(max_n=8, multigraph=True), st.data())
+def test_mask_kernels_match_oracle(g, data):
+    """Over a ``GrowingMasks`` grown edge by edge: ``mask_distance`` is the
+    Floyd-Warshall distance within its cutoff, and ``layer_path`` to every
+    rank of a last layer is the enumerated lex smallest shortest path."""
+    verts = g.vertices_with_edges()
+    assume(verts)
+    kept = data.draw(st.none() | st.lists(st.integers(0, g.m - 1)))
+    kept = range(g.m) if kept is None else kept
+    h = GrowingMasks(g, verts)
+    h.add(kept)
+    assert h.masks == neighbor_masks(g.view(kept))
+    edges = oracles.edges_of(g)
+    oracle = oracles.fw_hop(g.n, edges, excluded=set(range(g.m)) - set(kept))
+    cutoff = data.draw(st.integers(0, g.n))
+    for i, x in enumerate(verts):
+        for j, y in enumerate(verts):
+            d = oracle[x][y]
+            assert mask_distance(h.masks, i, j, cutoff) == (d if d <= cutoff else INF)
+        layers = hop_layers(h.masks, i, cutoff)
+        last = layers[-1]
+        while last:
+            t = (last & -last).bit_length() - 1
+            last ^= 1 << t
+            eids = oracles.lex_shortest_path(g.n, edges, x, verts[t], len(layers) - 1, set(kept))
+            path = [x]
+            for eid in eids:
+                u, v = edges[eid]
+                path.append(v if u == path[-1] else u)
+            assert [verts[r] for r in layer_path(h.masks, layers, t)] == path
 
 
 def test_isolated_vertices_cost_no_adjacency_list():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 import tracemalloc
 
@@ -32,6 +33,17 @@ from spannerlab import greedy
 from spannerlab import graphs
 from spannerlab.graphs import bfs_layers, tree_path, weighted_dist
 from spannerlab.greedy import sqrt_k_stretch
+
+# graphs.MASK_RULE values that put every host with an edge on the mask
+# searches, or on the dict searches; only tests move the rule
+MASKS, DICTS = 2**64, -1
+
+
+@contextlib.contextmanager
+def mask_rule(rule):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "MASK_RULE", rule)
+        yield
 
 
 def spanner_ok(g, result, d, r):
@@ -107,9 +119,10 @@ def test_greedy_dr_contract_on_random_instances():
 @settings(max_examples=300)
 @given(small_graphs(multigraph=True), st.data())
 def test_greedy_dr_matches_naive_replay(g, data):
-    """The greedy equals a replay that re-tests every pair from scratch: an
-    all-pairs Floyd-Warshall over the kept edges, and the enumerated lex
-    smallest d-path of the host when the pair is still far."""
+    """The greedy, on masks and on dicts, equals a replay that re-tests
+    every pair from scratch: an all-pairs Floyd-Warshall over the kept
+    edges, and the enumerated lex smallest d-path of the host when the pair
+    is still far."""
     d = data.draw(st.integers(1, 3))
     r = data.draw(st.integers(d, 2 * d + 2))
     edges = oracles.edges_of(g)
@@ -126,8 +139,10 @@ def test_greedy_dr_matches_naive_replay(g, data):
             verts.append(v if u == verts[-1] else u)
         kept.update(eids)
         expected.append((tuple(verts), eids))
-    got = greedy_dr_spanner(g, d, r)
-    assert [(p.vertices, p.edge_ids) for p in got.paths] == expected
+    for rule in (MASKS, DICTS):
+        with mask_rule(rule):
+            got = greedy_dr_spanner(g, d, r)
+        assert [(p.vertices, p.edge_ids) for p in got.paths] == expected
 
 
 def replay_greedy_dr(g, d, r):
@@ -195,39 +210,51 @@ def test_greedy_dr_family_matches_replay_on_midsize_hosts(host):
     def paths(result):
         return [(p.vertices, p.edge_ids) for p in result.paths]
 
-    for d, r in ((1, 3), (2, 4), (3, 5)):
-        assert paths(greedy_dr_spanner(g, d, r)) == replay(d, r)
-    for k in (2, 3):
-        got = union_hybrid_spanner(g, k)
-        assert paths(got) == replay(1, 2 * k - 1) + replay(2, 2 * k)
-        assert got.edges == tuple(sorted({e for _, eids in paths(got) for e in eids}))
-    for k in (2, 5):
-        d, r = sqrt_k_stretch(k)
-        assert paths(sqrt_k_spanner(g, k)) == replay(d, r)
+    for rule in (MASKS, DICTS):
+        with mask_rule(rule):
+            for d, r in ((1, 3), (2, 4), (3, 5)):
+                assert paths(greedy_dr_spanner(g, d, r)) == replay(d, r)
+            for k in (2, 3):
+                got = union_hybrid_spanner(g, k)
+                assert paths(got) == replay(1, 2 * k - 1) + replay(2, 2 * k)
+                assert got.edges == tuple(sorted({e for _, eids in paths(got) for e in eids}))
+            for k in (2, 5):
+                d, r = sqrt_k_stretch(k)
+                assert paths(sqrt_k_spanner(g, k)) == replay(d, r)
     assert all(replays.values())
 
 
-@pytest.mark.parametrize("n, p", [(60, 0.3), (80, 0.15)])
-def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
-    """One host BFS tree per vertex with an edge gives the pairs and the
-    repair paths, so the greedy runs no shortest-path search; one spanner
-    ball per source with pairs; pair-by-pair searches are left only for
-    misses after the source added a path."""
-    g = seeded_gnp(n, p, 0)
-    pairs = oracles.pairs_at_distance(g.n, oracles.edges_of(g), 2)
-    calls = {"bfs_layers": 0, "hop_distances": 0, "hop_distance": 0}
+def counted_calls(monkeypatch, module, names):
+    """Replace each named function of module by one that logs (name, args)
+    to the returned list before calling it."""
+    log = []
 
-    def counted(name):
-        real = getattr(greedy, name)
-
+    def counted(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            log.append((name, args))
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(greedy, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return log
+
+
+@pytest.mark.parametrize("n, p", [(60, 0.3), (80, 0.15)])
+def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
+    """One host search per vertex with an edge gives the pairs and the
+    repair paths, so the greedy runs no shortest-path search; one spanner
+    ball per source with pairs; pair-by-pair searches are left only for
+    misses after the source added a path. Masks: the host layer lists, the
+    H-balls and the re-tests are ``hop_layers`` on the host table,
+    ``hop_layers`` on the growing table and ``mask_distance``. Dicts (the
+    rule forced): ``bfs_layers``, ``hop_distances`` and ``hop_distance``."""
+    g = seeded_gnp(n, p, 0)
+    verts = g.vertices_with_edges()
+    pairs = oracles.pairs_at_distance(g.n, oracles.edges_of(g), 2)
+    sources = sorted({x for x, _ in pairs})
+    names = ("bfs_layers", "hop_distances", "hop_distance", "hop_layers", "mask_distance")
     searches = []
     real_path = graphs.shortest_path
 
@@ -237,11 +264,32 @@ def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
 
     for module in (graphs, greedy):
         monkeypatch.setattr(module, "shortest_path", counted_path, raising=False)
+
+    log = counted_calls(monkeypatch, greedy, names)
     result = greedy_dr_spanner(g, 2, 4)
-    assert calls["bfs_layers"] == len(g.vertices_with_edges())
+    assert graphs.growing_masks(g) is not None
+    assert {name for name, _ in log} <= {"hop_layers", "mask_distance"}
+    host = log[0][1][0]
+    layers = [args for name, args in log if name == "hop_layers"]
+    assert [args[1:] for args in layers if args[0] is host] == [(i, 2) for i in range(len(verts))]
+    balls = [args for args in layers if args[0] is not host]
+    assert [(verts[i], cutoff) for _, i, cutoff in balls] == [(x, 4) for x in sources]
+    first_y = {}
+    for path in result.paths:
+        first_y.setdefault(path.x, path.y)
+    retests = [args[1:3] for name, args in log if name == "mask_distance"]
+    assert retests and all(verts[i] in first_y and first_y[verts[i]] < verts[j] for i, j in retests)
     assert searches == []
-    assert calls["hop_distances"] == len({x for x, _ in pairs})
+
+    log.clear()
+    with mask_rule(DICTS):
+        assert greedy_dr_spanner(g, 2, 4) == result
+    calls = {name: sum(1 for called, _ in log if called == name) for name in names}
+    assert calls["bfs_layers"] == len(verts)
+    assert calls["hop_distances"] == len(sources)
     assert calls["hop_distance"] <= 2 * len(result.paths) + len(pairs) // 10
+    assert calls["hop_layers"] == calls["mask_distance"] == 0
+    assert searches == []
 
 
 def test_path_collection_big_clique_forces_clique():
@@ -366,6 +414,73 @@ def test_parallel_greedy_matches_sequential_on_singleton_rounds():
     assert par.edges == seq.edges
 
 
+def replay_parallel_greedy(g, k, rounds):
+    """The parallel greedy replayed round by round on the rank-compacted
+    host: a Floyd-Warshall table over the edges kept before the round gives
+    each edge's distance test and each endpoint's cluster level, the largest
+    l <= k with |B(v, r)|**k >= n**r for every r <= l, where n is the host's
+    vertex count. Returns the rounds' added edge ids and the orientation."""
+    verts = g.vertices_with_edges()
+    rank = {v: i for i, v in enumerate(verts)}
+    edges = [(rank[u], rank[v]) for u, v in oracles.edges_of(g)]
+    kept, added, orientation = [], [], {}
+
+    def level(row):
+        for r in range(1, k + 1):
+            if sum(d <= r for d in row) ** k < g.n**r:
+                return r - 1
+        return k
+
+    for matching in rounds:
+        dist = oracles.fw_hop(len(verts), [edges[e] for e in kept])
+        passing = tuple(e for e in sorted(matching) if dist[edges[e][0]][edges[e][1]] > 2 * k - 1)
+        for e in passing:
+            u, v = edges[e]
+            orientation[e] = verts[u] if (level(dist[u]), u) <= (level(dist[v]), v) else verts[v]
+        kept += passing
+        added.append(passing)
+    return added, orientation
+
+
+@pytest.mark.parametrize("host", range(3), ids=["simple", "multigraph", "scattered"])
+def test_parallel_greedy_matches_replay_on_midsize_hosts(host):
+    g = midsize_hosts()[host]
+    rounds = matching_rounds(g)
+    for k in (1, 2, 3):
+        added, orientation = replay_parallel_greedy(g, k, rounds)
+        for rule in (MASKS, DICTS):
+            with mask_rule(rule):
+                got = parallel_greedy_spanner(g, k, rounds)
+            assert got.edges == tuple(sorted(e for r in added for e in r))
+            assert got.meta["rounds"] == added
+            assert got.meta["orientation"] == orientation
+        assert any(added)
+
+
+def test_mask_rule_boundary(monkeypatch):
+    """256 disjoint edges on 512 vertices sit at N * N == 1024 * m and run
+    on masks; one more edge to a new vertex puts 513**2 one past 1024 * 257,
+    and no mask table is built: ``growing_masks``, the only maker of the
+    spanner's table, gives None, and the host's is never taken."""
+    at = Multigraph(513, [(2 * i, 2 * i + 1) for i in range(256)])
+    past = Multigraph(513, [(2 * i, 2 * i + 1) for i in range(256)] + [(511, 512)])
+    assert graphs.MASK_RULE == 1024
+    assert len(at.vertices_with_edges()) ** 2 == 1024 * at.m
+    assert len(past.vertices_with_edges()) ** 2 == 1024 * past.m + 1
+    assert graphs.growing_masks(at) is not None and graphs.growing_masks(past) is None
+    names = ("neighbor_masks", "hop_layers", "mask_distance", "bfs_layers", "hop_distances", "hop_distance")
+    log = counted_calls(monkeypatch, greedy, names)
+    for g, kernels in (
+        (at, {"neighbor_masks", "hop_layers", "mask_distance"}),
+        (past, {"bfs_layers", "hop_distances", "hop_distance"}),
+    ):
+        log.clear()
+        dr = greedy_dr_spanner(g, 2, 2)
+        assert [p.vertices for p in dr.paths] == ([(510, 511, 512)] if g is past else [])
+        assert parallel_greedy_spanner(g, 2, matching_rounds(g)).edges == tuple(range(g.m))
+        assert {name for name, _ in log} == kernels
+
+
 def test_matching_rounds_recovers_hypercube_dimensions():
     # round d is the edges whose endpoints differ in bit d, in id order
     for k in range(1, 9):
@@ -419,19 +534,19 @@ def test_matching_rounds_cost_follows_edges_not_vertices():
 
 
 def test_greedy_dr_searches_only_from_vertices_with_edges(monkeypatch):
-    # an isolated vertex has no pair, so it must cost no search
+    # an isolated vertex has no pair, so it must cost no search, and no
+    # entry in a mask table
     g = Multigraph(2**20, [(0, 1), (1, 2)])
-    calls = []
-    real = greedy.bfs_layers
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(greedy, "bfs_layers", counted)
+    log = counted_calls(monkeypatch, greedy, ("bfs_layers", "hop_layers"))
     result = greedy_dr_spanner(g, 2, 2)
     assert [p.vertices for p in result.paths] == [(0, 1, 2)]
-    assert calls == [0, 1, 2]
+    host = log[0][1][0]
+    assert {name for name, _ in log} == {"hop_layers"}
+    assert [(len(args[0]), args[1]) for _, args in log if args[0] is host] == [(3, 0), (3, 1), (3, 2)]
+    log.clear()
+    with mask_rule(DICTS):
+        assert greedy_dr_spanner(g, 2, 2) == result
+    assert [args[1] for name, args in log if name == "bfs_layers"] == [0, 1, 2]
 
 
 def test_sqrt_k_stretch_values():
