@@ -6,7 +6,8 @@ ball around it in H up to radius l contains at least n**(r/k) vertices;
 play. The greedy clustering pass scans an edge sequence and keeps an edge
 exactly when its endpoints are still far apart and at least one of them is
 not yet fully clustered, which bounds both the girth and the size of what it
-keeps.
+keeps. Ball sizes come one layer at a time from ``graphs.layer_sizes``,
+which reads the view's neighbor masks when it keeps them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import Multigraph, SubgraphView, bfs_layers, hop_distance
+from .graphs import Multigraph, SubgraphView, hop_distance, layer_sizes
 
 __all__ = ["ClusteringTrace", "has_cluster", "cluster_level", "greedy_clustering", "least_ball_sizes"]
 
@@ -49,7 +50,8 @@ def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
     """Largest l <= radius such that |B(v,r)| >= n**(r/k) for every r <= l,
     where n is the host's vertex count.
 
-    The ball grows one BFS layer at a time and the search stops at the first
+    The ball grows one BFS layer at a time, from ``layer_sizes`` (on the
+    view's masks when it keeps them), and the search stops at the first
     radius that fails, so a vertex whose first layer is thin costs only that
     layer. A ball holds at most n vertices, so |B|**k >= n**r exactly when
     |B| reaches ``need[r]``, entry r of ``least_ball_sizes(n, k, radius)``.
@@ -66,8 +68,8 @@ def _level(view: SubgraphView, v: int, k: int, radius: int) -> int:
         raise ValueError("k must be at least 1")
     need = least_ball_sizes(view.host.n, k, radius)
     size = 1
-    for r, layer in enumerate(bfs_layers(view, v, radius), 1):
-        size += len(layer)
+    for r, grown in enumerate(layer_sizes(view, v, radius), 1):
+        size += grown
         if size < need[r]:
             return r - 1
     return bisect_right(need, size) - 1

@@ -11,13 +11,14 @@ so a spanner under construction is one view that grows through
 - ``_layers`` (``bfs_layers``) yields layers on demand, records parent edge
   ids and can stop mid-layer; ``tree_path`` walks its lex-first BFS tree;
 - ``_reach`` ORs the neighbor masks of a set of ranks, the one step of every
-  search over int bitmasks: ``hop_layers`` over ``neighbor_masks``, the
-  bidirectional ``mask_distance`` and the lex-first ``layer_path``;
+  search over int bitmasks: ``hop_layers`` and ``layer_sizes`` over
+  ``neighbor_masks``, the bidirectional ``mask_distance`` and the lex-first
+  ``layer_path``;
 - ``weighted_distances`` is the Dijkstra.
 
-A spanner that only grows can also be kept as ``GrowingMasks``, two ORs per
-added edge. A mask is as wide as its highest neighbor rank, so
-``growing_masks`` gives one only on hosts within ``MASK_RULE``.
+A view built from an id subset on a host within ``MASK_RULE`` also keeps
+its ``neighbor_masks``, and ``hop_distance`` and ``layer_sizes`` search them
+whenever no edge is excluded. No other module names the rule.
 
 This module is the only one that reads graph internals; others read
 adjacency lists only to enumerate neighbors, never to search.
@@ -46,11 +47,10 @@ __all__ = [
     "hop_distance",
     "hop_distances",
     "bfs_layers",
+    "layer_sizes",
     "tree_path",
     "tree_edges",
     "MASK_RULE",
-    "GrowingMasks",
-    "growing_masks",
     "neighbor_masks",
     "hop_layers",
     "mask_distance",
@@ -197,6 +197,13 @@ class Multigraph:
         return f"Multigraph({kind}n={self.n}, m={self.m})"
 
 
+# Mask tables run on a host whose N vertices with an edge have
+# N * N <= MASK_RULE * m, so each table takes at most MASK_RULE / 8 = 128
+# bytes per host edge. Past it the dict searches run: they are the only ones
+# that fit in memory on a large sparse host.
+MASK_RULE = 1024
+
+
 class SubgraphView:
     """Restriction of a host graph to an edge-id subset.
 
@@ -206,19 +213,29 @@ class SubgraphView:
     so searches scan only view edges and still pick lexicographically
     smallest parents. Changing the collection passed in does not change the
     view: a view grows only through ``add``, and ``included`` is read-only.
+
+    Such a view also keeps ``masks``, its ``neighbor_masks``, and ``rank``,
+    the map from each vertex with a host edge to its rank, when the host's N
+    vertices with an edge have N * N <= MASK_RULE * m; otherwise, and for
+    ``included=None``, both are None.
     """
 
-    __slots__ = ("host", "included", "_adj")
+    __slots__ = ("host", "included", "masks", "rank", "_adj")
 
     def __init__(self, host: Multigraph, included: Iterable[int] | None = None):
         self.host = host
+        self.masks = self.rank = None
         if included is None:
             self.included: set[int] | None = None
             self._adj = host._adj
-        else:
-            self.included = set()
-            self._adj = _Adjacency()
-            self.add(included)
+            return
+        verts = host.vertices_with_edges()
+        if len(verts) * len(verts) <= MASK_RULE * host.m:
+            self.rank = {v: i for i, v in enumerate(verts)}
+            self.masks = [0] * len(verts)
+        self.included = set()
+        self._adj = _Adjacency()
+        self.add(included)
 
     def add(self, eids: Iterable[int]) -> None:
         """Add host edge ids to the view, skipping ids already in it. Every
@@ -231,7 +248,7 @@ class SubgraphView:
         included = self.included
         if included is None:
             return
-        us, vs, adj = self.host._us, self.host._vs, self._adj
+        us, vs, adj, masks, rank = self.host._us, self.host._vs, self._adj, self.masks, self.rank
         for eid in eids:
             if eid in included:
                 continue
@@ -239,6 +256,10 @@ class SubgraphView:
             u, v = us[eid], vs[eid]
             insort(adj.setdefault(u, []), (v, eid))
             insort(adj.setdefault(v, []), (u, eid))
+            if masks is not None:
+                i, j = rank[u], rank[v]
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
 
     def edge_ids(self) -> Iterator[int]:
         """Edge ids of the view, ascending."""
@@ -327,9 +348,12 @@ def two_paths(g: Multigraph) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def _check_vertex(g: Multigraph, v: int) -> None:
+def _check_vertex(g: Multigraph, v: int, cutoff: int = 0) -> None:
+    """Reject a vertex outside g, then a negative search cutoff."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} not in graph with n={g.n}")
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
 
 
 def _grow(adj, frontier: list[int], seen: dict, mark, excl) -> list[int]:
@@ -363,13 +387,16 @@ def hop_distance(
     the ball of radius a around x and the ball of radius b around y are
     disjoint, d(x, y) > a + b. So the first new layer that meets the other
     ball puts the ends exactly a + b + 1 apart, and a side that runs dry
-    has walked its whole component without meeting the other end.
+    has walked its whole component without meeting the other end. With no
+    edge excluded, a view that keeps masks runs ``mask_distance`` on them.
     """
-    host = view.host
-    _check_vertex(host, x)
-    _check_vertex(host, y)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if view.masks is not None and not excluded:
+        i, j = view.rank.get(x), view.rank.get(y)
+        # ranked ends are vertices, and mask_distance checks the cutoff
+        if i is not None and j is not None:
+            return mask_distance(view.masks, i, j, cutoff)
+    _check_vertex(view.host, x)
+    _check_vertex(view.host, y, cutoff)
     if x == y:
         return 0
     adj = view._adj
@@ -395,10 +422,7 @@ def hop_distances(
     excluded: Collection[int] = frozenset(),
 ) -> dict[int, int]:
     """Hop distances from source to everything within cutoff hops."""
-    host = view.host
-    _check_vertex(host, source)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    _check_vertex(view.host, source, cutoff)
     adj = view._adj
     excl = excluded if excluded else None
     dist = {source: 0}
@@ -430,9 +454,7 @@ def bfs_layers(
     that vertex is reached, mid-layer; every parent set by then is the one
     the full search sets.
     """
-    _check_vertex(view.host, source)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    _check_vertex(view.host, source, cutoff)
     seen = {} if tree is None else tree
     seen[source] = -1
     # -1 is never a vertex, so the per-vertex stop test stays one int compare
@@ -460,6 +482,17 @@ def _layers(adj, seen: dict[int, int], source: int, cutoff: int, excl, stop: int
             return
         yield nxt
         frontier = nxt
+
+
+def layer_sizes(view: SubgraphView, source: int, cutoff: int) -> Iterator[int]:
+    """Sizes of the ``bfs_layers`` of source, each layer searched only when
+    the consumer asks for it: bit counts of mask layers when the view keeps
+    masks, lengths of the dict layers otherwise."""
+    if view.masks is None:
+        return map(len, bfs_layers(view, source, cutoff))
+    _check_vertex(view.host, source, cutoff)
+    i = view.rank.get(source)
+    return iter(()) if i is None else map(int.bit_count, _mask_layers(view.masks, i, cutoff))
 
 
 def tree_path(g: Multigraph, tree: dict[int, int], y: int) -> tuple[int, ...]:
@@ -513,42 +546,6 @@ def neighbor_masks(view: SubgraphView) -> list[int]:
     return masks
 
 
-# Mask tables run on a host whose N vertices with an edge have
-# N * N <= MASK_RULE * m, so each table takes at most MASK_RULE / 8 = 128
-# bytes per host edge. Past it the dict searches run: they are the only ones
-# that fit in memory on a large sparse host.
-MASK_RULE = 1024
-
-
-class GrowingMasks:
-    """``neighbor_masks`` of a subgraph that only grows: ``rank`` maps each
-    vertex with an edge in ``host`` to its rank, ``masks`` starts with no
-    edge, and ``add`` sets two bits per edge."""
-
-    __slots__ = ("host", "rank", "masks")
-
-    def __init__(self, host: Multigraph, verts: list[int]):
-        self.host = host
-        self.rank = {v: i for i, v in enumerate(verts)}
-        self.masks = [0] * len(verts)
-
-    def add(self, eids: Iterable[int]) -> None:
-        us, vs, rank, masks = self.host._us, self.host._vs, self.rank, self.masks
-        for eid in eids:
-            i, j = rank[us[eid]], rank[vs[eid]]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-
-
-def growing_masks(g: Multigraph) -> GrowingMasks | None:
-    """An empty ``GrowingMasks`` over g, or None when g's N vertices with an
-    edge have N * N > MASK_RULE * m."""
-    verts = g.vertices_with_edges()
-    if len(verts) * len(verts) > MASK_RULE * g.m:
-        return None
-    return GrowingMasks(g, verts)
-
-
 def _reach(masks: list[int], bits: int) -> int:
     """The union of the masks of the ranks set in ``bits``: one OR per rank."""
     out = 0
@@ -567,15 +564,19 @@ def hop_layers(masks: list[int], source: int, cutoff: int) -> list[int]:
     or at the last nonempty layer."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    return [1 << source, *_mask_layers(masks, source, cutoff)]
+
+
+def _mask_layers(masks: list[int], source: int, cutoff: int) -> Iterator[int]:
+    """The layers of ``hop_layers`` after the source's, each taken when the
+    consumer asks for it."""
     frontier = seen = 1 << source
-    layers = [frontier]
-    while len(layers) <= cutoff:
+    for _ in range(cutoff):
         frontier = _reach(masks, frontier) & ~seen
         if not frontier:
-            break
+            return
         seen |= frontier
-        layers.append(frontier)
-    return layers
+        yield frontier
 
 
 def mask_distance(masks: list[int], i: int, j: int, cutoff: int) -> float:

@@ -12,8 +12,9 @@ The pairwise greedy works one source at a time: one host BFS per source
 gives both its pairs and their repair paths, and one BFS ball of radius r in
 the spanner answers every pair of that source until the source adds a path,
 after which a miss is re-tested pair by pair (see ``greedy_dr_spanner``).
-It and the parallel greedy search neighbor masks over vertex ranks on hosts
-within ``graphs.MASK_RULE`` and the views' adjacency past it.
+Each construction keeps its spanner as one view; its hop tests run on the
+view's neighbor masks whenever the view keeps them. The pairwise greedy on
+masks searches only masks, so it grows a copy of the empty view's table.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from typing import Iterable, Sequence
 
 from .clustering import cluster_level
 from .graphs import (
-    GrowingMasks,
     Multigraph,
     PathSeq,
+    SubgraphView,
     bfs_layers,
-    growing_masks,
     hop_distance,
     hop_distances,
     hop_layers,
@@ -131,25 +131,24 @@ def greedy_dr_spanner(g: Multigraph, d: int, r: int) -> SpannerResult:
     cut ball (y outside means distance > r), and after it distances only
     shrink, so y inside still proves distance <= r.
 
-    Within ``graphs.MASK_RULE`` the searches run on neighbor masks over
-    vertex ranks (``_greedy_dr_masks``), else on the views' adjacency
+    When the spanner's view keeps neighbor masks the searches run on masks
+    over vertex ranks (``_greedy_dr_masks``), else on the views' adjacency
     (``_greedy_dr_trees``); both add the same paths.
     """
     if g.weighted:
         raise ValueError("greedy_dr_spanner expects an unweighted graph")
     if d < 1 or r < d:
         raise ValueError("need d >= 1 and r >= d")
-    h = growing_masks(g)
-    paths = _greedy_dr_trees(g, d, r) if h is None else _greedy_dr_masks(g, h, d, r)
-    return _result(g.n, paths, "greedy-dr", d=d, r=r)
+    hview = g.view(set())
+    grow = _greedy_dr_trees if hview.masks is None else _greedy_dr_masks
+    return _result(g.n, grow(g, hview, d, r), "greedy-dr", d=d, r=r)
 
 
-def _greedy_dr_trees(g: Multigraph, d: int, r: int) -> list[PathSeq]:
+def _greedy_dr_trees(g: Multigraph, hview: SubgraphView, d: int, r: int) -> list[PathSeq]:
     """The pairwise greedy on views. x's host BFS records its tree, and the
     tree path to y is the repair path, since parents are set at discovery
     and a search stopped at y would have set the same ones."""
     full = g.view()
-    hview = g.view(set())
     paths: list[PathSeq] = []
     for x in g.vertices_with_edges():
         tree: dict[int, int] = {}
@@ -169,15 +168,16 @@ def _greedy_dr_trees(g: Multigraph, d: int, r: int) -> list[PathSeq]:
     return paths
 
 
-def _greedy_dr_masks(g: Multigraph, h: GrowingMasks, d: int, r: int) -> list[PathSeq]:
-    """The pairwise greedy on masks over the ranks of h, which grows with
-    the spanner. Ranks follow vertex order, so x's pairs are the bits of
-    its host layer d above its own rank, taken lowest first. The repair
-    path is ``layer_path``, the lex-first one the host BFS tree gives, and
-    its edge ids are the lowest ones, as the tree's (neighbor, id) scan
-    picks."""
-    gmasks, hmasks = neighbor_masks(g.view()), h.masks
-    verts = list(h.rank)
+def _greedy_dr_masks(g: Multigraph, hview: SubgraphView, d: int, r: int) -> list[PathSeq]:
+    """The pairwise greedy on neighbor masks. Ranks follow vertex order, so
+    x's pairs are the bits of its host layer d above its own rank, taken
+    lowest first. The repair path is ``layer_path``, the lex-first one the
+    host BFS tree gives, and its edge ids are the lowest ones, as the tree's
+    (neighbor, id) scan picks. The spanner is a copy of the empty view's
+    table, grown two bits per path edge; the view gives the ranks and stays
+    empty, since no search here reads its dicts."""
+    gmasks, hmasks = neighbor_masks(g.view()), list(hview.masks)
+    verts = list(hview.rank)
     paths: list[PathSeq] = []
     for i in range(len(verts)):
         layers = hop_layers(gmasks, i, d)
@@ -192,9 +192,11 @@ def _greedy_dr_masks(g: Multigraph, h: GrowingMasks, d: int, r: int) -> list[Pat
             j = low.bit_length() - 1
             if ball & low or (stale and mask_distance(hmasks, i, j, r) <= r):
                 continue
-            p = PathSeq.from_graph(g, [verts[t] for t in layer_path(gmasks, layers, j)])
-            h.add(p.edge_ids)
-            paths.append(p)
+            ranks = layer_path(gmasks, layers, j)
+            for a, b in zip(ranks, ranks[1:]):
+                hmasks[a] |= 1 << b
+                hmasks[b] |= 1 << a
+            paths.append(PathSeq.from_graph(g, [verts[t] for t in ranks]))
             stale = True
     return paths
 
@@ -258,15 +260,14 @@ def parallel_greedy_spanner(
     pre-round spanner (ties toward the smaller id); in-degrees under this
     orientation witness the arboricity bound.
 
-    Within ``graphs.MASK_RULE`` the distance test is ``mask_distance`` over
-    masks that grow with the spanner, else ``hop_distance`` on its view; the
-    cluster levels are read from the view.
+    The spanner is one view: the distance test is ``hop_distance`` on it,
+    on its neighbor masks when it keeps them, and the cluster levels are
+    read from it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     threshold = 2 * k - 1
     hview = g.view(set())
-    h = growing_masks(g)
     orientation: dict[int, int] = {}
     rounds_added: list[tuple[int, ...]] = []
     paths: list[PathSeq] = []
@@ -283,23 +284,13 @@ def parallel_greedy_spanner(
                 raise ValueError(f"round {rnd} is not a matching: vertex {clash} repeats")
             used.update((u, v))
             ends.append((u, v))
-        if h is None:
-            passing = [eid for eid, (u, v) in zip(ids, ends) if hop_distance(hview, u, v, threshold) > threshold]
-        else:
-            rank = h.rank
-            passing = [
-                eid
-                for eid, (u, v) in zip(ids, ends)
-                if mask_distance(h.masks, rank[u], rank[v], threshold) > threshold
-            ]
+        passing = [eid for eid, (u, v) in zip(ids, ends) if hop_distance(hview, u, v, threshold) > threshold]
         for eid in passing:
             u, v = g.endpoints(eid)
             lu = cluster_level(hview, u, k)
             lv = cluster_level(hview, v, k)
             orientation[eid] = u if (lu, u) <= (lv, v) else v
         hview.add(passing)
-        if h is not None:
-            h.add(passing)
         rounds_added.append(tuple(passing))
         paths.extend(PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in passing)
     return _result(

@@ -147,9 +147,10 @@ def _check_masks(
     the vertices within the bound. The lowest failing bit is the smallest
     failing y, and the pairs checked are the checked bits up to and
     including it, as in a scan of the pairs by y. The distance of a
-    counterexample comes from one uncut dict search."""
+    counterexample comes from one uncut dict search. H's table is the one
+    its view keeps, when it keeps one."""
     gmasks = neighbor_masks(gview)
-    hmasks = neighbor_masks(hview)
+    hmasks = neighbor_masks(hview) if hview.masks is None else hview.masks
     big = len(sources)  # longer than any hop distance
     pairs = 0
     for i, x in enumerate(sources):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import random
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from spannerlab import Multigraph
+from spannerlab import Multigraph, graphs
 
 settings.register_profile(
     "default",
@@ -59,3 +61,15 @@ def seeded_gnp(n: int, p: float, seed: int, weighted: bool = False) -> Multigrap
             n, [(u, v, 1.0 - rng.random()) for u, v in pairs], weighted=True
         )
     return Multigraph(n, pairs)
+
+
+# graphs.MASK_RULE values that put every view built from an id subset on the
+# mask searches, or on the dict searches; only tests move the rule
+MASKS, DICTS = 2**64, -1
+
+
+@contextlib.contextmanager
+def mask_rule(rule):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "MASK_RULE", rule)
+        yield

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from conftest import seeded_gnp, small_graphs
+from conftest import DICTS, MASKS, mask_rule, seeded_gnp, small_graphs
 from spannerlab import (
     Multigraph,
     cluster_level,
@@ -19,7 +19,7 @@ from spannerlab import (
     matching_rounds,
     parallel_greedy_spanner,
 )
-from spannerlab import clustering, greedy
+from spannerlab import clustering, graphs, greedy
 from spannerlab.cli import MAX_K
 from spannerlab.clustering import ACCEPTED, REJECTED_CLOSE, REJECTED_CLUSTERED, least_ball_sizes
 from spannerlab.generators import complete_graph, gen_random, path_graph, star_graph
@@ -74,28 +74,41 @@ def test_cluster_level_tests_radii_past_the_last_layer():
 
 def test_cluster_searches_stop_at_the_first_thin_layer(monkeypatch):
     """On a host where every cluster level of the parallel greedy is 0, each
-    cluster search settles exactly the radius-1 ball and no more."""
+    cluster search settles exactly the radius-1 ball and no more: counted in
+    the mask layers ``graphs`` takes on the spanner's masks, and in the
+    ``bfs_layers`` it takes with the dict searches forced."""
     g = seeded_gnp(150, 0.08, 0)
     settled, balls, levels = [], [], []
-    real_layers, real_level = clustering.bfs_layers, greedy.cluster_level
+    real_level = greedy.cluster_level
 
-    def counted_layers(view, v, *args, **kwargs):
+    def recorded_level(view, v, k):
         balls.append(len(hop_distances(view, v, 1)))
-        settled.append(1)
-        for layer in real_layers(view, v, *args, **kwargs):
-            settled[-1] += len(layer)
-            yield layer
-
-    def recorded_level(*args):
-        levels.append(real_level(*args))
+        levels.append(real_level(view, v, k))
         return levels[-1]
 
-    monkeypatch.setattr(clustering, "bfs_layers", counted_layers)
+    def count_layers(name, size):
+        real = getattr(graphs, name)
+
+        def counted(*args, **kwargs):
+            settled.append(1)
+            for layer in real(*args, **kwargs):
+                settled[-1] += size(layer)
+                yield layer
+
+        monkeypatch.setattr(graphs, name, counted)
+
     monkeypatch.setattr(greedy, "cluster_level", recorded_level)
-    parallel_greedy_spanner(g, 2, matching_rounds(g))
-    assert levels and set(levels) == {0}
-    assert len(settled) == len(levels)
-    assert settled == balls
+    count_layers("_mask_layers", int.bit_count)
+    count_layers("bfs_layers", len)
+    results = []
+    for rule in (MASKS, DICTS):
+        del settled[:], balls[:], levels[:]
+        with mask_rule(rule):
+            results.append(parallel_greedy_spanner(g, 2, matching_rounds(g)))
+        assert levels and set(levels) == {0}
+        assert len(settled) == len(levels)
+        assert settled == balls
+    assert results[0] == results[1]
 
 
 def test_cluster_tests_reject_bad_parameters():
@@ -106,6 +119,8 @@ def test_cluster_tests_reject_bad_parameters():
         lambda: cluster_level(g.view(), 0, 0),
         lambda: cluster_level(g.view(), 4, 2),
         lambda: has_cluster(g.view(), -1, 0, 2),
+        lambda: cluster_level(g.view(range(g.m)), 4, 2),
+        lambda: has_cluster(g.view(range(g.m)), -1, 0, 2),
         lambda: greedy_clustering(g, 2, (), 0),
     ):
         with pytest.raises(ValueError):
@@ -166,6 +181,22 @@ def test_greedy_clustering_girth_exceeds_s_plus_one():
         kept = [(g.endpoints(e)) for e in trace.added]
         assert oracles.brute_girth(n, kept) > s + 1
         assert girth(g.view(frozenset(trace.added))) > s + 1
+
+
+def test_greedy_clustering_same_trace_on_masks_and_dicts():
+    # edge orders shuffled, so that far pairs and clustered rejections mix
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = seeded_gnp(rng.randrange(30, 70), rng.choice((0.1, 0.25)), seed + 200)
+        order = list(range(g.m))
+        rng.shuffle(order)
+        s, k = rng.choice((2, 3, 4)), rng.choice((2, 3))
+        traces = []
+        for rule in (MASKS, DICTS):
+            with mask_rule(rule):
+                traces.append(greedy_clustering(g, s, order, k))
+        assert traces[0] == traces[1]
+        assert {verdict for _, verdict in traces[0].decisions} >= {ACCEPTED, REJECTED_CLOSE}
 
 
 def test_greedy_clustering_size_bound():
@@ -263,6 +294,7 @@ def test_level_matches_a_per_radius_scan(g, k, radius, v):
             level = r - 1
             break
     assert clustering._level(g.view(), v, k, radius) == level
+    assert clustering._level(g.view(range(g.m)), v, k, radius) == level
 
 
 def test_parallel_greedy_at_the_k_cap_is_fast():

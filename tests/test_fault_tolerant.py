@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 import oracles
-from conftest import seeded_gnp
+from conftest import DICTS, MASKS, mask_rule, seeded_gnp
 from spannerlab import (
     BlockingRecord,
     BudgetExceededError,
@@ -156,6 +156,27 @@ def test_eft_f3_dense_multigraphs():
             fast, recf = eft_modified_greedy(g, k, f)
             assert verify_eft(g, fast, 2, 2 * k, f).passed
             assert verify_blocking_set(fast.paths, recf, 2 * k, 2 * k * f)
+
+
+def test_same_results_on_masks_and_dicts():
+    # the constructions grow their views under either rule, and
+    # verify_blocking_set runs its tests without faults on the union's masks;
+    # records with every witness blanked fail at some radii
+    outs = {}
+    for rule in (MASKS, DICTS):
+        out = outs[rule] = []
+        with mask_rule(rule):
+            for seed in range(4):
+                base = seeded_gnp(14, 0.35, 500 + seed)
+                g = Multigraph(base.n, [(e.u, e.v) for e in base.edges() for _ in range(1 + seed % 2)])
+                exact, rec = eft_greedy_exact(g, 2, 4, 1)
+                fast, recf = eft_modified_greedy(g, 2, 1)
+                out += [exact, rec, fast, recf]
+                for paths, record in ((exact.paths, rec), (fast.paths, recf)):
+                    blank = BlockingRecord(tuple(frozenset() for _ in record.fault_sets))
+                    out += [verify_blocking_set(paths, r, radius, 4) for r in (record, blank) for radius in range(6)]
+    assert outs[MASKS] == outs[DICTS]
+    assert True in outs[MASKS] and False in outs[MASKS]
 
 
 def test_eft_modified_witness_size_and_disjointness():

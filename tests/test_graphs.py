@@ -22,7 +22,7 @@ from spannerlab import (
     weighted_distances,
 )
 from spannerlab.generators import cycle_graph, gen_random, path_graph, petersen_graph
-from spannerlab.graphs import GrowingMasks, bfs_layers, layer_path, mask_distance, shortest_path, tree_path
+from spannerlab.graphs import bfs_layers, layer_path, layer_sizes, mask_distance, shortest_path, tree_path
 
 
 def test_multigraph_rejects_self_loops():
@@ -91,8 +91,9 @@ def test_hop_distance_petersen_far_pair():
 
 def test_hop_distance_invalid_vertex():
     g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        hop_distance(g.view(), 0, 9, 3)
+    for view in (g.view(), g.view(range(g.m))):
+        with pytest.raises(ValueError):
+            hop_distance(view, 0, 9, 3)
 
 
 def test_hop_distance_respects_cutoff():
@@ -110,13 +111,17 @@ def test_hop_distance_respects_cutoff():
         lambda view, x, y: hop_layers(neighbor_masks(view), x, -1),
         lambda view, x, y: mask_distance(neighbor_masks(view), x, y, -1),
         lambda view, x, y: bfs_layers(view, x, -1),
+        lambda view, x, y: layer_sizes(view, x, -1),
     ],
-    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers", "mask_distance", "bfs_layers"],
+    ids=["hop_distance", "hop_distances", "shortest_path", "hop_layers", "mask_distance", "bfs_layers", "layer_sizes"],
 )
 @pytest.mark.parametrize("y", [0, 2])
 def test_searches_reject_negative_cutoff(search, y):
-    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-        search(path_graph(3).view(), 0, y)
+    # on the host's adjacency and on a view that keeps masks
+    g = path_graph(3)
+    for view in (g.view(), g.view(range(g.m))):
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            search(view, 0, y)
 
 
 def test_weighted_distances_rejects_limit_below_one():
@@ -380,24 +385,35 @@ def test_hop_layers_match_oracle(g, data):
 
 @given(small_graphs(max_n=8, multigraph=True), st.data())
 def test_mask_kernels_match_oracle(g, data):
-    """Over a ``GrowingMasks`` grown edge by edge: ``mask_distance`` is the
-    Floyd-Warshall distance within its cutoff, and ``layer_path`` to every
-    rank of a last layer is the enumerated lex smallest shortest path."""
+    """Over a view grown edge by edge from ``g.view(set())``: after each
+    ``add`` its masks are its ``neighbor_masks``; ``hop_distance``, with and
+    without excluded edges, and ``mask_distance`` are the Floyd-Warshall
+    distance within the cutoff; and ``layer_path`` to every rank of a last
+    layer is the enumerated lex smallest shortest path."""
     verts = g.vertices_with_edges()
     assume(verts)
     kept = data.draw(st.none() | st.lists(st.integers(0, g.m - 1)))
     kept = range(g.m) if kept is None else kept
-    h = GrowingMasks(g, verts)
-    h.add(kept)
-    assert h.masks == neighbor_masks(g.view(kept))
+    view = g.view(set())
+    assert view.masks is not None and list(view.rank) == verts
+    for eid in kept:
+        view.add((eid,))
+        assert view.masks == neighbor_masks(view)
     edges = oracles.edges_of(g)
-    oracle = oracles.fw_hop(g.n, edges, excluded=set(range(g.m)) - set(kept))
+    absent = set(range(g.m)) - set(kept)
+    faults = data.draw(st.sets(st.integers(0, g.m - 1)))
+    oracle = oracles.fw_hop(g.n, edges, excluded=absent)
+    cut = oracles.fw_hop(g.n, edges, excluded=absent | faults)
     cutoff = data.draw(st.integers(0, g.n))
+    for x in range(g.n):
+        for y in range(g.n):
+            assert hop_distance(view, x, y, cutoff) == (oracle[x][y] if oracle[x][y] <= cutoff else INF)
+            assert hop_distance(view, x, y, cutoff, excluded=faults) == (cut[x][y] if cut[x][y] <= cutoff else INF)
     for i, x in enumerate(verts):
         for j, y in enumerate(verts):
             d = oracle[x][y]
-            assert mask_distance(h.masks, i, j, cutoff) == (d if d <= cutoff else INF)
-        layers = hop_layers(h.masks, i, cutoff)
+            assert mask_distance(view.masks, i, j, cutoff) == (d if d <= cutoff else INF)
+        layers = hop_layers(view.masks, i, cutoff)
         last = layers[-1]
         while last:
             t = (last & -last).bit_length() - 1
@@ -407,7 +423,7 @@ def test_mask_kernels_match_oracle(g, data):
             for eid in eids:
                 u, v = edges[eid]
                 path.append(v if u == path[-1] else u)
-            assert [verts[r] for r in layer_path(h.masks, layers, t)] == path
+            assert [verts[r] for r in layer_path(view.masks, layers, t)] == path
 
 
 def test_isolated_vertices_cost_no_adjacency_list():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import random
 import tracemalloc
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import seeded_gnp, small_graphs
+from conftest import DICTS, MASKS, mask_rule, seeded_gnp, small_graphs
 from spannerlab import (
     Multigraph,
     PathCollection,
@@ -33,18 +32,6 @@ from spannerlab import greedy
 from spannerlab import graphs
 from spannerlab.graphs import bfs_layers, tree_path, weighted_dist
 from spannerlab.greedy import sqrt_k_stretch
-
-# graphs.MASK_RULE values that put every host with an edge on the mask
-# searches, or on the dict searches; only tests move the rule
-MASKS, DICTS = 2**64, -1
-
-
-@contextlib.contextmanager
-def mask_rule(rule):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "MASK_RULE", rule)
-        yield
-
 
 def spanner_ok(g, result, d, r):
     """Independent check: every host pair at distance d ends within r."""
@@ -267,7 +254,7 @@ def test_greedy_dr_one_ball_per_source(monkeypatch, n, p):
 
     log = counted_calls(monkeypatch, greedy, names)
     result = greedy_dr_spanner(g, 2, 4)
-    assert graphs.growing_masks(g) is not None
+    assert g.view(set()).masks is not None
     assert {name for name, _ in log} <= {"hop_layers", "mask_distance"}
     host = log[0][1][0]
     layers = [args for name, args in log if name == "hop_layers"]
@@ -372,6 +359,31 @@ def test_kept_two_paths_have_a_distant_half(seed):
         _assert_distant_halves(clique.graph.n, greedy_path_collection_spanner(clique.paths, r).paths, r)
 
 
+def test_path_collection_same_on_masks_and_dicts():
+    colls = [gen_big_clique(t).paths for t in (3, 5, 7)]
+    for seed in range(3):
+        g = seeded_gnp(30, 0.2, seed + 40)
+        two_paths = [
+            PathSeq.from_graph(g, (x, mid, y))
+            for x in range(g.n)
+            for mid in sorted({u for u, _ in g.adj(x)})
+            for y in sorted({u for u, _ in g.adj(mid)})
+            if y > x
+        ]
+        random.Random(seed).shuffle(two_paths)
+        colls.append(PathCollection(g.n, tuple(two_paths)))
+    dropped = 0
+    for coll in colls:
+        for r in (2, 3, 5):
+            got = []
+            for rule in (MASKS, DICTS):
+                with mask_rule(rule):
+                    got.append(greedy_path_collection_spanner(coll, r))
+            assert got[0] == got[1]
+            dropped += len(coll.paths) - len(got[0].paths)
+    assert dropped
+
+
 def test_parallel_greedy_hypercube_adds_everything():
     bundle = gen_hypercube(3)
     result = parallel_greedy_spanner(bundle.graph, 3, bundle.matchings)
@@ -460,25 +472,29 @@ def test_parallel_greedy_matches_replay_on_midsize_hosts(host):
 def test_mask_rule_boundary(monkeypatch):
     """256 disjoint edges on 512 vertices sit at N * N == 1024 * m and run
     on masks; one more edge to a new vertex puts 513**2 one past 1024 * 257,
-    and no mask table is built: ``growing_masks``, the only maker of the
-    spanner's table, gives None, and the host's is never taken."""
+    and no mask table is built: a view of the spanner keeps none, and the
+    host's is never taken. The parallel greedy calls ``hop_distance`` and
+    ``cluster_level`` either way, so its kernels are counted in ``graphs``."""
     at = Multigraph(513, [(2 * i, 2 * i + 1) for i in range(256)])
     past = Multigraph(513, [(2 * i, 2 * i + 1) for i in range(256)] + [(511, 512)])
     assert graphs.MASK_RULE == 1024
     assert len(at.vertices_with_edges()) ** 2 == 1024 * at.m
     assert len(past.vertices_with_edges()) ** 2 == 1024 * past.m + 1
-    assert graphs.growing_masks(at) is not None and graphs.growing_masks(past) is None
+    assert at.view(set()).masks is not None and past.view(set()).masks is None
     names = ("neighbor_masks", "hop_layers", "mask_distance", "bfs_layers", "hop_distances", "hop_distance")
     log = counted_calls(monkeypatch, greedy, names)
-    for g, kernels in (
-        (at, {"neighbor_masks", "hop_layers", "mask_distance"}),
-        (past, {"bfs_layers", "hop_distances", "hop_distance"}),
+    graph_log = counted_calls(monkeypatch, graphs, ("mask_distance", "_mask_layers", "_grow", "bfs_layers"))
+    for g, kernels, graph_kernels in (
+        (at, {"neighbor_masks", "hop_layers"}, {"mask_distance", "_mask_layers"}),
+        (past, {"bfs_layers", "hop_distances"}, {"_grow", "bfs_layers"}),
     ):
         log.clear()
         dr = greedy_dr_spanner(g, 2, 2)
         assert [p.vertices for p in dr.paths] == ([(510, 511, 512)] if g is past else [])
-        assert parallel_greedy_spanner(g, 2, matching_rounds(g)).edges == tuple(range(g.m))
         assert {name for name, _ in log} == kernels
+        graph_log.clear()
+        assert parallel_greedy_spanner(g, 2, matching_rounds(g)).edges == tuple(range(g.m))
+        assert {name for name, _ in graph_log} == graph_kernels
 
 
 def test_matching_rounds_recovers_hypercube_dimensions():

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 
 
 @pytest.mark.parametrize(
-    "argv", [["adversarial_demo.py"], ["size_trends.py", "--quick"]]
+    "argv",
+    [["adversarial_demo.py"], ["size_trends.py", "--quick"], ["ab_constructions.py", str(REPO), str(REPO), "--quick"]],
 )
 def test_script_runs_cleanly(argv):
     proc = subprocess.run(

@@ -162,3 +162,27 @@ def test_oracles_and_constructions_are_layered():
     assert imports["verify"] <= {"graphs"}
     users = ("clustering", "greedy", "weighted", "fault_tolerant", "generators")
     assert [name for name in users if "verify" in imports[name]] == []
+
+
+def _rule_refs(tree: ast.AST) -> list[str]:
+    """Sites that name ``MASK_RULE``, bare or as an attribute."""
+    return sorted(
+        f"{node.lineno} MASK_RULE"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MASK_RULE")
+        or (isinstance(node, ast.Attribute) and node.attr == "MASK_RULE")
+    )
+
+
+def test_only_graphs_names_the_mask_rule():
+    # a view decides once, when it is built, whether it keeps masks; a
+    # caller that tests the rule itself is a second decision that can drift
+    sample = "from .graphs import MASK_RULE\nx = MASK_RULE\ny = graphs.MASK_RULE\nz = 'MASK_RULE'\n"
+    assert _rule_refs(ast.parse(sample)) == ["2 MASK_RULE", "3 MASK_RULE"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "graphs":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{site}" for site in _rule_refs(tree)]
+    assert found == []

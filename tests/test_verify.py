@@ -242,16 +242,17 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     for name in counts:
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
     # f = 0 builds no trees and runs no dict search: one layer search from
-    # each of the 20 sources in G, and one in H from the 17 with a pair
+    # each of the 20 sources in G, and one in H from the 17 with a pair; H's
+    # table is the one its view keeps, so only G's is built
     assert verify_dr(g, h, 2, 4) == verify.VerificationReport(True, None, 107, 1)
-    assert counts == {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 2, "hop_layers": 37}
+    assert counts == {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 1, "hop_layers": 37}
     # 5,291 searches without the skip; the report is the same, and f = 1
     # keeps the dict searches
     assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
     assert counts["hop_distances"] == 990
     # one G tree and one H tree per source of the fault-free pass
     assert counts["tree_edges"] == 2 * 20
-    assert (counts["neighbor_masks"], counts["hop_layers"]) == (2, 37)
+    assert (counts["neighbor_masks"], counts["hop_layers"]) == (1, 37)
 
 
 def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import pytest
 
 import oracles
-from conftest import seeded_gnp
+from conftest import DICTS, MASKS, mask_rule, seeded_gnp
 from spannerlab import (
     INF,
     BudgetExceededError,
@@ -92,6 +92,18 @@ def test_unit_weight_host_without_weighted_flag():
     result = build_weighted_spanner(g, 2)
     report = verify_weighted_bound(g, result, 2, max_hops=4, sample=100)
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_same_spanner_on_masks_and_dicts(seed):
+    # the benchmark's weighted host: phases 2 and 4 run their hop and
+    # cluster tests on the growing views' masks unless the dicts are forced
+    g = gen_random(90, 0.1685, seed, True).graph
+    reprs = []
+    for rule in (MASKS, DICTS):
+        with mask_rule(rule):
+            reprs.append(repr(build_weighted_spanner(g, 3)))
+    assert reprs[0] == reprs[1]
 
 
 def test_phase_sets_disjoint_and_cover():
