@@ -4,7 +4,7 @@ Every construction in this package works on subgraphs of a fixed host graph,
 identified by edge-id subsets. The host graph is immutable. A subgraph view
 owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
-``SubgraphView.add``. Four loops do all the searching over a view's edges:
+``SubgraphView.add``. Five loops do all the searching over a view's edges:
 
 - ``_grow`` takes one BFS layer and records a mark per vertex reached: the
   depth for ``hop_distances``, ball membership for ``hop_distance``;
@@ -14,6 +14,9 @@ so a spanner under construction is one view that grows through
   search over int bitmasks: ``hop_layers`` and ``layer_sizes`` over
   ``neighbor_masks``, the bidirectional ``mask_distance`` and the lex-first
   ``layer_path``;
+- ``block_layers`` steps the BFS of a block of source ranks at once over
+  ``rank_neighbors``: entry v of its layer table holds the sources whose
+  layer holds rank v, and a step ORs the entries of v's neighbors;
 - ``weighted_distances`` is the Dijkstra.
 
 A view built from an id subset on a host within ``MASK_RULE`` also keeps
@@ -30,8 +33,10 @@ import math
 from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import count
+from operator import or_, xor
 from typing import Collection, Iterable, Iterator
 
 INF = math.inf
@@ -53,6 +58,9 @@ __all__ = [
     "MASK_RULE",
     "neighbor_masks",
     "hop_layers",
+    "SOURCE_BLOCK",
+    "rank_neighbors",
+    "block_layers",
     "mask_distance",
     "layer_path",
     "shortest_path",
@@ -202,6 +210,14 @@ class Multigraph:
 # bytes per host edge. Past it the dict searches run: they are the only ones
 # that fit in memory on a large sparse host.
 MASK_RULE = 1024
+
+# verify's fault-free pass runs block_layers on this many sources at once.
+# It holds four tables (a layer and a ball per side) of an int of up to
+# SOURCE_BLOCK bits per rank, 72 bytes an entry at 256. A star on 6,000
+# vertices then peaks at 3.9 MB, under N**2 / 8
+# (test_mask_pass_memory_is_linear_in_vertices_with_edges); at 512 it peaks
+# at 5.5 MB, past N**2 / 8, and at 128 at the same 3.9 MB in twice the steps.
+SOURCE_BLOCK = 256
 
 
 class SubgraphView:
@@ -577,6 +593,49 @@ def _mask_layers(masks: list[int], source: int, cutoff: int) -> Iterator[int]:
             return
         seen |= frontier
         yield frontier
+
+
+def rank_neighbors(g: Multigraph, included: Collection[int] | None = None) -> list[tuple[int, ...]]:
+    """Neighbor ranks over the edge ids ``included`` of g, or over all of
+    them when it is None: entry i holds, ascending and once each, the ranks
+    joined to rank i, the i-th vertex of ``g.vertices_with_edges()``. It is
+    read off the host's adjacency with no view built, so it costs one slot
+    per kept edge end."""
+    verts = g.vertices_with_edges()
+    get = {v: i for i, v in enumerate(verts)}.__getitem__
+    adj = g._adj
+    if included is None:
+        return [tuple(map(get, dict(adj[v]))) for v in verts]
+    return [tuple(map(get, dict.fromkeys(u for u, eid in adj[v] if eid in included))) for v in verts]
+
+
+def block_layers(nbrs: list[tuple[int, ...]], first: int, count: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Breadth-first layers of the source ranks first, ..., first + count - 1
+    at once over ``rank_neighbors`` (multi-source BFS: Then et al., *The
+    More the Merrier*, PVLDB 2014). Bit s of entry v of the hop-t layer
+    table is set when rank v is exactly t hops from rank first + s, and of
+    the ball table when it is at most t hops away. Yields (layer, ball) for
+    t = 0, 1, ... up to the last nonempty layer, each step taken when the
+    consumer asks for it; a yielded table is never changed. A step costs
+    one OR per adjacency entry: entry v of the next layer is the union of
+    its neighbors' entries, minus v's ball. A rank whose ball already holds
+    the whole block can gain nothing, so it is not stepped: on a host of
+    long diameter most ranks are full long before the last layer."""
+    layer = [0] * len(nbrs)
+    for s in range(count):
+        layer[first + s] = 1 << s
+    ball = layer
+    full = (1 << count) - 1
+    while True:
+        yield layer, ball
+        get = layer.__getitem__
+        # v's ball with its neighbors' layer entries ORed in, then v's old
+        # ball cleared from it
+        seen = [own if own == full else reduce(or_, map(get, near), own) for near, own in zip(nbrs, ball)]
+        layer = list(map(xor, seen, ball))
+        if not any(layer):
+            return
+        ball = seen
 
 
 def mask_distance(masks: list[int], i: int, j: int, cutoff: int) -> float:

@@ -17,16 +17,19 @@ from one more, uncut search, so it is exact.
 
 With no fault set (f = 0) and hop distances (``verify dr``, ``verify eft
 -f 0``, unweighted ``verify alpha-beta``, and any hop check on a weighted
-host) the searches are bit-parallel: ``graphs.neighbor_masks`` numbers the
-vertices with an edge by rank, and ``graphs.hop_layers`` gives a source's
-BFS layers as ints. A check is "layer d of x in G, above x, minus the H-ball
-of radius floor(bound(d))". The two mask tables take at most N**2 / 4 bytes
-for the N vertices with an edge, and ``check_budget`` already caps
-N(N - 1)/2 at the budget, so they stay under about budget / 2 bytes (25 MB
-at the default 5 * 10**7); no size switch is needed. The other runs keep
-the dict searches: with f >= 1 the skip below needs parent edge ids, and a
-mask forgets which parallel edges survive a fault set; a weighted
-``alpha-beta`` measures weights, not hops.
+host) the searches are bit-parallel across sources: ``graphs.block_layers``
+runs the BFS of ``SOURCE_BLOCK`` sources at once over the neighbor ranks of
+the N vertices with an edge (``graphs.rank_neighbors``), and entry y of its
+tables holds the block's sources whose layer or ball holds y. A check is
+"the G-layer d entry of y, from sources ranked below y, minus the H-ball
+entry of y at radius floor(bound(d))". Each side holds one layer and one
+ball table of N ints of SOURCE_BLOCK bits, so the pass takes
+O(m + N * SOURCE_BLOCK) memory: about 300 bytes per vertex for the four
+tables at 256, next to the neighbor tables and the candidate's edge ids; no
+size switch is needed. The other runs keep the dict searches: with f >= 1
+the skip below needs parent edge ids, and a mask forgets which parallel
+edges survive a fault set; a weighted ``alpha-beta`` measures weights, not
+hops.
 
 When f >= 1, most (F, x) need no search at all. From the fault-free
 searches of x the oracle keeps one tight parent edge per reached vertex on
@@ -44,21 +47,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import accumulate, chain, combinations
+from functools import cache, partial, reduce
+from itertools import chain, combinations, islice
 from math import comb
-from operator import or_
+from operator import and_, invert, or_
 from typing import Iterable
 
 from .graphs import (
     INF,
+    SOURCE_BLOCK,
     BudgetExceededError,
     Multigraph,
     PathSeq,
     SubgraphView,
+    block_layers,
     hop_distances,
-    hop_layers,
-    neighbor_masks,
+    rank_neighbors,
     tree_edges,
     two_paths,
     weighted_distances,
@@ -137,47 +141,72 @@ def _fault_sets(m: int, f: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(combinations(range(m), size) for size in range(f + 1))
 
 
-def _check_masks(
-    gview: SubgraphView, hview: SubgraphView, sources: list[int], reach, bound_of
-) -> VerificationReport:
-    """The fault-free hop pass of ``_check_pairs`` over ``neighbor_masks``,
-    where bit i stands for ``sources[i]``. For a source of rank i, each
-    G-layer d masked to ranks above i is checked against the H-ball of
-    radius floor(bound): hop counts are integers, so that ball holds exactly
-    the vertices within the bound. The lowest failing bit is the smallest
-    failing y, and the pairs checked are the checked bits up to and
-    including it, as in a scan of the pairs by y. The distance of a
-    counterexample comes from one uncut dict search. H's table is the one
-    its view keeps, when it keeps one."""
-    gmasks = neighbor_masks(gview)
-    hmasks = neighbor_masks(hview) if hview.masks is None else hview.masks
-    big = len(sources)  # longer than any hop distance
+def _pair_bits(layer: list[int], first: int, below: list[int]):
+    """Entry j: the sources in the layer entry of rank first + 1 + j that
+    ``below[j]`` keeps."""
+    return map(and_, islice(layer, first + 1, None), below)
+
+
+def _checked_layers(nbrs, first: int, count: int, below: list[int], reach, bound_of):
+    """(bound, G-layer table) of each hop d up to ``reach`` at which a source
+    of the block of ``count`` ranks from ``first`` has a pair that ``below``
+    keeps and ``bound_of(d)`` is not None."""
+    layers = islice(block_layers(nbrs, first, count), 1, None if reach is None else reach + 1)
+    for d, (layer, _) in enumerate(layers, 1):
+        if any(_pair_bits(layer, first, below)) and (bound := bound_of(d)) is not None:
+            yield bound, layer
+
+
+def _check_masks(g: Multigraph, ids: frozenset[int], sources: list[int], reach, bound_of) -> VerificationReport:
+    """The fault-free hop pass of ``_check_pairs``: ``block_layers`` over the
+    ``rank_neighbors`` of G and of H, where rank i stands for ``sources[i]``,
+    one block of ``SOURCE_BLOCK`` source ranks at a time. At hop d the
+    pairs of the block are, per rank y, the G-layer entry of y masked to the
+    sources ranked below y, and a pair fails when its source is not in y's
+    entry of the H-ball of radius floor(bound(d)): hop counts are integers,
+    so that ball holds exactly the vertices within the bound. Both callers'
+    bounds are nondecreasing in d, so H only steps forward, and each side
+    holds only its current layer and ball. The lowest failing source is
+    reported with its smallest failing y. Its block's G side then runs again
+    to count the pairs a scan by x, then y, checks up to it: those of the
+    sources before it, and its own up to y. The distance of a counterexample
+    comes from one uncut dict search."""
+    gnbrs, hnbrs = rank_neighbors(g), rank_neighbors(g, ids)
+    n = len(sources)  # longer than any hop distance
     pairs = 0
-    for i, x in enumerate(sources):
-        above = -1 << (i + 1)
-        checks = []
-        checked = 0
-        for d, layer in enumerate(hop_layers(gmasks, i, big if reach is None else reach)):
-            layer &= above
-            bound = bound_of(d) if layer else None
-            if bound is not None:
-                # bounds are >= 0, so int() is the floor
-                checks.append((layer, bound, int(min(bound, big))))
-                checked |= layer
-        if not checks:
+    for first in range(0, n, SOURCE_BLOCK):
+        count = min(SOURCE_BLOCK, n - first)
+        # entry j is for rank first + 1 + j: the block's sources ranked below
+        # it, all of them past the block (one shared int)
+        below = [(1 << i) - 1 for i in range(1, count)] + [(1 << count) - 1] * (n - first - count)
+        hballs = (ball for _, ball in block_layers(hnbrs, first, count))
+        hball, hop = next(hballs), 0
+        found = 0
+        worst = None  # (source bit, j, bound) of the lowest failing pair
+        for bound, layer in _checked_layers(gnbrs, first, count, below, reach, bound_of):
+            # bounds are >= 0, so int() is the floor
+            radius = int(min(bound, n))
+            while hop < radius and (ball := next(hballs, None)) is not None:
+                hball, hop = ball, hop + 1
+            found += sum(map(int.bit_count, _pair_bits(layer, first, below)))
+            miss = list(map(and_, _pair_bits(layer, first, below), map(invert, islice(hball, first + 1, None))))
+            low = reduce(or_, miss, 0)
+            if low:
+                low &= -low
+                j = next(j for j, bits in enumerate(miss) if bits & low)
+                if worst is None or (low, j) < worst[:2]:
+                    worst = (low, j, bound)
+        if worst is None:
+            pairs += found
             continue
-        balls = list(accumulate(hop_layers(hmasks, i, max(r for _, _, r in checks)), or_))
-        failed = 0
-        for layer, _, radius in checks:
-            failed |= layer & ~balls[min(radius, len(balls) - 1)]
-        if failed:
-            low = failed & -failed
-            y = sources[low.bit_length() - 1]
-            bound = next(b for layer, b, _ in checks if layer & low)
-            pairs += (checked & ((low << 1) - 1)).bit_count()
-            actual = hop_distances(hview, x, gview.host.n).get(y, INF)
-            return VerificationReport(False, Counterexample(x, y, (), actual, bound), pairs, 1)
-        pairs += checked.bit_count()
+        low, j, bound = worst
+        # the pairs of the sources before the failing one, and its own up to y
+        kept = [bits & ((low << 1) - 1 if i <= j else low - 1) for i, bits in enumerate(below)]
+        for _, layer in _checked_layers(gnbrs, first, count, kept, reach, bound_of):
+            pairs += sum(map(int.bit_count, _pair_bits(layer, first, kept)))
+        x, y = sources[first + low.bit_length() - 1], sources[first + 1 + j]
+        actual = hop_distances(g.view(ids), x, g.n).get(y, INF)
+        return VerificationReport(False, Counterexample(x, y, (), actual, bound), pairs, 1)
     return VerificationReport(True, None, pairs, 1)
 
 
@@ -187,8 +216,8 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     H - F, unless that is None. Distances are hops within ``reach`` when it is
     given, else weights on a weighted host and hops on an unweighted one.
 
-    With f = 0 and hop distances the pass runs on bitmasks (``_check_masks``);
-    the N**2 / 4 bytes of its two tables are bounded by the budget check.
+    With f = 0 and hop distances the pass runs on source blocks
+    (``_check_masks``), in O(m + N * SOURCE_BLOCK) memory.
     With f >= 1 it keeps dict searches, because the skip below needs
     parent edge ids and a mask cannot say which parallel edges a fault set
     leaves; a weighted run keeps them because its distances are weights.
@@ -203,8 +232,6 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     and their count stay the same.
     """
     ids = as_edge_ids(g, h)
-    hview = g.view(ids)
-    gview = g.view()
     n, m = g.n, g.m
     f = min(f, m)
     # an isolated vertex is in no pair, so only vertices with an edge are
@@ -214,7 +241,9 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     check_budget(n_fault_sets * comb(len(sources), 2), budget)
     hops = reach is not None or not g.weighted
     if f == 0 and hops:
-        return _check_masks(gview, hview, sources, reach, bound_of)
+        return _check_masks(g, ids, sources, reach, bound_of)
+    hview = g.view(ids)
+    gview = g.view()
     # a cut of None searches the whole graph
     if not hops:
 

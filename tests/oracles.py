@@ -31,12 +31,15 @@ def fw_hop(n: int, edge_list, excluded=frozenset()):
             dist[u][v] = dist[v][u] = 1
     for mid in range(n):
         dm = dist[mid]
+        # an unreached j improves nothing, so a host of small components
+        # costs n**2 and not n**3
+        near = [j for j in range(n) if dm[j] != INF]
         for i in range(n):
             dim = dist[i][mid]
             if dim == INF:
                 continue
             di = dist[i]
-            for j in range(n):
+            for j in near:
                 alt = dim + dm[j]
                 if alt < di[j]:
                     di[j] = alt
@@ -73,7 +76,8 @@ def first_violation(n: int, edge_list, kept, f: int, bound_of, weighted: bool = 
     Fault sets are every set of at most f edge ids, by size then lex order.
     For each, every pair x < y connected in G - F with ``bound_of(dist_{G-F})``
     not None is checked against its distance in H - F, where H keeps the
-    ``kept`` edge ids. Distances are hops on lists of ``(u, v)`` and weights
+    ``kept`` edge ids; a pair unreached in H - F fails, also against a bound
+    that overflows to inf. Distances are hops on lists of ``(u, v)`` and weights
     on ``(u, v, w)`` lists when ``weighted``. Returns ``(violation, pairs,
     fault_sets, closest)``: violation is ``(x, y, faults, distance, bound)``
     or None, the counts stop at the violation, and closest is the smallest
@@ -99,7 +103,9 @@ def first_violation(n: int, edge_list, kept, f: int, bound_of, weighted: bool = 
                     pairs += 1
                     if dh[x][y] != INF:
                         closest = min(closest, abs(dh[x][y] - bound))
-                    if dh[x][y] > bound:
+                    # an unreached y fails, also against a bound that
+                    # overflows to inf
+                    if dh[x][y] > bound or dh[x][y] == INF:
                         return (x, y, faults, dh[x][y], bound), pairs, fault_sets, closest
     return None, pairs, fault_sets, closest
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +23,17 @@ from spannerlab import (
     weighted_distances,
 )
 from spannerlab.generators import cycle_graph, gen_random, path_graph, petersen_graph
-from spannerlab.graphs import bfs_layers, layer_path, layer_sizes, mask_distance, shortest_path, tree_path
+from spannerlab.graphs import (
+    SOURCE_BLOCK,
+    bfs_layers,
+    block_layers,
+    layer_path,
+    layer_sizes,
+    mask_distance,
+    rank_neighbors,
+    shortest_path,
+    tree_path,
+)
 
 
 def test_multigraph_rejects_self_loops():
@@ -381,6 +392,55 @@ def test_hop_layers_match_oracle(g, data):
     while len(expected) > 1 and not expected[-1]:
         expected.pop()
     assert layers == expected
+
+
+def _assert_block_tables(g, kept, first, count):
+    """Each (layer, ball) table ``block_layers`` yields at hop t is, bit for
+    bit, the hop-t ``hop_layers`` of every source rank of the block (bit s
+    for rank first + s) and their union up to t, and the tables stop at the
+    last nonempty layer of any of them."""
+    masks = neighbor_masks(g.view(kept))
+    nbrs = rank_neighbors(g, kept)
+    assert nbrs == [tuple(j for j in range(len(masks)) if mask >> j & 1) for mask in masks]
+    expected = []
+    for s in range(count):
+        for t, layer in enumerate(hop_layers(masks, first + s, len(masks))):
+            if t == len(expected):
+                expected.append([0] * len(masks))
+            while layer:
+                v = (layer & -layer).bit_length() - 1
+                expected[t][v] |= 1 << s
+                layer ^= 1 << v
+    # one table past the last expected shows a search that does not stop
+    tables = list(islice(block_layers(nbrs, first, count), len(expected) + 1))
+    assert [layer for layer, _ in tables] == expected
+    ball = [0] * len(masks)
+    for t, (_, got) in enumerate(tables):
+        ball = [a | b for a, b in zip(ball, expected[t])]
+        assert got == ball
+
+
+@given(st.booleans().flatmap(lambda multi: small_graphs(max_n=8, multigraph=multi)), st.data())
+def test_block_layers_match_hop_layers(g, data):
+    n_ranks = len(g.vertices_with_edges())
+    assume(n_ranks)
+    kept = data.draw(st.none() | st.sets(st.integers(0, g.m - 1)))
+    first = data.draw(st.integers(0, n_ranks - 1))
+    _assert_block_tables(g, kept, first, data.draw(st.integers(1, n_ranks - first)))
+
+
+def test_block_layers_match_hop_layers_over_two_blocks():
+    # more ranks than a block, on ids spread under a larger header: a path
+    # with chords and a few doubled edges, of which 80% are kept
+    rng = random.Random(3)
+    n_ranks = SOURCE_BLOCK + 44
+    ids = sorted(rng.sample(range(5_000), n_ranks))
+    pairs = [(u, u + 1) for u in range(n_ranks - 1)] + [tuple(rng.sample(range(n_ranks), 2)) for _ in range(60)]
+    pairs += rng.sample(pairs, 30)
+    g = Multigraph(5_000, [(ids[u], ids[v]) for u, v in pairs])
+    kept = {e for e in range(g.m) if rng.random() < 0.8}
+    for first in range(0, n_ranks, SOURCE_BLOCK):
+        _assert_block_tables(g, kept, first, min(SOURCE_BLOCK, n_ranks - first))
 
 
 @given(small_graphs(max_n=8, multigraph=True), st.data())

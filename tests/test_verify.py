@@ -25,6 +25,7 @@ from spannerlab import (
     verify_weighted_bound,
 )
 from spannerlab import verify
+from spannerlab.graphs import SOURCE_BLOCK
 from spannerlab.generators import complete_graph, cycle_graph, gen_eft_lower_bound, gen_random, path_graph
 
 
@@ -231,7 +232,7 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     simple = gen_random(20, 0.4, 0).graph
     g = Multigraph(simple.n, [(e.u, e.v) for e in simple.edges() for _ in range(2)])
     h, _ = eft_greedy_exact(g, 2, 4, 2)
-    counts = {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 0, "hop_layers": 0}
+    counts = {"hop_distances": 0, "tree_edges": 0, "rank_neighbors": 0, "block_layers": 0, "tables": 0}
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -239,20 +240,27 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    for name in counts:
+    def counting_tables(*args, real=verify.block_layers):
+        counts["block_layers"] += 1
+        for tables in real(*args):
+            counts["tables"] += 1
+            yield tables
+
+    for name in ("hop_distances", "tree_edges", "rank_neighbors"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
-    # f = 0 builds no trees and runs no dict search: one layer search from
-    # each of the 20 sources in G, and one in H from the 17 with a pair; H's
-    # table is the one its view keeps, so only G's is built
+    monkeypatch.setattr(verify, "block_layers", counting_tables)
+    # f = 0 builds no trees and runs no dict search: one block of the 20
+    # source ranks on each side, G's tables taken to hop 2 and H's to
+    # radius 4 (3 + 5 tables, 6 steps)
     assert verify_dr(g, h, 2, 4) == verify.VerificationReport(True, None, 107, 1)
-    assert counts == {"hop_distances": 0, "tree_edges": 0, "neighbor_masks": 1, "hop_layers": 37}
+    assert counts == {"hop_distances": 0, "tree_edges": 0, "rank_neighbors": 2, "block_layers": 2, "tables": 8}
     # 5,291 searches without the skip; the report is the same, and f = 1
     # keeps the dict searches
     assert verify_eft(g, h, 2, 4, 1) == verify.VerificationReport(True, None, 15301, 143)
     assert counts["hop_distances"] == 990
     # one G tree and one H tree per source of the fault-free pass
     assert counts["tree_edges"] == 2 * 20
-    assert (counts["neighbor_masks"], counts["hop_layers"]) == (1, 37)
+    assert (counts["rank_neighbors"], counts["block_layers"], counts["tables"]) == (2, 2, 8)
 
 
 def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():
@@ -265,15 +273,18 @@ def test_verify_skip_keeps_tree_acyclic_under_absorbed_weights():
     _matches(verify_alpha_beta(g, range(g.m), 1, 0, 2), expected)
 
 
-def _spread_host(n_edged, p, seed, header, weighted=False, doubled=False):
+def _spread_host(n_edged, p, seed, header, weighted=False, doubled=False, piece=None):
     """A seeded G(n_edged, p) plus a path through all its vertices, placed on
     ascending random ids under a larger header, so isolated vertices sit
-    between the ones with an edge. Returns the host and its compact form
-    (vertex ids replaced by their ranks) as the oracle's edge list."""
+    between the ones with an edge. With ``piece``, edges join only vertices
+    in the same run of ``piece`` consecutive ones, so the host falls apart
+    into components. Returns the host and its compact form (vertex ids
+    replaced by their ranks) as the oracle's edge list."""
+    piece = piece or n_edged
     rng = random.Random(seed)
     ids = sorted(rng.sample(range(header), n_edged))
-    pairs = {(u, v) for u in range(n_edged) for v in range(u + 1, n_edged) if rng.random() < p}
-    pairs |= {(u, u + 1) for u in range(n_edged - 1)}
+    pairs = {(u, v) for u in range(n_edged) for v in range(u + 1, n_edged) if u // piece == v // piece and rng.random() < p}
+    pairs |= {(u, u + 1) for u in range(n_edged - 1) if (u + 1) % piece}
     compact = sorted(pairs) + (sorted(rng.sample(sorted(pairs), len(pairs) // 4)) if doubled else [])
     edges = [(ids[u], ids[v], 1.0 - rng.random() if weighted else 1.0) for u, v in compact]
     g = Multigraph(header, edges, weighted=weighted)
@@ -282,26 +293,52 @@ def _spread_host(n_edged, p, seed, header, weighted=False, doubled=False):
 
 
 @pytest.mark.parametrize(
-    "seed, n_edged, p, header, weighted, doubled",
-    [(11, 70, 0.07, 5_000, False, False), (12, 80, 0.12, 100_000, False, True), (13, 72, 0.06, 2**20, True, False)],
+    "seed, n_edged, p, header, weighted, doubled, piece",
+    [
+        (11, 70, 0.07, 5_000, False, False, None),
+        (12, 80, 0.12, 100_000, False, True, None),
+        (13, 72, 0.06, 2**20, True, False, None),
+        # more ranks than a block, in components of 10 so that the oracle's
+        # Floyd-Warshall stays cheap; the one of ranks 250-259 spans the edge
+        (14, SOURCE_BLOCK + 44, 0.3, 50_000, False, True, 10),
+    ],
+    ids=[
+        "11-70-0.07-5000-False-False",
+        "12-80-0.12-100000-False-True",
+        "13-72-0.06-1048576-True-False",
+        "14-300-0.3-50000-False-True-10",
+    ],
 )
-def test_mask_pass_matches_oracle_on_midsize_hosts(seed, n_edged, p, header, weighted, doubled):
+def test_mask_pass_matches_oracle_on_midsize_hosts(seed, n_edged, p, header, weighted, doubled, piece):
     # the hypothesis tests stop at 7 vertices, so their masks fit in a byte;
     # here masks span more than 64 ranks, and a rank is not a vertex id
-    g, compact = _spread_host(n_edged, p, seed, header, weighted, doubled)
+    g, compact = _spread_host(n_edged, p, seed, header, weighted, doubled, piece)
     ids = g.vertices_with_edges()
     rng = random.Random(seed)
     plain = Multigraph(g.n, [(e.u, e.v) for e in g.edges()])  # same edge ids
-    candidates = [range(g.m), greedy_dr_spanner(plain, 2, 4).edge_set, {e for e in range(g.m) if rng.random() < 0.6}]
+    # the last drops about a third of the edges among the upper ranks, so
+    # every failure lies there: on the host of components, in those past
+    # the block edge, so the first failure is in the second block
+    upper = -(-SOURCE_BLOCK // piece) * piece if piece else n_edged // 2
+    candidates = [
+        range(g.m),
+        greedy_dr_spanner(plain, 2, 4).edge_set,
+        {e for e in range(g.m) if rng.random() < 0.6},
+        {e for e, (u, v) in enumerate(compact) if min(u, v) < upper or rng.random() < 0.7},
+    ]
     checks = [(verify_dr, (d, 2 * d - 1), lambda dist, d=d: 2 * d - 1 if dist == d else None) for d in (1, 2, 3)]
     if not weighted:
+        # alpha = 0 makes every bound beta, and 1e308 makes them overflow to
+        # inf, which only an unreached pair fails
         checks += [
             (verify_alpha_beta, (a, b), lambda dist, a=a, b=b: a * dist + b)
-            for a, b in ((1, 0), (1.5, 0.5), (2, 1), (0, 3))
+            for a, b in ((1, 0), (1.5, 0.5), (2, 1), (0, 3), (0, 1.5), (1e308, 1e308))
         ]
     outcomes = set()
+    whole_passes = set()  # the checks that pass on the whole host
+    upper_sources = set()
     for kept in candidates:
-        for oracle, args, bound_of in checks:
+        for check, (oracle, args, bound_of) in enumerate(checks):
             violation, pairs, fault_sets, _ = first_violation(len(ids), compact, kept, 0, bound_of)
             if violation is not None:
                 x, y, faults, distance, bound = violation
@@ -312,7 +349,13 @@ def test_mask_pass_matches_oracle_on_midsize_hosts(seed, n_edged, p, header, wei
             if oracle is verify_dr:
                 assert verify_eft(g, kept, *args, 0) == report
             outcomes.add(report.passed)
+            if report.passed and kept is candidates[0]:
+                whole_passes.add(check)
+            if not report.passed and kept is candidates[-1] and check in whole_passes:
+                upper_sources.add(ids.index(report.counterexample.x) >= upper)
     assert outcomes == {True, False}
+    if piece:
+        assert upper_sources == {True}
 
 
 def test_mask_pass_memory_follows_vertices_with_edges():
@@ -333,6 +376,28 @@ def test_mask_pass_memory_follows_vertices_with_edges():
     # 28-byte header per mask, and the rank map; masks indexed by vertex id
     # would be 2 MB each, and a table over the header 134 MB
     assert peak < n_edged**2 / 4 + 1_250_000, peak
+
+
+def test_mask_pass_memory_is_linear_in_vertices_with_edges():
+    # the star of the test above on N = 6,000 vertices, where a table of
+    # N-bit masks per side would take N**2 / 4 bytes. The pass holds four
+    # tables of N ints of at most SOURCE_BLOCK bits (the layer and ball of G
+    # and of H, 72 bytes an entry at 256), next to about 420 bytes a vertex
+    # here for the two neighbor-rank tables and the candidate's edge-id set:
+    # O(m + N * SOURCE_BLOCK), which is below N**2 / 8 at this size
+    n_edged = 6000
+    ids = sorted(random.Random(5).sample(range(2**24), n_edged))
+    g = Multigraph(2**24, [(v, ids[-1]) for v in ids[:-1]])
+    tracemalloc.start()
+    try:
+        report = verify_dr(g, range(g.m), 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == verify.VerificationReport(True, None, comb(n_edged - 1, 2), 1)
+    bound = n_edged * (4 * (SOURCE_BLOCK // 8 + 40) + 420)
+    assert bound < n_edged**2 / 8
+    assert peak < bound, peak
 
 
 def _kept_ids(draw, g):
