@@ -4,12 +4,12 @@ Every construction in this package works on subgraphs of a fixed host graph,
 identified by edge-id subsets. The host graph is immutable. A subgraph view
 owns its edge-id subset and keeps its own (neighbor, id)-sorted adjacency,
 so a spanner under construction is one view that grows through
-``SubgraphView.add``. Five loops do all the searching over a view's edges:
+``SubgraphView.add``. Four loops do all the searching over a view's edges:
 
 - ``_grow`` takes one BFS layer and records a mark per vertex reached: the
-  depth for ``hop_distances``, ball membership for ``hop_distance``;
-- ``_layers`` (``bfs_layers``) yields layers on demand, records parent edge
-  ids and can stop mid-layer; ``tree_path`` walks its lex-first BFS tree;
+  depth for ``hop_distances``, else the edge that reached it, which gives
+  ``tree_path`` the lex-first BFS tree of ``bfs_layers`` and
+  ``shortest_path``; it can stop mid-layer;
 - ``_reach`` ORs the neighbor masks of a set of ranks, the one step of every
   search over int bitmasks: ``hop_layers`` and ``layer_sizes`` over
   ``neighbor_masks``, the bidirectional ``mask_distance`` and the lex-first
@@ -106,7 +106,7 @@ class Multigraph:
     across threads.
     """
 
-    __slots__ = ("n", "weighted", "_us", "_vs", "_ws", "_adj")
+    __slots__ = ("n", "weighted", "_us", "_vs", "_ws", "_adj", "_rank")
 
     def __init__(self, n: int, edges: Iterable = (), weighted: bool = False):
         if n < 0:
@@ -152,7 +152,9 @@ class Multigraph:
         return g
 
     def _index(self, us: list[int], vs: list[int], ws: list[float]) -> None:
-        """Store the edge lists and build the adjacency."""
+        """Store the edge lists, build the adjacency, and rank the vertices
+        with an edge in ascending order (``_rank``), the order of every mask
+        and rank table."""
         self._us = tuple(us)
         self._vs = tuple(vs)
         self._ws = tuple(ws)
@@ -161,6 +163,7 @@ class Multigraph:
             adj[a].append((b, eid))
             adj[b].append((a, eid))
         self._adj = _Adjacency((v, tuple(sorted(nbrs))) for v, nbrs in adj.items())
+        self._rank = {v: i for i, v in enumerate(sorted(adj))}
 
     @property
     def m(self) -> int:
@@ -177,8 +180,8 @@ class Multigraph:
             yield EdgeRecord(eid, self._us[eid], self._vs[eid], self._ws[eid])
 
     def vertices_with_edges(self) -> list[int]:
-        """Vertices that have at least one edge, ascending."""
-        return sorted(self._adj)
+        """Vertices with an edge, ascending: the i-th has rank i."""
+        return list(self._rank)
 
     def adj(self, v: int) -> tuple[tuple[int, int], ...]:
         """Neighbors of v as (neighbor, edge id) pairs, sorted ascending."""
@@ -230,25 +233,23 @@ class SubgraphView:
     smallest parents. Changing the collection passed in does not change the
     view: a view grows only through ``add``, and ``included`` is read-only.
 
-    Such a view also keeps ``masks``, its ``neighbor_masks``, and ``rank``,
-    the map from each vertex with a host edge to its rank, when the host's N
-    vertices with an edge have N * N <= MASK_RULE * m; otherwise, and for
-    ``included=None``, both are None.
+    Such a view also keeps ``masks``, its ``neighbor_masks`` over the
+    host's ranks, when the host's N vertices with an edge have
+    N * N <= MASK_RULE * m; otherwise, and for ``included=None``, it is None.
     """
 
-    __slots__ = ("host", "included", "masks", "rank", "_adj")
+    __slots__ = ("host", "included", "masks", "_adj")
 
     def __init__(self, host: Multigraph, included: Iterable[int] | None = None):
         self.host = host
-        self.masks = self.rank = None
+        self.masks = None
         if included is None:
             self.included: set[int] | None = None
             self._adj = host._adj
             return
-        verts = host.vertices_with_edges()
-        if len(verts) * len(verts) <= MASK_RULE * host.m:
-            self.rank = {v: i for i, v in enumerate(verts)}
-            self.masks = [0] * len(verts)
+        n_ranks = len(host._rank)
+        if n_ranks * n_ranks <= MASK_RULE * host.m:
+            self.masks = [0] * n_ranks
         self.included = set()
         self._adj = _Adjacency()
         self.add(included)
@@ -264,7 +265,7 @@ class SubgraphView:
         included = self.included
         if included is None:
             return
-        us, vs, adj, masks, rank = self.host._us, self.host._vs, self._adj, self.masks, self.rank
+        us, vs, adj, masks, rank = self.host._us, self.host._vs, self._adj, self.masks, self.host._rank
         for eid in eids:
             if eid in included:
                 continue
@@ -372,10 +373,12 @@ def _check_vertex(g: Multigraph, v: int, cutoff: int = 0) -> None:
         raise ValueError("cutoff must be nonnegative")
 
 
-def _grow(adj, frontier: list[int], seen: dict, mark, excl) -> list[int]:
+def _grow(adj, frontier: list[int], seen: dict, mark, excl, stop: int = -1) -> list[int]:
     """The next BFS layer after ``frontier``: every neighbor not yet in
     ``seen``, over edges whose id is not in ``excl``, in discovery order.
-    Each is recorded in ``seen`` with ``mark``."""
+    Each is recorded in ``seen`` with ``mark``, or with the id of the edge
+    that reached it when ``mark`` is None. Reaching ``stop`` (by default -1,
+    never a vertex) ends the search there and returns the empty list."""
     nxt: list[int] = []
     for v in frontier:
         for u, eid in adj[v]:
@@ -383,7 +386,9 @@ def _grow(adj, frontier: list[int], seen: dict, mark, excl) -> list[int]:
                 continue
             if excl is not None and eid in excl:
                 continue
-            seen[u] = mark
+            seen[u] = eid if mark is None else mark
+            if u == stop:
+                return []
             nxt.append(u)
     return nxt
 
@@ -407,7 +412,7 @@ def hop_distance(
     edge excluded, a view that keeps masks runs ``mask_distance`` on them.
     """
     if view.masks is not None and not excluded:
-        i, j = view.rank.get(x), view.rank.get(y)
+        i, j = view.host._rank.get(x), view.host._rank.get(y)
         # ranked ends are vertices, and mask_distance checks the cutoff
         if i is not None and j is not None:
             return mask_distance(view.masks, i, j, cutoff)
@@ -418,7 +423,7 @@ def hop_distance(
     adj = view._adj
     excl = excluded if excluded else None
     # front and ball are the side grown next; the balls are dicts for _grow,
-    # their values unused
+    # their values (edge ids) unused
     front, ball, other_front, other_ball = [x], {x: None}, [y], {y: None}
     for hops in range(1, cutoff + 1):
         if len(front) > len(other_front):
@@ -456,7 +461,6 @@ def bfs_layers(
     cutoff: int,
     excluded: Collection[int] = frozenset(),
     tree: dict[int, int] | None = None,
-    stop: int | None = None,
 ) -> Iterator[list[int]]:
     """Breadth-first layers around source: the vertices exactly 1, 2, ...
     hops away, each in discovery order, up to ``cutoff`` hops or the last
@@ -466,38 +470,21 @@ def bfs_layers(
     every vertex reached, in discovery order, with -1 for the source. The
     scan follows the (neighbor, id)-sorted adjacency and a parent is set once,
     at discovery, so ``tree_path`` gives the lexicographically smallest
-    shortest path to each vertex. With ``stop`` the search ends as soon as
-    that vertex is reached, mid-layer; every parent set by then is the one
-    the full search sets.
+    shortest path to each vertex.
     """
     _check_vertex(view.host, source, cutoff)
     seen = {} if tree is None else tree
     seen[source] = -1
-    # -1 is never a vertex, so the per-vertex stop test stays one int compare
-    stop_at = -1 if stop is None else stop
-    return _layers(view._adj, seen, source, cutoff, excluded if excluded else None, stop_at)
+    adj, excl = view._adj, excluded if excluded else None
 
+    def layers(frontier: list[int]) -> Iterator[list[int]]:
+        for _ in range(cutoff):
+            frontier = _grow(adj, frontier, seen, None, excl)
+            if not frontier:
+                return
+            yield frontier
 
-def _layers(adj, seen: dict[int, int], source: int, cutoff: int, excl, stop: int) -> Iterator[list[int]]:
-    if source == stop:
-        return
-    frontier = [source]
-    for _ in range(cutoff):
-        nxt: list[int] = []
-        for v in frontier:
-            for u, eid in adj[v]:
-                if u in seen:
-                    continue
-                if excl is not None and eid in excl:
-                    continue
-                seen[u] = eid
-                if u == stop:
-                    return
-                nxt.append(u)
-        if not nxt:
-            return
-        yield nxt
-        frontier = nxt
+    return layers([source])
 
 
 def layer_sizes(view: SubgraphView, source: int, cutoff: int) -> Iterator[int]:
@@ -507,7 +494,7 @@ def layer_sizes(view: SubgraphView, source: int, cutoff: int) -> Iterator[int]:
     if view.masks is None:
         return map(len, bfs_layers(view, source, cutoff))
     _check_vertex(view.host, source, cutoff)
-    i = view.rank.get(source)
+    i = view.host._rank.get(source)
     return iter(()) if i is None else map(int.bit_count, _mask_layers(view.masks, i, cutoff))
 
 
@@ -551,9 +538,8 @@ def neighbor_masks(view: SubgraphView) -> list[int]:
     the view joins ranks i and j. Parallel edges set one bit. A mask is as
     wide as its highest neighbor rank, so the table costs at most N²/8 bytes
     for the N vertices with an edge, whatever the vertex header."""
-    verts = view.host.vertices_with_edges()
-    rank = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
+    rank = view.host._rank
+    masks = [0] * len(rank)
     for v, nbrs in view._adj.items():
         mask = 0
         for u, _ in nbrs:
@@ -601,12 +587,11 @@ def rank_neighbors(g: Multigraph, included: Collection[int] | None = None) -> li
     joined to rank i, the i-th vertex of ``g.vertices_with_edges()``. It is
     read off the host's adjacency with no view built, so it costs one slot
     per kept edge end."""
-    verts = g.vertices_with_edges()
-    get = {v: i for i, v in enumerate(verts)}.__getitem__
-    adj = g._adj
+    rank, adj = g._rank, g._adj
+    get = rank.__getitem__
     if included is None:
-        return [tuple(map(get, dict(adj[v]))) for v in verts]
-    return [tuple(map(get, dict.fromkeys(u for u, eid in adj[v] if eid in included))) for v in verts]
+        return [tuple(map(get, dict(adj[v]))) for v in rank]
+    return [tuple(map(get, dict.fromkeys(u for u, eid in adj[v] if eid in included))) for v in rank]
 
 
 def block_layers(nbrs: list[tuple[int, ...]], first: int, count: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -692,14 +677,22 @@ def shortest_path(
 ) -> tuple[int, ...] | None:
     """Edge ids of one shortest x-y path of hop length <= cutoff, or None.
 
-    The path is the ``bfs_layers`` tree path, so it is the lexicographically
-    smallest shortest one. The search stops in the middle of a layer as soon
-    as y is reached.
+    Its ``_grow`` steps record the edge that reached each vertex, as
+    ``bfs_layers`` does, so the path is the lex-first BFS tree path: the
+    lexicographically smallest shortest one. The search stops in the middle
+    of a layer as soon as y is reached; every parent set by then is the one
+    the full search sets.
     """
     _check_vertex(view.host, y)
-    tree: dict[int, int] = {}
-    for _ in bfs_layers(view, x, cutoff, excluded, tree, stop=y):
-        pass
+    _check_vertex(view.host, x, cutoff)
+    if x == y:
+        return ()
+    adj, excl = view._adj, excluded if excluded else None
+    frontier, tree = [x], {x: -1}
+    for _ in range(cutoff):
+        frontier = _grow(adj, frontier, tree, None, excl, y)
+        if not frontier:
+            break
     return tree_path(view.host, tree, y) if y in tree else None
 
 

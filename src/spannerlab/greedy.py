@@ -174,10 +174,10 @@ def _greedy_dr_masks(g: Multigraph, hview: SubgraphView, d: int, r: int) -> list
     lowest first. The repair path is ``layer_path``, the lex-first one the
     host BFS tree gives, and its edge ids are the lowest ones, as the tree's
     (neighbor, id) scan picks. The spanner is a copy of the empty view's
-    table, grown two bits per path edge; the view gives the ranks and stays
-    empty, since no search here reads its dicts."""
+    table, grown two bits per path edge; the view stays empty, since no
+    search here reads its dicts."""
     gmasks, hmasks = neighbor_masks(g.view()), list(hview.masks)
-    verts = list(hview.rank)
+    verts = g.vertices_with_edges()
     paths: list[PathSeq] = []
     for i in range(len(verts)):
         layers = hop_layers(gmasks, i, d)

@@ -27,9 +27,9 @@ ball table of N ints of SOURCE_BLOCK bits, so the pass takes
 O(m + N * SOURCE_BLOCK) memory: about 300 bytes per vertex for the four
 tables at 256, next to the neighbor tables and the candidate's edge ids; no
 size switch is needed. The other runs keep the dict searches: with f >= 1
-the skip below needs parent edge ids, and a mask forgets which parallel
-edges survive a fault set; a weighted ``alpha-beta`` measures weights, not
-hops.
+the skip below needs parent edge ids, and a rank table forgets which
+parallel edges survive a fault set; a weighted ``alpha-beta`` measures
+weights, not hops.
 
 When f >= 1, most (F, x) need no search at all. From the fault-free
 searches of x the oracle keeps one tight parent edge per reached vertex on
@@ -157,10 +157,11 @@ def _checked_layers(nbrs, first: int, count: int, below: list[int], reach, bound
             yield bound, layer
 
 
-def _check_masks(g: Multigraph, ids: frozenset[int], sources: list[int], reach, bound_of) -> VerificationReport:
+def _check_blocks(g: Multigraph, ids: frozenset[int], sources: list[int], reach, bound_of) -> VerificationReport:
     """The fault-free hop pass of ``_check_pairs``: ``block_layers`` over the
-    ``rank_neighbors`` of G and of H, where rank i stands for ``sources[i]``,
-    one block of ``SOURCE_BLOCK`` source ranks at a time. At hop d the
+    ``rank_neighbors`` of G and of H, one block of ``SOURCE_BLOCK`` source
+    ranks at a time, where rank i is ``sources[i]``, the i-th of
+    ``g.vertices_with_edges()``; no neighbor mask is built. At hop d the
     pairs of the block are, per rank y, the G-layer entry of y masked to the
     sources ranked below y, and a pair fails when its source is not in y's
     entry of the H-ball of radius floor(bound(d)): hop counts are integers,
@@ -217,10 +218,10 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     given, else weights on a weighted host and hops on an unweighted one.
 
     With f = 0 and hop distances the pass runs on source blocks
-    (``_check_masks``), in O(m + N * SOURCE_BLOCK) memory.
+    (``_check_blocks``), in O(m + N * SOURCE_BLOCK) memory.
     With f >= 1 it keeps dict searches, because the skip below needs
-    parent edge ids and a mask cannot say which parallel edges a fault set
-    leaves; a weighted run keeps them because its distances are weights.
+    parent edge ids and a rank table cannot say which parallel edges a fault
+    set leaves; a weighted run keeps them because its distances are weights.
 
     When f >= 1 the fault-free pass keeps, per source x, the edge ids of a
     shortest-path tree of each of its two searches and the number of pairs x
@@ -241,7 +242,7 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     check_budget(n_fault_sets * comb(len(sources), 2), budget)
     hops = reach is not None or not g.weighted
     if f == 0 and hops:
-        return _check_masks(g, ids, sources, reach, bound_of)
+        return _check_blocks(g, ids, sources, reach, bound_of)
     hview = g.view(ids)
     gview = g.view()
     # a cut of None searches the whole graph

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +25,7 @@ from spannerlab import (
 from spannerlab.generators import cycle_graph, gen_random, path_graph, petersen_graph
 from spannerlab.graphs import (
     SOURCE_BLOCK,
+    _grow,
     bfs_layers,
     block_layers,
     layer_path,
@@ -353,12 +354,17 @@ def test_bfs_tree_matches_oracle(g, data):
         assert tree_path(g, tree, v) == oracles.lex_shortest_path(
             g.n, oracles.edges_of(g), x, v, cutoff, allowed
         )
+    # shortest_path's search: _grow steps that end where they reach stop
     stop = data.draw(st.integers(0, g.n - 1))
-    cut: dict[int, int] = {}
-    for _ in bfs_layers(view, x, cutoff, excluded, cut, stop=stop):
-        pass
+    cut, frontier = {x: -1}, [x]
+    for _ in range(cutoff if stop != x else 0):
+        frontier = _grow(view._adj, frontier, cut, None, excluded or None, stop)
+        if not frontier:
+            break
     assert (stop in cut) == (stop in tree)
     assert list(cut.items()) == list(tree.items())[: len(cut)]
+    # the search ends where it reaches stop, not at the end of that layer
+    assert stop not in cut or list(cut)[-1] == stop
 
 
 @given(small_graphs(max_n=7, max_m=12, multigraph=True))
@@ -455,7 +461,8 @@ def test_mask_kernels_match_oracle(g, data):
     kept = data.draw(st.none() | st.lists(st.integers(0, g.m - 1)))
     kept = range(g.m) if kept is None else kept
     view = g.view(set())
-    assert view.masks is not None and list(view.rank) == verts
+    # the host ranks its vertices with an edge in ascending order
+    assert view.masks is not None and list(view.host._rank) == verts == sorted(set(chain(*oracles.edges_of(g))))
     for eid in kept:
         view.add((eid,))
         assert view.masks == neighbor_masks(view)

@@ -108,11 +108,12 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
-_GRAPH_INTERNALS = {"_adj", "_ws", "_us", "_vs"}
+_GRAPH_INTERNALS = {"_adj", "_ws", "_us", "_vs", "_rank"}
 
 
 def _internal_reads(tree: ast.AST) -> list[str]:
-    """Sites that read an adjacency or edge array of a graph or view."""
+    """Sites that read an adjacency, edge array or rank map of a graph or
+    view."""
     return sorted(
         f"{node.lineno} .{node.attr}"
         for node in ast.walk(tree)
@@ -186,3 +187,82 @@ def test_only_graphs_names_the_mask_rule():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{site}" for site in _rule_refs(tree)]
     assert found == []
+
+
+def _functions(tree: ast.Module):
+    """(name, node) of each module-level function and method; a function
+    nested in one counts as part of it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def _excluded_edge_tests(tree: ast.Module) -> list[str]:
+    """The function of each ``in excl`` test."""
+    return [
+        name
+        for name, fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        for op, right in zip(node.ops, node.comparators)
+        if isinstance(op, ast.In) and isinstance(right, ast.Name) and right.id == "excl"
+    ]
+
+
+def _callers(tree: ast.Module, callee: str) -> list[str]:
+    """The functions that call ``callee`` by name."""
+    return [
+        name
+        for name, fn in _functions(tree)
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee for node in ast.walk(fn))
+    ]
+
+
+def test_one_dict_search_step_filters_excluded_edges():
+    # every dict BFS takes its layers from _grow, and the Dijkstra is the
+    # one other loop that skips excluded edges; a third copy of the filter
+    # is a search loop that escaped the step
+    sample = (
+        "def f(excl):\n    return 1 in excl, 1 not in excl, 1 in ex\n"
+        "class C:\n    def g(self, excl):\n        def h():\n            return [_grow() for e in () if e in excl]\n"
+    )
+    assert _excluded_edge_tests(ast.parse(sample)) == ["f", "C.g"]
+    assert _callers(ast.parse(sample), "_grow") == ["C.g"]
+    tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
+    assert _excluded_edge_tests(tree) == ["_grow", "weighted_distances"]
+    assert _callers(tree, "_grow") == ["hop_distance", "hop_distances", "bfs_layers", "shortest_path"]
+
+
+def _rank_maps(tree: ast.Module) -> list[str]:
+    """The function of each rank map built as ``{v: i for i, v in
+    enumerate(...)}``."""
+    found = []
+    for name, fn in _functions(tree):
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+                continue
+            loop = node.generators[0]
+            # the names bound by the loop, (index, item), and the map's
+            # (value, key): equal for a map from each item to its index
+            bound = [getattr(elt, "id", None) for elt in getattr(loop.target, "elts", ())]
+            mapped = [getattr(node.value, "id", None), getattr(node.key, "id", None)]
+            is_enumerate = isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None) == "enumerate"
+            if is_enumerate and len(bound) == 2 and None not in bound and mapped == bound:
+                found.append(name)
+    return found
+
+
+def test_only_the_graph_index_builds_a_rank_map():
+    # a Multigraph ranks its vertices with an edge once; every mask and rank
+    # table, and every vertex list read beside one, follows that order, and
+    # a second rank map is an order that can drift from it
+    sample = "def f(vs):\n    return {v: i for i, v in enumerate(vs)}, {i: v for i, v in enumerate(vs)}\n"
+    assert _rank_maps(ast.parse(sample)) == ["f"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _rank_maps(tree)]
+    assert found == ["graphs.py:Multigraph._index"]
+    assert "rank" not in importlib.import_module("spannerlab.graphs").SubgraphView.__slots__
