@@ -4,12 +4,13 @@
 Copies the ``src/spannerlab`` package of each checkout under a package name
 of its own, so both load into one interpreter, and builds the seed-0 hosts
 of the four benchmark workloads (the ``full`` sizes of
-``perfbench/workloads.py``, or its ``smoke`` sizes with ``--quick``). Each
-construction must give equal result reprs from both checkouts; then every
-pair of runs times it once per checkout, the order alternating from pair to
-pair so that drift of the machine falls on both sides. Per construction it
-prints the median of each side, the median of the paired ratios
-change/parent, and the pairs the change won.
+``perfbench/workloads.py``, or its ``smoke`` sizes with ``--quick``) and a
+unit-weight twin of the weighted host. Each construction must give equal
+result reprs from both checkouts; then every pair of runs times it once per
+checkout, the order alternating from pair to pair so that drift of the
+machine falls on both sides. Per construction it prints the median of each
+side, the median of the paired ratios change/parent, and the pairs the
+change won.
 
 Run from the repository root, with two checkouts (such as one made by
 ``git archive``) or the repository against itself:
@@ -31,11 +32,14 @@ from pathlib import Path
 from time import perf_counter
 
 # workload -> ((n, p) full, (n, p) smoke, weighted, doubled), as in
-# perfbench/workloads.py
+# perfbench/workloads.py; "weighted-unit" is the weighted host's twin with
+# every weight 1 (the weights come from a stream of their own), on which
+# ties decide the weighted construction
 HOSTS = {
     "gnp-sparse": ((300, 0.06), (60, 0.1), False, False),
     "gnp-dense": ((160, 0.3), (40, 0.4), False, False),
     "weighted": ((90, 0.1685), (30, 0.25), True, False),
+    "weighted-unit": ((90, 0.1685), (30, 0.25), False, False),
     "eft": ((20, 0.4), (12, 0.4), False, True),
 }
 
@@ -48,7 +52,7 @@ CONSTRUCTIONS = {
         lambda lib, g: lib.parallel_greedy_spanner(g, 2, lib.matching_rounds(g)),
         ("gnp-sparse", "gnp-dense"),
     ),
-    "weighted": (lambda lib, g: lib.build_weighted_spanner(g, 3), ("weighted",)),
+    "weighted": (lambda lib, g: lib.build_weighted_spanner(g, 3), ("weighted", "weighted-unit")),
     "eft-exact": (lambda lib, g: lib.eft_greedy_exact(g, 2, 4, 2), ("eft",)),
 }
 

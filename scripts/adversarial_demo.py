@@ -60,8 +60,9 @@ def hypercube_story(k: int = 5) -> None:
 def weighted_lb_story(k: int = 2, eps: float = 0.5) -> None:
     bundle = gen_weighted_lower_bound(cycle_graph(5), eps, k)
     result = build_weighted_spanner(bundle.graph, k)
+    sizes = {f"phase{i}": len(getattr(result, f"phase{i}")) for i in range(1, 6)}
     print(f"[weighted lower bound, k={k}] kept {len(result.edges)}/"
-          f"{bundle.graph.m} edges; phase sizes {result.phase_sizes()}")
+          f"{bundle.graph.m} edges; phase sizes {sizes}")
 
 
 def eft_lb_story(f: int = 2, k: int = 2) -> None:

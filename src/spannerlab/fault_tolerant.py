@@ -205,6 +205,8 @@ def eft_greedy_exact(g: Multigraph, d: int, r: int, f: int) -> tuple[SpannerResu
     fault set still separates its endpoints beyond r."""
     if r < d:
         raise ValueError("r must be at least d")
+    if f < 0:
+        raise ValueError("need f >= 0")
     paths, witnesses = _guarded_greedy(g, _d_paths(g, d), r, f)
     return (
         _result(g.n, paths, "eft-exact", d=d, r=r, f=f),

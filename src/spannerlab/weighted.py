@@ -23,6 +23,13 @@ graph, each with its own scan order:
 
 The spanner is the disjoint union of the five phase edge sets.
 
+Phases 2 and 4 walk phase 1's edge order, (weight, id), one weight group at
+a time. At the start of a group, the group's edges that the spanner held
+when the phase began join the thresholded spanner, before any edge of the
+group is tested: an edge of weight w is tested with every such edge of
+weight <= w, ties included. An edge a phase adds joins at once and counts
+for the rest of its group.
+
 Phases 1-3 are incremental. Phase 1 tests each edge from its first
 endpoint u with the last Dijkstra map of u, kept at the far ends of u's
 edges, and searches afresh only when that map is stale and does not reject
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping
 
 from .clustering import has_cluster, least_ball_sizes
@@ -136,15 +144,6 @@ class WeightedSpannerResult:
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edges)
 
-    def phase_sizes(self) -> dict[str, int]:
-        return {
-            "phase1": len(self.phase1),
-            "phase2": len(self.phase2),
-            "phase3": len(self.phase3),
-            "phase4": len(self.phase4),
-            "phase5": len(self.phase5),
-        }
-
 
 def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     """Run the five phases on a simple positively weighted graph."""
@@ -161,36 +160,31 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     phase1 = tuple(greedy_multiplicative_spanner(g, 2 * k - 1).edges)
     hview = g.view(phase1)
 
-    # Phase 2: greedy clustering at ascending weight thresholds. The hop and
-    # cluster tests run in ``lview``, the current spanner restricted to edges
-    # of weight at most the threshold. ``lview`` grows with the threshold:
-    # before each weight group the phase-1 edges up to the new threshold join
-    # it, and every edge this phase adds joins it at once. After each group
-    # only dirty vertices get a fresh cluster test: those within R - 1 hops,
-    # in the grown ``lview``, of an endpoint of an edge that joined it during
-    # the group (before the first group, every vertex with an edge). This is
-    # exact because clustering is monotone in ``lview``: a new edge (a, b) can
-    # grow B(x, r), r <= R, only if x reaches a or b within r - 1 hops. An
-    # isolated vertex is never clustered: for n >= 2 its balls have size
-    # 1 < n**(r/k), and m = 0 when n <= 1.
-    start = sorted(phase1, key=lambda e: (weight(e), e))
+    # Phase 2: greedy clustering at ascending weight thresholds, one weight
+    # group at a time. The hop and cluster tests run in ``lview``, the current
+    # spanner restricted to edges of weight at most the threshold. ``lview``
+    # grows with the threshold: at the start of each group all of the group's
+    # phase-1 edges join it, before any edge of the group is tested, and every
+    # edge this phase adds joins it at once. After each group only dirty
+    # vertices get a fresh cluster test: those within R - 1 hops, in the grown
+    # ``lview``, of an endpoint of an edge that joined it during the group
+    # (before the first group, every vertex with an edge). This is exact
+    # because clustering is monotone in ``lview``: a new edge (a, b) can grow
+    # B(x, r), r <= R, only if x reaches a or b within r - 1 hops. An isolated
+    # vertex is never clustered: for n >= 2 its balls have size 1 < n**(r/k),
+    # and m = 0 when n <= 1.
+    kept = frozenset(phase1)
     lview = g.view(set())
-    pos = 0
     phase2: list[int] = []
     saturated: list[int] = []
     first_clustered: dict[int, float] = {}
     dirty: set[int] = set(g.vertices_with_edges())
-    idx = 0
-    while idx < m:
-        omega = weight(order[idx])
-        touched: set[int] = set()
-        while pos < len(start) and weight(start[pos]) <= omega:
-            lview.add((start[pos],))
-            touched.update(g.endpoints(start[pos]))
-            pos += 1
-        while idx < m and weight(order[idx]) == omega:
-            eid = order[idx]
-            idx += 1
+    for omega, group in groupby(order, key=weight):
+        group = list(group)
+        joined = [eid for eid in group if eid in kept]
+        lview.add(joined)
+        touched = {x for eid in joined for x in g.endpoints(eid)}
+        for eid in group:
             u, v = g.endpoints(eid)
             if hop_distance(lview, u, v, k) <= k:
                 continue
@@ -253,44 +247,41 @@ def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
             else:
                 log3.append(Phase3Decision(v, u, eid, key, P3_CONTAINED))
 
-    # Phase 4: global distance reduction, edges by ascending weight. Balls
+    # Phase 4: global distance reduction, one weight group at a time. Balls
     # and distances are hop-based inside ``lview``, which restarts empty and
-    # again grows with the threshold: before each edge the spanner edges of
-    # phases 1-3 up to its weight join it, and every edge this phase adds
-    # joins it at once.
+    # again grows with the threshold: at the start of each group the group's
+    # edges of phases 1-3 join it, before any edge of the group is tested,
+    # and every edge this phase adds joins it at once.
     n_pow_k1 = n ** (k - 1)
-    start = sorted(hview.included, key=lambda e: (weight(e), e))
+    kept = frozenset(hview.included)
     lview = g.view(set())
-    pos = 0
 
     def reduces_many(a: int, b: int) -> bool:
         ball_a = sorted(hop_distances(lview, a, R - i_odd))
         ball_b = hop_distances(lview, b, R - 1)
         count = 0
         for p in ball_a:
-            reach = hop_distances(lview, p, k)
-            count += sum(1 for q in ball_b if q not in reach)
+            count += len(ball_b.keys() - hop_distances(lview, p, k).keys())
             if (10 * count) ** k > n_pow_k1:
                 return True
         return False
 
     phase4: list[int] = []
     log4: list[tuple[int, str]] = []
-    for eid in order:
-        u, v = g.endpoints(eid)
-        omega = weight(eid)
-        while pos < len(start) and weight(start[pos]) <= omega:
-            lview.add((start[pos],))
-            pos += 1
-        if hop_distance(lview, u, v, k) <= k:
-            continue
-        if reduces_many(v, u) or reduces_many(u, v):
-            hview.add((eid,))
-            lview.add((eid,))
-            phase4.append(eid)
-            log4.append((eid, P4_ADDED))
-        else:
-            log4.append((eid, P4_CLOSE))
+    for _, group in groupby(order, key=weight):
+        group = list(group)
+        lview.add(eid for eid in group if eid in kept)
+        for eid in group:
+            u, v = g.endpoints(eid)
+            if hop_distance(lview, u, v, k) <= k:
+                continue
+            if reduces_many(v, u) or reduces_many(u, v):
+                hview.add((eid,))
+                lview.add((eid,))
+                phase4.append(eid)
+                log4.append((eid, P4_ADDED))
+            else:
+                log4.append((eid, P4_CLOSE))
 
     # Phase 5: greedy repair of the 2-paths that still miss the bound, by
     # ascending key, re-checked at processing time. Only the open 2-paths

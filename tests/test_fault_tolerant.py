@@ -119,6 +119,19 @@ def test_eft_exact_lower_bound_keeps_all_edges():
     assert verify_blocking_set(result.paths, record, 4, 1)
 
 
+def test_fault_tolerant_constructions_reject_negative_f():
+    # the check comes before any candidate, so a host without edges is
+    # rejected too
+    for g in (Multigraph(3), two_path_graph()):
+        for build in (
+            lambda: eft_greedy_exact(g, 2, 4, -1),
+            lambda: eft_modified_greedy(g, 2, -1),
+            lambda: eft_edge_greedy_2k1(g, 2, -1),
+        ):
+            with pytest.raises(ValueError, match="f >= 0"):
+                build()
+
+
 def test_eft_modified_rejects_when_parallel_edges_cover():
     # x, y already joined by f+1 = 2 parallel edges; any 2-path is redundant
     g = Multigraph(3, [(0, 1), (0, 1), (0, 2), (2, 1)])

@@ -149,6 +149,29 @@ def test_oracles_reject_bad_parameters(oracle, args):
         oracle(g, range(g.m), *args, budget=0)
 
 
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (verify_dr, (2, 4)),
+        (verify_eft, (2, 4, 1)),
+        (verify_alpha_beta, (2, 1)),
+        (verify_weighted_bound, (2,)),
+    ],
+)
+def test_oracles_reject_what_is_not_an_edge_subset(oracle, args):
+    g = cycle_graph(6)
+    other = cycle_graph(6)
+    for h, message in (
+        (g, "pass an edge-id subset of the host graph, not a graph"),
+        (other.view(), "view is not over the host graph"),
+        (other.view({0}), "view is not over the host graph"),
+        ([0, 99], "edge id 99 is not an edge of the host graph"),
+        ([-1], "edge id -1 is not an edge of the host graph"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            oracle(g, h, *args)
+
+
 def test_verify_alpha_beta_union_contract():
     g = seeded_gnp(16, 0.3, 5)
     k = 2

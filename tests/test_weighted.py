@@ -193,6 +193,44 @@ def test_phase2_matches_full_rescan():
             assert result.saturation.thresholds == thresholds
 
 
+def far_in_thresholded_spanner(g, kept, added, k):
+    """The edges, in (weight, id) order, whose endpoints are more than k hops
+    apart in the edges of ``kept`` no heavier than them plus the edges of
+    ``added`` before them in that order."""
+    far = []
+    earlier: set[int] = set()
+    for eid in sorted(range(g.m), key=lambda e: (g.weight(e), e)):
+        light = g.view({e for e in kept if g.weight(e) <= g.weight(eid)} | earlier)
+        if hop_distance(light, *g.endpoints(eid), k) > k:
+            far.append(eid)
+        if eid in added:
+            earlier.add(eid)
+    return far
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase2_tests_ties_after_all_phase1_edges_of_their_weight(seed):
+    # on a unit-weight host every edge ties: phase 2 adds or records as
+    # saturated exactly the edges more than k hops apart in all of phase 1
+    # plus the phase-2 additions before them
+    g = seeded_gnp(30, 0.3, seed)
+    result = build_weighted_spanner(g, 3)
+    tested = sorted(set(result.phase2) | result.saturation.saturated)
+    assert far_in_thresholded_spanner(g, result.phase1, result.phase2, 3) == tested
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase4_tests_ties_after_all_earlier_edges_of_their_weight(seed):
+    # on a unit-weight host every edge ties: phase 4 logs exactly the edges
+    # more than k hops apart in all of phases 1-3 plus the phase-4 additions
+    # before them
+    g = seeded_gnp(30, 0.3, seed)
+    result = build_weighted_spanner(g, 3)
+    kept = result.phase1 + result.phase2 + result.phase3
+    logged = [eid for eid, _ in result.phase4_log]
+    assert far_in_thresholded_spanner(g, kept, result.phase4, 3) == logged
+
+
 def test_phase3_matches_fresh_balls():
     # phase 3 replayed with a fresh weighted ball per candidate in the
     # spanner of phases 1-2 plus the phase-3 additions so far
