@@ -4,8 +4,10 @@
 Copies the ``src/spannerlab`` package of each checkout under a package name
 of its own, so both load into one interpreter, and builds the seed-0 hosts
 of the four benchmark workloads (the ``full`` sizes of
-``perfbench/workloads.py``, or its ``smoke`` sizes with ``--quick``) and a
-unit-weight twin of the weighted host. Each construction must give equal
+``perfbench/workloads.py``, or its ``smoke`` sizes with ``--quick``), a
+unit-weight twin of the weighted host, and a sparse host past
+``graphs.MASK_RULE``, on which greedy-dr and the parallel greedy search
+adjacency dicts instead of neighbor masks. Each construction must give equal
 result reprs from both checkouts; then every pair of runs times it once per
 checkout, the order alternating from pair to pair so that drift of the
 machine falls on both sides. Per construction it prints the median of each
@@ -34,13 +36,16 @@ from time import perf_counter
 # workload -> ((n, p) full, (n, p) smoke, weighted, doubled), as in
 # perfbench/workloads.py; "weighted-unit" is the weighted host's twin with
 # every weight 1 (the weights come from a stream of their own), on which
-# ties decide the weighted construction
+# ties decide the weighted construction; PAST_RULE has N**2 / m near 1,300
+# (full) and 1,500 (smoke) for its N vertices with an edge, past MASK_RULE
+PAST_RULE = "gnp-past-rule"
 HOSTS = {
     "gnp-sparse": ((300, 0.06), (60, 0.1), False, False),
     "gnp-dense": ((160, 0.3), (40, 0.4), False, False),
     "weighted": ((90, 0.1685), (30, 0.25), True, False),
     "weighted-unit": ((90, 0.1685), (30, 0.25), False, False),
     "eft": ((20, 0.4), (12, 0.4), False, True),
+    PAST_RULE: ((4000, 0.0015), (2000, 0.001), False, False),
 }
 
 # construction -> (its run on one package over the hosts, the hosts it runs
@@ -51,6 +56,11 @@ CONSTRUCTIONS = {
     "parallel": (
         lambda lib, g: lib.parallel_greedy_spanner(g, 2, lib.matching_rounds(g)),
         ("gnp-sparse", "gnp-dense"),
+    ),
+    "greedy-dr-past": (lambda lib, g: lib.greedy_dr_spanner(g, 2, 4), (PAST_RULE,)),
+    "parallel-past": (
+        lambda lib, g: lib.parallel_greedy_spanner(g, 2, lib.matching_rounds(g)),
+        (PAST_RULE,),
     ),
     "weighted": (lambda lib, g: lib.build_weighted_spanner(g, 3), ("weighted", "weighted-unit")),
     "eft-exact": (lambda lib, g: lib.eft_greedy_exact(g, 2, 4, 2), ("eft",)),
@@ -102,7 +112,9 @@ def main(argv=None) -> int:
             a, b = ([(e.u, e.v, e.weight) for e in h[w].edges()] for h in hosts)
             if a != b:
                 raise SystemExit(f"the checkouts build different {w} hosts")
-        print(f"{'construction':<12} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'wins':>6}")
+        if any(h[PAST_RULE].view(set()).masks is not None for h in hosts):
+            raise SystemExit(f"the {PAST_RULE} host is within the mask rule")
+        print(f"{'construction':<14} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'wins':>6}")
         for label, (run, workloads) in CONSTRUCTIONS.items():
             graphs = [[h[w] for w in workloads] for h in hosts]
             results = [[repr(run(lib, g)) for g in gs] for lib, gs in zip(libs, graphs)]
@@ -115,7 +127,7 @@ def main(argv=None) -> int:
             ratios = [b / a for a, b in zip(*times)]
             wins = sum(b < a for a, b in zip(*times))
             print(
-                f"{label:<12} {statistics.median(times[0]):>9.4f} {statistics.median(times[1]):>9.4f}"
+                f"{label:<14} {statistics.median(times[0]):>9.4f} {statistics.median(times[1]):>9.4f}"
                 f" {statistics.median(ratios):>7.3f} {wins:>3}/{pairs:<2}"
             )
     return 0

@@ -122,6 +122,8 @@ class Multigraph:
                 w = 1.0
             else:
                 u, v, w = item
+            if (int(u), int(v)) != (u, v):
+                raise ValueError(f"edge ({u},{v}) has a non-integral vertex id")
             u, v, w = int(u), int(v), float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -292,7 +294,11 @@ class PathSeq:
 
     ``weights[i]`` is the weight of ``edge_ids[i]``; the aggregates used by
     the weighted stretch bound (the total, and the sum of the largest
-    ceil(len/2) weights) are derived properties.
+    ceil(len/2) weights) are derived properties. A path of a host comes from
+    one constructor per input shape: ``from_graph`` takes vertices and picks
+    the lowest-id edge of each step, and ``from_edges`` takes a start vertex
+    and host edge ids, as the constructions that read ids from the host
+    hold them, and derives the vertices.
     """
 
     vertices: tuple[int, ...]
@@ -306,29 +312,33 @@ class PathSeq:
             raise ValueError("one weight per edge required")
 
     @classmethod
-    def from_graph(
-        cls,
-        g: Multigraph,
-        vertices: Iterable[int],
-        edge_ids: Iterable[int] | None = None,
-    ) -> "PathSeq":
-        """Build a path in g, resolving lowest-id edges when ids are omitted."""
+    def from_graph(cls, g: Multigraph, vertices: Iterable[int]) -> "PathSeq":
+        """The path in g through these vertices over each step's lowest-id edge."""
         verts = tuple(int(v) for v in vertices)
-        if edge_ids is None:
-            eids = []
-            for a, b in zip(verts, verts[1:]):
-                cands = g.edge_ids_between(a, b)
-                if not cands:
-                    raise ValueError(f"no edge between {a} and {b}")
-                eids.append(cands[0])
-            eids = tuple(eids)
-        else:
-            eids = tuple(int(e) for e in edge_ids)
-            for (a, b), eid in zip(zip(verts, verts[1:]), eids):
-                ends = g.endpoints(eid)
-                if {a, b} != set(ends):
-                    raise ValueError(f"edge {eid} does not join {a} and {b}")
-        return cls(verts, eids, tuple(g.weight(e) for e in eids))
+        eids = []
+        for a, b in zip(verts, verts[1:]):
+            cands = g.edge_ids_between(a, b)
+            if not cands:
+                raise ValueError(f"no edge between {a} and {b}")
+            eids.append(cands[0])
+        return cls(verts, tuple(eids), tuple(g.weight(e) for e in eids))
+
+    @classmethod
+    def from_edges(cls, g: Multigraph, x: int, edge_ids: Iterable[int]) -> "PathSeq":
+        """The path in g from x over these host edge ids, each leaving the
+        vertex the ones before it reached."""
+        us, vs, ws = g._us, g._vs, g._ws
+        eids = tuple(edge_ids)
+        verts = [x]
+        for eid in eids:
+            if not 0 <= eid < len(us):  # a negative id would index from the end
+                raise ValueError(f"edge id {eid} not in host graph")
+            a, b = us[eid], vs[eid]
+            if x != a and x != b:
+                raise ValueError(f"edge {eid} does not leave {x}")
+            x = b if x == a else a
+            verts.append(x)
+        return cls(tuple(verts), eids, tuple(ws[e] for e in eids))
 
     @property
     def hop_length(self) -> int:

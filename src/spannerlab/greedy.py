@@ -98,16 +98,6 @@ def _result(n: int, paths: Sequence[PathSeq], algorithm: str, **meta) -> Spanner
     return SpannerResult(n, tuple(sorted(ids)), tuple(paths), algorithm, dict(meta))
 
 
-def _repair_path(g: Multigraph, tree: dict[int, int], x: int, y: int) -> PathSeq:
-    """The path from x to y in x's ``bfs_layers`` tree."""
-    eids = tree_path(g, tree, y)
-    verts = [x]
-    for eid in eids:
-        a, b = g.endpoints(eid)
-        verts.append(b if a == verts[-1] else a)
-    return PathSeq.from_graph(g, verts, eids)
-
-
 def _path_union(n: int, paths: Sequence[PathSeq]) -> Multigraph:
     """Unweighted multigraph with one edge per path edge, in path order, so
     path i owns the contiguous id range after the edges of paths 0..i-1."""
@@ -161,7 +151,7 @@ def _greedy_dr_trees(g: Multigraph, hview: SubgraphView, d: int, r: int) -> list
         for y in far:
             if y in ball or (stale and hop_distance(hview, x, y, r) <= r):
                 continue
-            p = _repair_path(g, tree, x, y)
+            p = PathSeq.from_edges(g, x, tree_path(g, tree, y))
             hview.add(p.edge_ids)
             paths.append(p)
             stale = True
@@ -290,9 +280,9 @@ def parallel_greedy_spanner(
             lu = cluster_level(hview, u, k)
             lv = cluster_level(hview, v, k)
             orientation[eid] = u if (lu, u) <= (lv, v) else v
+            paths.append(PathSeq.from_edges(g, u, (eid,)))
         hview.add(passing)
         rounds_added.append(tuple(passing))
-        paths.extend(PathSeq.from_graph(g, g.endpoints(eid), (eid,)) for eid in passing)
     return _result(
         g.n,
         paths,
@@ -349,7 +339,7 @@ def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
 
     Only far ends are kept, so the maps hold O(m) entries in all.
     """
-    if t < 1:
+    if not t >= 1:  # also NaN, which every comparison fails
         raise ValueError("stretch must be at least 1")
     hview = g.view(set())
     paths: list[PathSeq] = []
@@ -375,5 +365,5 @@ def greedy_multiplicative_spanner(g: Multigraph, t: float) -> SpannerResult:
             if v in dist and dist[v] <= cap:
                 continue
         hview.add((eid,))
-        paths.append(PathSeq.from_graph(g, (u, v), (eid,)))
+        paths.append(PathSeq.from_edges(g, u, (eid,)))
     return _result(g.n, paths, "greedy-multiplicative", t=t)

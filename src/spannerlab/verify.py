@@ -336,21 +336,17 @@ class WeightedBoundReport:
 def _random_simple_path(
     g: Multigraph, starts: list[int], length: int, rng: random.Random
 ) -> PathSeq | None:
-    start = rng.choice(starts)
-    verts = [start]
+    start = cur = rng.choice(starts)
     eids = []
     seen = {start}
-    cur = start
     for _ in range(length):
         options = [(u, eid) for u, eid in g.adj(cur) if u not in seen]
         if not options:
             return None
-        u, eid = rng.choice(options)
-        verts.append(u)
+        cur, eid = rng.choice(options)
         eids.append(eid)
-        seen.add(u)
-        cur = u
-    return PathSeq.from_graph(g, verts, eids)
+        seen.add(cur)
+    return PathSeq.from_edges(g, start, eids)
 
 
 def verify_weighted_bound(
@@ -368,7 +364,7 @@ def verify_weighted_bound(
     ``max_hops``, up to ``sample`` random simple paths are drawn from a
     seeded generator, each from a vertex with an edge. Distances are
     recomputed from scratch in the candidate subgraph. Reports the worst
-    observed ratio of distance to bound. Raises ``ValueError`` for
+    observed ratio of distance to bound. Raises ``ValueError`` for ``k < 1``,
     ``max_hops < 2`` or ``sample < 0``, and ``BudgetExceededError`` before
     any search when the paths to check exceed ``budget``. No length is
     walked when ``sample`` is 0, nor past N - 1 for the N vertices with an
@@ -376,8 +372,8 @@ def verify_weighted_bound(
     """
     if not g.is_simple():
         raise ValueError("weighted bound verification requires a simple host graph")
-    if max_hops < 2 or sample < 0:
-        raise ValueError("need max_hops >= 2 and sample >= 0")
+    if not k >= 1 or max_hops < 2 or sample < 0:
+        raise ValueError("need k >= 1, max_hops >= 2 and sample >= 0")
     ids = as_edge_ids(g, h)
     paths = two_paths(g)
     check_budget(len(paths) + sample * (max_hops - 2), budget)
@@ -424,8 +420,11 @@ def verify_weighted_bound(
 def size_report(edges: int, n: int, k: float | None) -> SizeReport:
     """An edge count against the n**(1 + 1/k) yardstick.
 
-    ``k=None`` (or infinity) means the yardstick degenerates to n itself.
+    ``k=None`` (or infinity) means the yardstick degenerates to n itself;
+    any other k must be positive.
     """
+    if k is not None and not k > 0:
+        raise ValueError(f"need k > 0 or None, got {k}")
     if n <= 0:
         return SizeReport(edges, n, k, 0.0 if edges == 0 else INF)
     exponent = 1.0 if k is None or k == INF else 1.0 + 1.0 / k

@@ -62,7 +62,7 @@ def test_find_fault_set_single_route_returns_first_edge():
 def test_find_fault_set_excludes_own_edges():
     g = Multigraph(3, [(0, 1), (1, 2), (0, 1), (1, 2)])
     view = g.view({0, 1})
-    p = PathSeq.from_graph(g, (0, 1, 2), (0, 1))
+    p = PathSeq.from_edges(g, 0, (0, 1))
     # the only route uses p's own ids, which cannot be faulted
     assert find_fault_set(view, p, 4, 2) is None
 
@@ -73,7 +73,7 @@ def test_find_fault_set_budget_error():
     rows = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
     g = Multigraph(6, rows)
     view = g.view(set(range(6)))
-    p = PathSeq.from_graph(g, (0, 3), (6,))
+    p = PathSeq.from_edges(g, 0, (6,))
     with pytest.raises(BudgetExceededError) as err:
         find_fault_set(view, p, 6, 2, budget=5)
     assert err.value.required > 5
@@ -350,7 +350,7 @@ def test_find_fault_set_matches_exhaustive_reference():
         view = g.view(ids)
         if rng.random() < 0.3:
             eid = rng.randrange(g.m)
-            p = PathSeq.from_graph(g, g.endpoints(eid), (eid,))
+            p = PathSeq.from_edges(g, g.endpoints(eid)[0], (eid,))
         else:
             mids = [v for v in range(g.n) if len({u for u, _ in g.adj(v)}) >= 2]
             if not mids:
@@ -359,7 +359,7 @@ def test_find_fault_set_matches_exhaustive_reference():
             x, y = sorted(rng.sample(sorted({u for u, _ in g.adj(mid)}), 2))
             e1 = rng.choice(g.edge_ids_between(x, mid))
             e2 = rng.choice(g.edge_ids_between(mid, y))
-            p = PathSeq.from_graph(g, (x, mid, y), (e1, e2))
+            p = PathSeq.from_edges(g, x, (e1, e2))
         got = find_fault_set(view, p, r, f)
         want = brute_fault_set(g, ids, p, r, f)
         if want is None:
@@ -376,7 +376,9 @@ def unseparable_candidate():
     at most 3 view edges separates beyond r = 4."""
     g = seeded_gnp(10, 0.5, 71)
     ids = [0, 1, 2, 4, 6, 8, 10, 16, 18, 19, 21, 23, 25, 27]
-    return g, ids, PathSeq.from_graph(g, (0, 8), (3,))
+    p = PathSeq.from_edges(g, 0, (3,))
+    assert p.vertices == (0, 8)
+    return g, ids, p
 
 
 def test_find_fault_set_searches_stay_within_route_branching_bound(monkeypatch):
@@ -446,7 +448,7 @@ def test_guard_certificates_match_search_on_every_candidate():
                 assert list(result.paths) == paths
                 assert list(record.fault_sets) == witnesses
             union = eft_union_spanner(g, 2, f)
-            edges = (PathSeq.from_graph(g, g.endpoints(e), (e,)) for e in range(g.m))
+            edges = (PathSeq.from_edges(g, g.endpoints(e)[0], (e,)) for e in range(g.m))
             one, _ = replay_guard(g, edges, 3, f)
             two, _ = replay_guard(g, _d_paths(g, 2), 4, f)
             assert list(union.paths) == one + two
@@ -475,8 +477,8 @@ def test_one_paths_look_up_ids_per_edge_not_per_vertex_pair():
 
 
 def test_d_paths_equal_paths_built_through_the_host():
-    # the 2-paths skip from_graph's id check; on a weighted doubled host the
-    # weights must still follow each edge id
+    # _d_paths builds its paths without from_edges; on a weighted doubled
+    # host the vertices and weights must still follow each edge id
     base = seeded_gnp(8, 0.5, 21, weighted=True)
     doubled = Multigraph(
         base.n,
@@ -487,4 +489,4 @@ def test_d_paths_equal_paths_built_through_the_host():
         for d in (1, 2):
             paths = list(_d_paths(g, d))
             assert paths
-            assert paths == [PathSeq.from_graph(g, p.vertices, p.edge_ids) for p in paths]
+            assert paths == [PathSeq.from_edges(g, p.x, p.edge_ids) for p in paths]

@@ -54,6 +54,15 @@ def test_multigraph_rejects_bad_ids_and_weights():
             Multigraph(2, [(0, 1, bad)], weighted=True)
 
 
+def test_multigraph_rejects_non_integral_vertex_ids():
+    # int() would truncate 1.5 to 1 and build the edge (0, 1)
+    for edge in ((0, 1.5), (0.5, 2), (0, 1.000001, 1.0)):
+        with pytest.raises(ValueError, match="non-integral vertex id"):
+            Multigraph(3, [edge])
+    g = Multigraph(3, [(0.0, 2.0), (True, 2)])
+    assert [g.endpoints(e) for e in range(g.m)] == [(0, 2), (1, 2)]
+
+
 @settings(max_examples=200)
 @given(small_graphs(multigraph=True))
 def test_parallel_edges_have_distinct_ids(g):
@@ -187,7 +196,22 @@ def test_pathseq_validation_and_aggregates():
     with pytest.raises(ValueError):
         PathSeq.from_graph(g, (0, 2))
     with pytest.raises(ValueError):
-        PathSeq.from_graph(g, (0, 1), (2,))
+        PathSeq.from_edges(g, 0, (2,))
+
+
+def test_from_edges_walks_host_ids_from_the_start_vertex():
+    g = Multigraph(4, [(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0), (2, 1, 5.0)], weighted=True)
+    p = PathSeq.from_edges(g, 3, (2, 3, 0))
+    assert (p.vertices, p.edge_ids, p.weights) == ((3, 2, 1, 0), (2, 3, 0), (2.0, 5.0, 3.0))
+    assert PathSeq.from_edges(g, 2, ()) == PathSeq((2,), (), ())
+    assert PathSeq.from_edges(g, 0, (0, 1, 2)) == PathSeq.from_graph(g, (0, 1, 2, 3))
+    # the second edge does not leave vertex 1, where the first one ends
+    with pytest.raises(ValueError, match="edge 2 does not leave 1"):
+        PathSeq.from_edges(g, 0, (0, 2))
+    # -1 would read the last edge, which leaves 2
+    for eid in (-1, 4):
+        with pytest.raises(ValueError, match=f"edge id {eid} not in host graph"):
+            PathSeq.from_edges(g, 2, (eid,))
 
 
 @st.composite

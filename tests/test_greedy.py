@@ -620,6 +620,15 @@ def test_greedy_multiplicative_weighted_keeps_high_girth_cycle():
     assert len(greedy_multiplicative_spanner(g, 3).edges) == 5
 
 
+def test_greedy_multiplicative_rejects_nan_stretch():
+    # every t < 1 test fails for NaN, which kept all 3 triangle edges
+    g = Multigraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], weighted=True)
+    assert len(greedy_multiplicative_spanner(g, 2).edges) == 2
+    for t in (float("nan"), 0.5):
+        with pytest.raises(ValueError, match="stretch must be at least 1"):
+            greedy_multiplicative_spanner(g, t)
+
+
 def test_greedy_multiplicative_unweighted_fractional_stretch():
     # on unit weights only whole hop counts exist, so t = 2.5 acts as t = 2
     # and t = 3.0 as t = 3

@@ -139,6 +139,9 @@ def test_weighted_check_walks_only_lengths_that_draw():
         (verify_weighted_bound, (2, 1, 0)),
         (verify_weighted_bound, (2, -1, 0)),
         (verify_weighted_bound, (2, 4, -1)),
+        (verify_weighted_bound, (0,)),
+        (verify_weighted_bound, (-1,)),
+        (verify_weighted_bound, (float("nan"),)),
     ],
 )
 def test_oracles_reject_bad_parameters(oracle, args):
@@ -170,6 +173,22 @@ def test_oracles_reject_what_is_not_an_edge_subset(oracle, args):
     ):
         with pytest.raises(ValueError, match=message):
             oracle(g, h, *args)
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (verify_dr, (2, 3)),
+        (verify_eft, (2, 3, 1)),
+        (verify_alpha_beta, (1, 1)),
+        (verify_weighted_bound, (2,)),
+    ],
+)
+def test_oracles_read_a_view_over_the_host_as_its_ids(oracle, args):
+    g = seeded_gnp(9, 0.5, 4)
+    for ids in (set(), {0, 2, 3, 5}, set(range(1, g.m)), set(range(g.m))):
+        assert oracle(g, g.view(ids), *args) == oracle(g, ids, *args)
+    assert oracle(g, g.view(), *args) == oracle(g, range(g.m), *args)
 
 
 def test_verify_alpha_beta_union_contract():
@@ -221,6 +240,48 @@ def test_size_report_cases():
     rep2 = size_report(kn.m, 8, 2)
     assert rep2.ratio == pytest.approx(28 / 8**1.5)
     assert size_report(0, 0, 2).ratio == 0
+
+
+def test_size_report_rejects_k_not_positive():
+    for k in (0, -1, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="need k > 0 or None"):
+            size_report(5, 10, k)
+    assert size_report(5, 10, INF).ratio == size_report(5, 10, None).ratio == 0.5
+
+
+def test_weighted_bound_rejects_k_below_one():
+    # at k = 1 the bound is w(P): H = {0-1, 0-3, 3-2} takes 0-3-2 (21.0)
+    # for the 2-path 0-1-2 (3.0); at k = 0 every bound was negative and
+    # the check passed with worst_ratio 0.0
+    g = Multigraph(4, [(0, 1, 1.0), (1, 2, 2.0), (0, 3, 10.0), (3, 2, 11.0)], weighted=True)
+    report = verify_weighted_bound(g, [0, 2, 3], 1)
+    assert not report.passed and report.worst_ratio == 7.0
+    assert report.worst_case == (0, 1, 2)
+    for k in (0, 0.5, -2):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            verify_weighted_bound(g, [0, 2, 3], k)
+    # equal weights made the bound 0 at k = 0, a division by zero
+    with pytest.raises(ValueError, match="need k >= 1"):
+        verify_weighted_bound(path_graph(3), [0], 0)
+
+
+def test_weighted_bound_worst_case_can_be_a_sampled_path():
+    # every 2-path is within 1.5 of its bound, but the sampled 3-path
+    # 2-1-0-4 (weight 3) has its ends 5 apart in H, which lacks 0-4 and 1-2
+    g = Multigraph(
+        5,
+        [(0, 1, 1.0), (0, 3, 2.0), (0, 4, 1.0), (1, 2, 1.0), (1, 3, 1.0),
+         (1, 4, 3.0), (2, 3, 1.0), (2, 4, 5.0), (3, 4, 5.0)],
+        weighted=True,
+    )
+    h = [0, 1, 4, 5, 6, 7, 8]
+    two = verify_weighted_bound(g, h, 1)
+    assert (two.worst_ratio, two.worst_case) == (1.5, (1, 0, 4))
+    report = verify_weighted_bound(g, h, 1, max_hops=3, sample=10, seed=0)
+    assert report.sampled_checked == 10
+    assert report.worst_case == (2, 1, 0, 4)
+    assert report.worst_ratio == pytest.approx(5 / 3)
+    assert not report.passed
 
 
 def test_size_report_on_midsize_greedy_run():

@@ -338,13 +338,17 @@ def test_key_lemma_spot_check():
                     )
 
 
-def phase5_gadget(t: int = 20, n: int = 400):
+def phase5_gadget(t: int = 20, n: int = 400, twin: bool = False):
     """Instance that defeats phases 1-4 for the 2-path (x, m, y).
 
     Heavy unit-weight webs make x, m, y fully clustered; the g/s chains keep
     m's star 2-hop-close to x (so the global-reduction count stays at 2,
     which n = 400 tolerates), while the only x-y route runs through all of
     it at weight 5 against a bound of 4.
+
+    With ``twin`` a second mid m2 = 4 + 3t, built like m with a star s2 of
+    its own into the same g chains and c, gives a second such 2-path
+    (x, m2, y), whose edges come after e1 and e2.
     """
     x, m, y, c = 0, 1, 2, 3
     s = [4 + i for i in range(t)]
@@ -356,10 +360,18 @@ def phase5_gadget(t: int = 20, n: int = 400):
     edges += [(g[i], x, 1.0) for i in range(t)]
     edges += [(m, c, 1.0), (c, y, 1.0)]
     edges += [(y, rr[i], 1.0) for i in range(t)]
+    m2 = 4 + 3 * t
+    if twin:
+        s2 = [m2 + 1 + i for i in range(t)]
+        edges += [(m2, s2[i], 1.0) for i in range(t)]
+        edges += [(s2[i], g[i], 1.0) for i in range(t)]
+        edges.append((m2, c, 1.0))
     e1 = len(edges)
     edges.append((x, m, 1.0))
     e2 = len(edges)
     edges.append((m, y, 1.0))
+    if twin:
+        edges += [(x, m2, 1.0), (m2, y, 1.0)]
     return Multigraph(n, edges, weighted=True), e1, e2
 
 
@@ -372,6 +384,21 @@ def test_phase5_fires_on_adversarial_gadget():
     assert add.sat_edge == e1 and add.lat_edge == e2
     assert add.sat_edge in result.saturation.saturated
     assert add.key == pytest.approx(2 * g.weight(e2) + g.weight(e1))
+    assert set(result.phase5) == {e1, e2}
+    exhaustive_two_path_check(g, result.edges, 2)
+
+
+def test_phase5_skips_a_two_path_an_earlier_addition_repaired():
+    # (x, m, y) and (x, m2, y) both miss their bound 4 after phase 4; the
+    # first addition, x-m-y, brings y within 2 of x, so the re-check at
+    # processing time skips (x, m2, y)
+    g, e1, e2 = phase5_gadget(twin=True)
+    result = build_weighted_spanner(g, 2)
+    pre = pre_phase5_edges(result)
+    opened = weighted._open_two_paths(g, pre, result.saturation.saturated, 2)
+    assert opened[0] == [(1, 2, e1, e2, 4.0), (64, 2, e2 + 1, e2 + 2, 4.0)]
+    assert weighted_dist(g.view(pre), 0, 2) > 4
+    assert [add.path.vertices for add in result.phase5_paths] == [(0, 1, 2)]
     assert set(result.phase5) == {e1, e2}
     exhaustive_two_path_check(g, result.edges, 2)
 
