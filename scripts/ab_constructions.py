@@ -11,11 +11,12 @@ adjacency dicts instead of neighbor masks. Each construction must give equal
 result reprs from both checkouts; then every pair of runs times it once per
 checkout, the order alternating from pair to pair so that drift of the
 machine falls on both sides. Per construction it prints the median of each
-side, the median of the paired ratios change/parent, and the pairs the
-change won.
+side and of the paired ratios change/parent, each with its quartiles in
+brackets, and the pairs the change won.
 
 Run from the repository root, with two checkouts (such as one made by
-``git archive``) or the repository against itself:
+``git archive``), or with the repository against itself: the ratios of
+that self-vs-self run are the noise floor that a change must clear.
 
     python scripts/ab_constructions.py PARENT CHANGE [--pairs N] [--quick]
 
@@ -84,6 +85,17 @@ def host(lib, workload: str, quick: bool):
     return g
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile) of xs; one value is all three."""
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive")) if len(xs) > 1 else (xs[0],) * 3
+
+
+def spread(xs: list[float], digits: int) -> str:
+    """The median of xs and its quartiles in brackets."""
+    q1, mid, q3 = quartiles(xs)
+    return f"{mid:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
+
+
 def timed(run, lib, graphs) -> float:
     start = perf_counter()
     for g in graphs:
@@ -114,7 +126,7 @@ def main(argv=None) -> int:
                 raise SystemExit(f"the checkouts build different {w} hosts")
         if any(h[PAST_RULE].view(set()).masks is not None for h in hosts):
             raise SystemExit(f"the {PAST_RULE} host is within the mask rule")
-        print(f"{'construction':<14} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'wins':>6}")
+        print(f"{'construction':<14} {'parent_s [q1, q3]':>26} {'change_s [q1, q3]':>26} {'ratio [q1, q3]':>21} wins")
         for label, (run, workloads) in CONSTRUCTIONS.items():
             graphs = [[h[w] for w in workloads] for h in hosts]
             results = [[repr(run(lib, g)) for g in gs] for lib, gs in zip(libs, graphs)]
@@ -127,8 +139,8 @@ def main(argv=None) -> int:
             ratios = [b / a for a, b in zip(*times)]
             wins = sum(b < a for a, b in zip(*times))
             print(
-                f"{label:<14} {statistics.median(times[0]):>9.4f} {statistics.median(times[1]):>9.4f}"
-                f" {statistics.median(ratios):>7.3f} {wins:>3}/{pairs:<2}"
+                f"{label:<14} {spread(times[0], 4):>26} {spread(times[1], 4):>26}"
+                f" {spread(ratios, 3):>21} {wins:>2}/{pairs}"
             )
     return 0
 

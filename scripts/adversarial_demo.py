@@ -42,7 +42,7 @@ def big_clique_story(t: int = 6, k: int = 2) -> None:
     result = greedy_path_collection_spanner(bundle.paths, 2 * k)
     kept_pairs = {tuple(sorted(bundle.graph.endpoints(e))) for e in result.edges}
     clique = {(i, j) for i in range(t) for j in range(i + 1, t)}
-    g = girth(bundle.graph.view(result.edge_set))
+    g = girth(bundle.graph.view(result.edges))
     print(f"[big-clique t={t}] n={bundle.graph.n}, offered {len(bundle.paths.paths)} "
           f"2-paths, kept {len(result.paths)}")
     print(f"  clique edges in output: {len(clique & kept_pairs)}/{len(clique)}; "

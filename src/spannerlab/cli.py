@@ -26,15 +26,11 @@ import math
 import re
 import sys
 from operator import eq
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import generators
 from .generators import catalog_entry
-from .fault_tolerant import (
-    eft_greedy_exact,
-    eft_modified_greedy,
-    eft_union_spanner,
-)
+from .fault_tolerant import eft_greedy_exact, eft_modified_greedy, eft_union_spanner
 from .graphs import BudgetExceededError, Multigraph, girth
 from .greedy import (
     greedy_dr_spanner,
@@ -68,11 +64,11 @@ HEADER_PREFIX = "# spanner-graph v1"
 MAX_VERTICES = 2**24
 # gen may ask for as much work as a file may have vertices: the edges it
 # writes, or for gnp the vertex pairs it draws (see _FAMILIES). This stops a
-# traceback, not a large job: building and writing took about 370 bytes of
-# peak memory and 2.7 us per edge (gen eft-lb, 1,048,580 edges, Python 3.11
-# on a 2-vCPU host), so about 6 GB at the cap. big-clique is the exception:
-# the 2-path collection it builds and never writes brings it to about 486
-# bytes per edge, about 8 GB at its cap of t = 3344.
+# traceback, not a large job: building and writing took about 330 bytes of
+# peak memory (ru_maxrss) and 2 us per edge (gen eft-lb -f 209715, 1,048,580
+# edges, Python 3.11, 2 vCPUs), so about 5.6 GB at the cap; gnp -p 1 about 390
+# (6.5 GB). big-clique is the exception: the 2-path collection it builds and
+# never writes brings its peak to about 730 bytes per edge, 12 GB at t = 3344.
 MAX_GEN_EDGES = 2**24
 # -k of span, verify and stats. The cluster tests of span parallel and span
 # weighted compare |B| at every radius r up to k with a table of least sizes,
@@ -82,6 +78,8 @@ MAX_GEN_EDGES = 2**24
 # twin, and 0.4 s and 2.1-2.3 s at 1024 on G(1000, .01). verify and stats
 # turn k into a float, which 10**400 overflows.
 MAX_K = 1024
+# Lines per write of emit_graph: tens of kB of text.
+EMIT_CHUNK = 4096
 
 
 class GraphParseError(ValueError):
@@ -149,7 +147,7 @@ def _read_canonical(text: str) -> Multigraph | None:
 
 
 def _read_lines(text: str) -> Multigraph:
-    """The line loop: reads every accepted form and raises every error."""
+    """The line loop: reads every accepted form, checks each line once, raises every error."""
     lines = text.splitlines()
     header = None
     header_line = 0
@@ -179,7 +177,7 @@ def _read_lines(text: str) -> Multigraph:
     if fields.get("weighted") not in ("0", "1") or fields.get("multigraph") not in ("0", "1"):
         raise GraphParseError("weighted and multigraph flags must be 0 or 1", header_line)
 
-    edges: list[tuple[int, int, float]] = []
+    us, vs, ws = [], [], []
     pairs: set[tuple[int, int]] = set()
     for i, raw in enumerate(lines, start=1):
         if i <= header_line:
@@ -209,8 +207,10 @@ def _read_lines(text: str) -> Multigraph:
             if pair in pairs:
                 raise GraphParseError("duplicate edge in a graph declared multigraph=0", i)
             pairs.add(pair)
-        edges.append((u, v, w))
-    return Multigraph(n, edges, weighted=weighted)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return Multigraph._from_checked(n, us, vs, ws, weighted)
 
 
 def parse_graph(path: str) -> Multigraph:
@@ -218,22 +218,30 @@ def parse_graph(path: str) -> Multigraph:
         return parse_graph_text(fh.read())
 
 
+def _graph_chunks(g: Multigraph, edge_ids: Iterable[int] | None) -> Iterator[str]:
+    """``format_graph``'s header line, then its edge lines in chunks of ``EMIT_CHUNK``. The
+    multigraph flag takes one pass that keeps only the endpoint pairs, as ints u * n + v, u < v."""
+    ids = range(g.m) if edge_ids is None else sorted(edge_ids)
+    n, ends, weight = g.n, g.endpoints, g.weight
+    multi = 1 if len({u * n + v if u < v else v * n + u for u, v in map(ends, ids)}) < len(ids) else 0
+    yield f"{HEADER_PREFIX} n={n} weighted={1 if g.weighted else 0} multigraph={multi}\n"
+    for start in range(0, len(ids), EMIT_CHUNK):
+        part = ids[start : start + EMIT_CHUNK]
+        if g.weighted:
+            yield "".join([f"{u} {v} {weight(eid)!r}\n" for eid, (u, v) in zip(part, map(ends, part))])
+        else:
+            yield "".join([f"{u} {v}\n" for u, v in map(ends, part)])
+
+
 def format_graph(g: Multigraph, edge_ids: Iterable[int] | None = None) -> str:
     """File text of g, or of its subgraph on ``edge_ids`` in id order."""
-    ids = range(g.m) if edge_ids is None else sorted(edge_ids)
-    ends = [g.endpoints(eid) for eid in ids]
-    multi = 1 if len({(min(u, v), max(u, v)) for u, v in ends}) < len(ends) else 0
-    out = [f"{HEADER_PREFIX} n={g.n} weighted={1 if g.weighted else 0} multigraph={multi}"]
-    if g.weighted:
-        out += [f"{u} {v} {g.weight(eid)!r}" for eid, (u, v) in zip(ids, ends)]
-    else:
-        out += [f"{u} {v}" for u, v in ends]
-    return "\n".join(out) + "\n"
+    return "".join(_graph_chunks(g, edge_ids))
 
 
 def emit_graph(g: Multigraph, path: str, edge_ids: Iterable[int] | None = None) -> None:
+    """Write ``format_graph``'s text a chunk at a time, never all of it at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g, edge_ids))
+        fh.writelines(_graph_chunks(g, edge_ids))
 
 
 def match_subgraph(g: Multigraph, h: Multigraph) -> frozenset[int]:
@@ -327,19 +335,23 @@ def _lb_edges(base: str, copies: int) -> int:
     return m * copies + n
 
 
-# algorithm -> (construction, rule): a rule gives the usage error for
-# arguments that its algorithm does not take, else a false value (the parser
-# already takes only d >= 1). eft-exact and eft-fast return (result,
-# BlockingRecord), the rest a result.
+# algorithm -> (construction, rule). A construction adapts its algorithm's
+# result by _paths or _phases to (edge ids, trace records); the records are a
+# generator that only --trace reads. A rule gives the usage error for
+# arguments its algorithm does not take, else a false value (the parser takes
+# only d >= 1). As in _FAMILIES, the lambdas look names up at call time.
 _SPANS = {
-    "greedy-dr": (lambda g, a: greedy_dr_spanner(g, a.d, a.r), None),
-    "parallel": (lambda g, a: parallel_greedy_spanner(g, a.k, matching_rounds(g)), None),
-    "sqrt-k": (lambda g, a: sqrt_k_spanner(g, a.k), None),
-    "union": (lambda g, a: union_hybrid_spanner(g, a.k), None),
-    "weighted": (lambda g, a: build_weighted_spanner(g, a.k), lambda a: a.k < 2 and "needs -k 2 or more"),
-    "eft-exact": (lambda g, a: eft_greedy_exact(g, a.d, a.r, a.f), lambda a: a.d > 2 and "takes -d 1 or 2 only"),
-    "eft-fast": (lambda g, a: eft_modified_greedy(g, a.k, a.f), None),
-    "eft-union": (lambda g, a: eft_union_spanner(g, a.k, a.f, fast=a.fast), None),
+    "greedy-dr": (lambda g, a: _paths(greedy_dr_spanner(g, a.d, a.r)), None),
+    "parallel": (lambda g, a: _paths(parallel_greedy_spanner(g, a.k, matching_rounds(g))), None),
+    "sqrt-k": (lambda g, a: _paths(sqrt_k_spanner(g, a.k)), None),
+    "union": (lambda g, a: _paths(union_hybrid_spanner(g, a.k)), None),
+    "weighted": (lambda g, a: _phases(build_weighted_spanner(g, a.k)), lambda a: a.k < 2 and "needs -k 2 or more"),
+    "eft-exact": (
+        lambda g, a: _paths(*eft_greedy_exact(g, a.d, a.r, a.f)),
+        lambda a: a.d > 2 and "takes -d 1 or 2 only",
+    ),
+    "eft-fast": (lambda g, a: _paths(*eft_modified_greedy(g, a.k, a.f)), None),
+    "eft-union": (lambda g, a: _paths(eft_union_spanner(g, a.k, a.f, fast=a.fast)), None),
 }
 
 
@@ -426,30 +438,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_records(result) -> list[dict]:
-    if not hasattr(result, "phase1"):
-        return [
-            {"event": "add", "index": i, "vertices": list(p.vertices), "edges": list(p.edge_ids)}
-            for i, p in enumerate(result.paths)
-        ]
-    sat = result.saturation
-    thresholds = {str(v): w for v, w in sat.thresholds.items()}
-    return [
-        {"event": "phase", "phase": 1, "edges": sorted(result.phase1)},
-        {"event": "phase", "phase": 2, "edges": sorted(result.phase2)},
-        {"event": "saturated", "edges": sorted(sat.saturated), "thresholds": thresholds},
-        *(
-            {"event": "phase3", "vertex": d.vertex, "neighbor": d.neighbor, "edge": d.edge_id,
-             "key": d.key, "verdict": d.verdict}
-            for d in result.phase3_log
-        ),
-        *({"event": "phase4", "edge": eid, "verdict": verdict} for eid, verdict in result.phase4_log),
-        *(
-            {"event": "phase5", "vertices": list(a.path.vertices), "edges": list(a.path.edge_ids),
-             "sat_edge": a.sat_edge, "lat_edge": a.lat_edge, "key": a.key}
-            for a in result.phase5_paths
-        ),
-    ]
+def _paths(result, blocking=None):
+    """(edge ids, trace records) of a construction that adds paths: an "add"
+    record per path, with the fault set of ``blocking`` where there is one."""
+    records = (
+        {"event": "add", "index": i, "vertices": list(p.vertices), "edges": list(p.edge_ids)}
+        for i, p in enumerate(result.paths)
+    )
+    if blocking is not None:
+        records = ({**rec, "fault_set": sorted(faults)} for rec, faults in zip(records, blocking.fault_sets))
+    return result.edges, records
+
+
+def _phases(result):
+    """(edge ids, trace records) of the weighted spanner, phase by phase."""
+
+    def records():
+        yield {"event": "phase", "phase": 1, "edges": sorted(result.phase1)}
+        yield {"event": "phase", "phase": 2, "edges": sorted(result.phase2)}
+        sat = result.saturation
+        thresholds = {str(v): w for v, w in sat.thresholds.items()}
+        yield {"event": "saturated", "edges": sorted(sat.saturated), "thresholds": thresholds}
+        for d in result.phase3_log:
+            yield {"event": "phase3", "vertex": d.vertex, "neighbor": d.neighbor, "edge": d.edge_id, "key": d.key,
+                   "verdict": d.verdict}
+        yield from ({"event": "phase4", "edge": eid, "verdict": verdict} for eid, verdict in result.phase4_log)
+        for a in result.phase5_paths:
+            yield {"event": "phase5", "vertices": list(a.path.vertices), "edges": list(a.path.edge_ids),
+                   "sat_edge": a.sat_edge, "lat_edge": a.lat_edge, "key": a.key}
+
+    return result.edges, records()
 
 
 def _cmd_gen(args) -> int:
@@ -470,18 +488,13 @@ def _cmd_span(args) -> int:
     if problem:
         raise argparse.ArgumentError(None, f"span {args.algo} {problem}")
     g = parse_graph(args.input)
-    result = run(g, args)
-    result, blocking = result if isinstance(result, tuple) else (result, None)
-    emit_graph(g, args.output, result.edges)
+    edges, records = run(g, args)
+    emit_graph(g, args.output, edges)
     if args.trace:
-        records = _trace_records(result)
-        if blocking is not None:
-            for rec, faults in zip(records, blocking.fault_sets):
-                rec["fault_set"] = sorted(faults)
         with open(args.trace, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    print(f"{args.algo}: kept {len(result.edges)} of {g.m} edges -> {args.output}")
+    print(f"{args.algo}: kept {len(edges)} of {g.m} edges -> {args.output}")
     return EXIT_OK
 
 
@@ -496,9 +509,7 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     h = parse_graph(args.spanner)
     rep = size_report(h.m, h.n, args.k)
-    print(
-        f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}"
-    )
+    print(f"n={h.n} m={h.m} ratio={rep.ratio:.4f} girth={girth(h.view())}")
     return EXIT_OK
 
 

@@ -86,10 +86,6 @@ class SpannerResult:
     algorithm: str
     meta: dict = field(default_factory=dict)
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
 
 def _result(n: int, paths: Sequence[PathSeq], algorithm: str, **meta) -> SpannerResult:
     ids: set[int] = set()

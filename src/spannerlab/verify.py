@@ -59,7 +59,6 @@ from .graphs import (
     BudgetExceededError,
     Multigraph,
     PathSeq,
-    SubgraphView,
     block_layers,
     hop_distances,
     rank_neighbors,
@@ -110,19 +109,14 @@ class SizeReport:
     ratio: float
 
 
-def as_edge_ids(g: Multigraph, h) -> frozenset[int]:
-    """Normalize a candidate subgraph (result object, view, or id iterable)
-    to a validated edge-id set of g."""
-    if isinstance(h, Multigraph):
-        raise ValueError("pass an edge-id subset of the host graph, not a graph")
-    if hasattr(h, "edge_set"):
-        ids = frozenset(h.edge_set)
-    elif isinstance(h, SubgraphView):
-        if h.host is not g:
-            raise ValueError("view is not over the host graph")
-        ids = frozenset(h.edge_ids())
-    else:
+def as_edge_ids(g: Multigraph, h: Iterable[int]) -> frozenset[int]:
+    """The validated edge-id set of g that the iterable h names. A graph, a
+    view or a result is not an iterable of ids: its TypeError becomes a
+    ValueError, as an id outside g does."""
+    try:
         ids = frozenset(int(e) for e in h)
+    except TypeError as exc:
+        raise ValueError(f"pass an iterable of host edge ids: {exc}") from exc
     for eid in ids:
         if not 0 <= eid < g.m:
             raise ValueError(f"edge id {eid} is not an edge of the host graph")
@@ -211,7 +205,7 @@ def _check_blocks(g: Multigraph, ids: frozenset[int], sources: list[int], reach,
     return VerificationReport(True, None, pairs, 1)
 
 
-def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> VerificationReport:
+def _check_pairs(g: Multigraph, h: Iterable[int], f: int, budget: int, reach, bound_of) -> VerificationReport:
     """The loop of the exhaustive oracles. For every fault set F and source x,
     every y > x reached from x in G - F must lie within ``bound_of(dist)`` in
     H - F, unless that is None. Distances are hops within ``reach`` when it is
@@ -286,7 +280,9 @@ def _check_pairs(g: Multigraph, h, f: int, budget: int, reach, bound_of) -> Veri
     return VerificationReport(True, None, pairs, fault_sets)
 
 
-def verify_dr(g: Multigraph, h, d: int, r: int, budget: int = DEFAULT_CHECK_BUDGET) -> VerificationReport:
+def verify_dr(
+    g: Multigraph, h: Iterable[int], d: int, r: int, budget: int = DEFAULT_CHECK_BUDGET
+) -> VerificationReport:
     """Check that every pair at host hop distance exactly d sits at distance
     <= r in the candidate subgraph."""
     return verify_eft(g, h, d, r, 0, budget)
@@ -294,7 +290,7 @@ def verify_dr(g: Multigraph, h, d: int, r: int, budget: int = DEFAULT_CHECK_BUDG
 
 def verify_eft(
     g: Multigraph,
-    h,
+    h: Iterable[int],
     d: int,
     r: int,
     f: int,
@@ -311,7 +307,7 @@ def verify_eft(
 
 def verify_alpha_beta(
     g: Multigraph,
-    h,
+    h: Iterable[int],
     alpha: float,
     beta: float,
     f: int = 0,
@@ -351,7 +347,7 @@ def _random_simple_path(
 
 def verify_weighted_bound(
     g: Multigraph,
-    h,
+    h: Iterable[int],
     k: int,
     max_hops: int = 2,
     sample: int = 0,

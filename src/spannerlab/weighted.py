@@ -140,10 +140,6 @@ class WeightedSpannerResult:
             )
         )
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
 
 def build_weighted_spanner(g: Multigraph, k: int) -> WeightedSpannerResult:
     """Run the five phases on a simple positively weighted graph."""

@@ -72,7 +72,7 @@ def test_c03_two_to_2k_correctness():
         p = (3 / n, 6 / n, 10 / n)[i % 3]
         g = seeded_gnp(n, p, 1000 + i)
         result = greedy_dr_spanner(g, 2, 2 * k)
-        assert verify_dr(g, result, 2, 2 * k).passed, f"instance {i} (n={n}, k={k})"
+        assert verify_dr(g, result.edges, 2, 2 * k).passed, f"instance {i} (n={n}, k={k})"
     report(3, "greedy 2->2k verified on 100 seeded G(n,p) instances, n<=200")
 
 
@@ -182,7 +182,7 @@ def test_c09_weighted_stretch_contract():
         n = 20 + (i * 5) % 41
         g = seeded_gnp(n, 0.3, 9000 + i, weighted=True)
         result = build_weighted_spanner(g, k)
-        rep = verify_weighted_bound(g, result, k, max_hops=6, sample=125, seed=i)
+        rep = verify_weighted_bound(g, result.edges, k, max_hops=6, sample=125, seed=i)
         assert rep.passed, f"instance {i}: worst ratio {rep.worst_ratio}"
     report(9, "weighted stretch bound holds on 50 seeded instances, k in {2,3}")
 
@@ -205,9 +205,9 @@ def test_c10_eft_exhaustive_contract():
         assert g.m <= 40
         for f in (1, 2):
             exact, _ = eft_greedy_exact(g, 2, 2 * k, f)
-            assert verify_eft(g, exact, 2, 2 * k, f).passed
+            assert verify_eft(g, exact.edges, 2, 2 * k, f).passed
             fast, _ = eft_modified_greedy(g, k, f)
-            assert verify_eft(g, fast, 2, 2 * k, f).passed
+            assert verify_eft(g, fast.edges, 2, 2 * k, f).passed
     report(10, "exact and polynomial EFT outputs verified under full fault enumeration")
 
 
@@ -238,15 +238,15 @@ def test_c13_union_contracts():
     k = 2
     for seed in (0, 1):
         g = seeded_gnp(18, 0.3, 13_000 + seed)
-        assert verify_alpha_beta(g, union_hybrid_spanner(g, k), k, k - 1, f=0).passed
+        assert verify_alpha_beta(g, union_hybrid_spanner(g, k).edges, k, k - 1, f=0).passed
     assert verify_alpha_beta(
-        complete_graph(5), union_hybrid_spanner(complete_graph(5), k), k, k - 1
+        complete_graph(5), union_hybrid_spanner(complete_graph(5), k).edges, k, k - 1
     ).passed
     base = cycle_graph(6)
     doubled = Multigraph(6, [(e.u, e.v) for e in base.edges() for _ in range(2)])
-    assert verify_alpha_beta(doubled, eft_union_spanner(doubled, k, 1), k, k - 1, f=1).passed
+    assert verify_alpha_beta(doubled, eft_union_spanner(doubled, k, 1).edges, k, k - 1, f=1).passed
     g = seeded_gnp(10, 0.4, 13_100)
-    assert verify_alpha_beta(g, eft_union_spanner(g, k, 1), k, k - 1, f=1).passed
+    assert verify_alpha_beta(g, eft_union_spanner(g, k, 1).edges, k, k - 1, f=1).passed
     report(13, "(k, k-1) contracts hold for the hybrid union (f=0) and EFT union (f=1)")
 
 
@@ -271,5 +271,5 @@ def test_c15_sqrt_k_contract():
         for seed in range(20):
             g = seeded_gnp(40, 0.12, 15_000 + seed)
             result = sqrt_k_spanner(g, k)
-            assert verify_dr(g, result, d, r).passed, f"k={k} seed={seed}"
+            assert verify_dr(g, result.edges, d, r).passed, f"k={k} seed={seed}"
     report(15, "sqrt-k greedy verified as a d->r spanner for k in {4, 9}")

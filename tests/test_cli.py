@@ -325,6 +325,32 @@ def test_one_pass_route_matches_the_line_loop(g, kind, data):
         _same_graph(fast, slow)
 
 
+def test_line_loop_checks_each_edge_once(monkeypatch):
+    # the line loop checks range, self-loop and weight per line and builds
+    # through Multigraph._from_checked, so __init__ never checks them again
+    plain = "\n# spanner-graph v1 n=4 weighted=0 multigraph=1\n# ids skip this\n0 1\r\n\n+1\t2\n2 1\n2 3"
+    weighted = "# spanner-graph v1 n=3 weighted=1 multigraph=0 \n0 1 +0.5\n\n1 2 1e-3\n"
+    expected = [
+        Multigraph(4, [(0, 1), (1, 2), (2, 1), (2, 3)]),
+        Multigraph(3, [(0, 1, 0.5), (1, 2, 0.001)], weighted=True),
+    ]
+
+    def refuse(*_, **__):
+        raise AssertionError("Multigraph.__init__ ran")
+
+    monkeypatch.setattr(Multigraph, "__init__", refuse)
+    for text, g in zip((plain, weighted), expected):
+        assert cli._read_canonical(text) is None
+        _same_graph(parse_graph_text(text), g)
+    for text, error in (
+        (plain + "\n2 2", "line 9: self-loop"),
+        (plain + "\n0 4", "line 9: vertex id out of range"),
+        (weighted.replace("1e-3", "-1"), "line 4: nonpositive weight"),
+    ):
+        with pytest.raises(GraphParseError, match=error):
+            parse_graph_text(text)
+
+
 _GEN_ARGS = {
     "big-clique": ["-t", "5"],
     "hypercube": ["-k", "5"],
@@ -388,6 +414,22 @@ def test_format_graph_subset():
     assert format_graph(g, [2, 0]) == header.format(1) + "0 1 0.1\n1 0 0.1\n"
     assert format_graph(g, {3, 0, 1}) == header.format(0) + "0 1 0.1\n2 1 0.3333333333333333\n2 3 2.5e-300\n"
     assert format_graph(g, ()) == header.format(0)
+
+
+def test_emit_graph_writes_the_text_of_format_graph_in_chunks(tmp_path, monkeypatch):
+    # chunks of a few lines split the text at every place that chunks of
+    # EMIT_CHUNK lines split a large graph's text
+    header = "# spanner-graph v1 n=4 weighted=1 multigraph={}\n"
+    g = Multigraph(4, [(0, 1, 0.1), (2, 1, 1 / 3), (1, 0, 0.1), (2, 3, 2.5e-300)], weighted=True)
+    lines = ["0 1 0.1\n", "2 1 0.3333333333333333\n", "1 0 0.1\n", "2 3 2.5e-300\n"]
+    cases = [(None, 1, range(4)), ([2, 0], 1, [0, 2]), ({3, 0, 1}, 0, [0, 1, 3]), ((), 0, [])]
+    path = tmp_path / "h"
+    for chunk in (1, 2, 3, 4, 5):
+        monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+        for ids, multi, kept in cases:
+            text = header.format(multi) + "".join(lines[i] for i in kept)
+            emit_graph(g, str(path), ids)
+            assert path.read_text(encoding="utf-8") == format_graph(g, ids) == text, (chunk, ids)
     for ids in ([], [1, 3], [3, 2, 0], [0, 1, 2, 3]):
         back = parse_graph_text(format_graph(g, ids))
         assert (back.n, back.weighted) == (g.n, True)
@@ -796,6 +838,84 @@ def test_every_parameter_at_its_cap_finishes(tmp_path):
         proc = _run_cli(tmp_path, *args, timeout=20)
         assert proc.returncode in (EXIT_OK, EXIT_BUDGET), (args, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def _readme_exit_codes() -> set[int]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Exit codes:") :].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
+def _probe_values(cap: int, run_cap: bool = True) -> list[str]:
+    """0, 1, the cap (unless ``run_cap`` is false), the cap + 1, nan and inf."""
+    return ["0", "1", *([str(cap)] if run_cap else []), str(cap + 1), "nan", "inf"]
+
+
+def _probe_runs(rows, probes: dict, valid: dict, rng: random.Random):
+    """For each row, each flag and each of its probe values: that value, and
+    every other flag at a value drawn from ``valid``; None leaves a flag out."""
+    for row in rows:
+        for flag, values in probes.items():
+            for value in values:
+                argv = list(row)
+                for other in probes:
+                    chosen = value if other == flag else rng.choice(valid[other])
+                    argv += [] if chosen is None else [other, chosen]
+                yield argv
+
+
+def test_argv_probe_exits_only_with_documented_codes(tmp_path, monkeypatch, capsys):
+    # every span algorithm, verify contract and gen family, each flag at each
+    # of its probe values (capped flags at 0, 1, the cap, cap + 1, nan and
+    # inf), the other flags drawn from a seeded generator; gen never runs at
+    # a cap, which builds gigabytes, while cap + 1 is refused before any
+    # generator runs
+    monkeypatch.chdir(tmp_path)
+    codes = _readme_exit_codes()
+    assert codes == {EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_BUDGET, EXIT_USAGE, EXIT_DATA, EXIT_IO}
+    for argv in (
+        ["gen", "gnp", "-n", "12", "-p", "0.3", "-o", "g"],
+        ["gen", "gnp", "-n", "12", "-p", "0.3", "--weighted", "-o", "w"],
+        ["gen", "eft-lb", "--base", "cycle:5", "-f", "2", "-o", "m"],
+        ["gen", "gnp", "-n", "0", "-o", "e"],
+        ["span", "greedy-dr", "-i", "g", "-o", "s"],
+    ):
+        assert main(argv) == EXIT_OK
+    (tmp_path / "bad").write_text("# spanner-graph v1 n=3 weighted=0 multigraph=0\n0 3\n", encoding="utf-8")
+    hosts = ["g", "w", "m", "e", "s"]
+    files, small = [*hosts, "bad", "missing"], ["0", "1", "2", "3", "nan"]
+    rng = random.Random(31)
+    span = {"-k": _probe_values(MAX_K), "-d": small, "-r": small, "-f": ["0", "1", "2"], "-i": files,
+            "--trace": [None, "t"]}
+    verify = {"-k": _probe_values(MAX_K), "-d": small, "-r": small, "-f": ["0", "1", "2"],
+              "--budget": ["0", "1", str(cli.DEFAULT_CHECK_BUDGET)], "--alpha": [*small, "inf"], "--beta": small,
+              "--max-hops": small, "--samples": small, "-i": files, "-s": files}
+    eft_f = (cli.MAX_GEN_EDGES - 5) // 5  # the cap of eft-lb -f on cycle:5: 5 vertices, 5 edges
+    gen = {"-t": _probe_values(3344, run_cap=False), "-k": _probe_values(16, run_cap=False),
+           "-f": _probe_values(eft_f, run_cap=False), "-n": _probe_values(5793, run_cap=False),
+           "-p": ["0", "0.5", "1", "2", "nan"], "--eps": ["0", "0.5", "1", "nan"],
+           "--base": ["cycle:5", "petersen", "foo", "cycle:2"]}
+    valid = {"-k": ["2", "3"], "-d": ["1", "2"], "-r": ["2", "4"], "-f": ["0", "1", "2"], "-i": hosts, "-s": hosts,
+             "--trace": [None, "t"], "--budget": [str(cli.DEFAULT_CHECK_BUDGET)], "--alpha": ["1", "2"],
+             "--beta": ["0", "1"], "--max-hops": ["2", "3"], "--samples": ["0", "5"], "-t": ["3", "4"],
+             "-n": ["8", "12"], "-p": ["0.3"], "--eps": ["0.5"], "--base": ["cycle:5", "petersen"]}
+    runs = [
+        *_probe_runs([("span", algo, "-o", "h") for algo in cli._SPANS], span, valid, rng),
+        *_probe_runs([("verify", contract) for contract in cli._CONTRACTS], verify, valid, rng),
+        *_probe_runs([("stats",)], {"-k": _probe_values(MAX_K), "-s": files}, valid, rng),
+        *_probe_runs([("gen", family, "-o", "out") for family in cli._FAMILIES], gen, valid, rng),
+    ]
+    seen = Counter()
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in codes, (argv, code, err)
+        assert "Traceback" not in out + err, argv
+        seen[code] += 1
+    assert set(seen) == codes, seen
 
 
 def test_readme_names_the_cli_choices(capsys):

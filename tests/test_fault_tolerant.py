@@ -107,7 +107,7 @@ def test_eft_exact_contract_small_instances():
         g = seeded_gnp(10, 0.35, seed)
         for f in (1, 2):
             result, record = eft_greedy_exact(g, 2, 4, f)
-            assert verify_eft(g, result, 2, 4, f).passed
+            assert verify_eft(g, result.edges, 2, 4, f).passed
             assert verify_blocking_set(result.paths, record, 4, f)
 
 
@@ -154,7 +154,7 @@ def test_eft_modified_two_disjoint_then_reject():
     kept = [p.vertices for p in result.paths]
     assert (0, 2, 1) in kept and (0, 3, 1) in kept
     assert (0, 4, 1) not in kept
-    assert verify_eft(g, result, 2, 4, 1).passed
+    assert verify_eft(g, result.edges, 2, 4, 1).passed
 
 
 def test_eft_f3_dense_multigraphs():
@@ -164,10 +164,10 @@ def test_eft_f3_dense_multigraphs():
         g = Multigraph(6, [(e.u, e.v) for e in base.edges() for _ in range(2)])
         for f in (2, 3):
             exact, rec = eft_greedy_exact(g, 2, 2 * k, f)
-            assert verify_eft(g, exact, 2, 2 * k, f).passed
+            assert verify_eft(g, exact.edges, 2, 2 * k, f).passed
             assert verify_blocking_set(exact.paths, rec, 2 * k, f)
             fast, recf = eft_modified_greedy(g, k, f)
-            assert verify_eft(g, fast, 2, 2 * k, f).passed
+            assert verify_eft(g, fast.edges, 2, 2 * k, f).passed
             assert verify_blocking_set(fast.paths, recf, 2 * k, 2 * k * f)
 
 
@@ -201,7 +201,7 @@ def test_eft_modified_witness_size_and_disjointness():
             assert verify_blocking_set(result.paths, record, 2 * k, 2 * k * f)
             for fs in record.fault_sets:
                 assert len(fs) <= 2 * k * f
-            assert verify_eft(g, result, 2, 2 * k, f).passed
+            assert verify_eft(g, result.edges, 2, 2 * k, f).passed
 
 
 def test_eft_edge_greedy_parallel_copies():
@@ -229,14 +229,14 @@ def test_eft_union_tree_identity_and_faults():
     g = path_graph(6)
     result = eft_union_spanner(g, 2, 2)
     assert set(result.edges) == set(range(g.m))
-    assert verify_eft(g, result, 1, 3, 2).passed
+    assert verify_eft(g, result.edges, 1, 3, 2).passed
 
 
 def test_eft_union_doubled_cycle():
     base = cycle_graph(6)
     g = Multigraph(6, [(e.u, e.v) for e in base.edges() for _ in range(2)])
     result = eft_union_spanner(g, 2, 1)
-    assert verify_alpha_beta(g, result, 2, 1, f=1).passed
+    assert verify_alpha_beta(g, result.edges, 2, 1, f=1).passed
 
 
 def test_eft_union_f0_matches_hybrid_contract():
@@ -244,15 +244,15 @@ def test_eft_union_f0_matches_hybrid_contract():
     k = 2
     ft = eft_union_spanner(g, k, 0)
     plain = union_hybrid_spanner(g, k)
-    assert verify_alpha_beta(g, ft, k, k - 1, f=0).passed
-    assert verify_alpha_beta(g, plain, k, k - 1, f=0).passed
+    assert verify_alpha_beta(g, ft.edges, k, k - 1, f=0).passed
+    assert verify_alpha_beta(g, plain.edges, k, k - 1, f=0).passed
 
 
 def test_eft_union_fast_mode():
     g = seeded_gnp(12, 0.35, 2)
     result = eft_union_spanner(g, 2, 1, fast=True)
-    assert verify_eft(g, result, 2, 4, 1).passed
-    assert verify_eft(g, result, 1, 3, 1).passed
+    assert verify_eft(g, result.edges, 2, 4, 1).passed
+    assert verify_eft(g, result.edges, 1, 3, 1).passed
 
 
 def test_verify_blocking_set_rejects_bad_records():
@@ -303,7 +303,7 @@ def test_eft_modified_covers_routes_through_present_edges():
     by_vertices = {p.vertices: fs for p, fs in zip(result.paths, record.fault_sets)}
     assert by_vertices[(1, 2, 6)] == frozenset({3, 5, 6})
     assert verify_blocking_set(result.paths, record, 4, 4)
-    assert verify_eft(g, result, 2, 4, 1).passed
+    assert verify_eft(g, result.edges, 2, 4, 1).passed
 
 
 def test_eft_exact_multigraph_fault_semantics():
@@ -312,7 +312,7 @@ def test_eft_exact_multigraph_fault_semantics():
     rows = [(e.u, e.v) for e in base.edges()] + [(0, 1)]
     g = Multigraph(4, rows)
     result, _ = eft_greedy_exact(g, 1, 3, 1)
-    assert verify_eft(g, result, 1, 3, 1).passed
+    assert verify_eft(g, result.edges, 1, 3, 1).passed
 
 
 def brute_fault_set(g, view_ids, p, r, f):

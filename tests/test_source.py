@@ -266,3 +266,31 @@ def test_only_the_graph_index_builds_a_rank_map():
         found += [f"{path.name}:{name}" for name in _rank_maps(tree)]
     assert found == ["graphs.py:Multigraph._index"]
     assert "rank" not in importlib.import_module("spannerlab.graphs").SubgraphView.__slots__
+
+
+_TYPE_TESTS = {"isinstance", "hasattr", "getattr"}
+
+
+def _type_tests(tree: ast.AST) -> list[str]:
+    """Sites that call ``isinstance``, ``hasattr`` or ``getattr`` by name."""
+    return sorted(
+        f"{node.lineno} {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _TYPE_TESTS
+    )
+
+
+def test_no_runtime_type_tests_in_package():
+    # every input has one shape: the oracles take host edge ids, and each
+    # span row adapts its own result; a type test is a second shape that a
+    # caller can drift back to
+    sample = (
+        "def f(result, h):\n    if not hasattr(result, 'phase1'):\n        return isinstance(h, tuple)\n"
+        "    return getattr(result, 'paths'), h.isinstance, callable(h)\n"
+    )
+    assert _type_tests(ast.parse(sample)) == ["2 hasattr", "3 isinstance", "4 getattr"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{site}" for site in _type_tests(tree)]
+    assert found == []

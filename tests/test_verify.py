@@ -49,7 +49,7 @@ def test_verify_dr_accepts_greedy_outputs():
     for seed in range(10):
         g = seeded_gnp(20, 0.25, seed)
         result = greedy_dr_spanner(g, 2, 4)
-        assert verify_dr(g, result, 2, 4).passed
+        assert verify_dr(g, result.edges, 2, 4).passed
 
 
 def test_verify_dr_rejects_foreign_ids():
@@ -60,7 +60,7 @@ def test_verify_dr_rejects_foreign_ids():
 
 def test_verify_eft_f0_matches_dr():
     g = seeded_gnp(12, 0.3, 3)
-    h = greedy_dr_spanner(g, 2, 4)
+    h = greedy_dr_spanner(g, 2, 4).edges
     a = verify_dr(g, h, 2, 4)
     b = verify_eft(g, h, 2, 4, 0)
     assert a.passed == b.passed
@@ -162,17 +162,19 @@ def test_oracles_reject_bad_parameters(oracle, args):
     ],
 )
 def test_oracles_reject_what_is_not_an_edge_subset(oracle, args):
+    # a graph, a view and a result are not iterables of ids: the oracle
+    # raises from the TypeError of the id conversion, and tests no type
     g = cycle_graph(6)
-    other = cycle_graph(6)
     for h, message in (
-        (g, "pass an edge-id subset of the host graph, not a graph"),
-        (other.view(), "view is not over the host graph"),
-        (other.view({0}), "view is not over the host graph"),
+        (g, "pass an iterable of host edge ids: 'Multigraph' object is not iterable"),
+        (g.view({0}), "pass an iterable of host edge ids: 'SubgraphView' object is not iterable"),
+        (greedy_dr_spanner(g, 2, 4), "pass an iterable of host edge ids: 'SpannerResult' object is not iterable"),
         ([0, 99], "edge id 99 is not an edge of the host graph"),
         ([-1], "edge id -1 is not an edge of the host graph"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
             oracle(g, h, *args)
+        assert isinstance(err.value.__cause__, TypeError) == message.startswith("pass")
 
 
 @pytest.mark.parametrize(
@@ -185,16 +187,17 @@ def test_oracles_reject_what_is_not_an_edge_subset(oracle, args):
     ],
 )
 def test_oracles_read_a_view_over_the_host_as_its_ids(oracle, args):
+    # a caller holding a view passes its edge_ids(), a one-pass iterator
     g = seeded_gnp(9, 0.5, 4)
     for ids in (set(), {0, 2, 3, 5}, set(range(1, g.m)), set(range(g.m))):
-        assert oracle(g, g.view(ids), *args) == oracle(g, ids, *args)
-    assert oracle(g, g.view(), *args) == oracle(g, range(g.m), *args)
+        assert oracle(g, g.view(ids).edge_ids(), *args) == oracle(g, ids, *args)
+    assert oracle(g, g.view().edge_ids(), *args) == oracle(g, range(g.m), *args)
 
 
 def test_verify_alpha_beta_union_contract():
     g = seeded_gnp(16, 0.3, 5)
     k = 2
-    h = union_hybrid_spanner(g, k)
+    h = union_hybrid_spanner(g, k).edges
     assert verify_alpha_beta(g, h, k, k - 1, f=0).passed
 
 
@@ -315,7 +318,7 @@ def test_verify_eft_skips_fault_sets_off_the_fault_free_trees(monkeypatch):
     # the eft benchmark instance: a doubled G(20, .4) and its eft-exact spanner
     simple = gen_random(20, 0.4, 0).graph
     g = Multigraph(simple.n, [(e.u, e.v) for e in simple.edges() for _ in range(2)])
-    h, _ = eft_greedy_exact(g, 2, 4, 2)
+    h = eft_greedy_exact(g, 2, 4, 2)[0].edges
     counts = {"hop_distances": 0, "tree_edges": 0, "rank_neighbors": 0, "block_layers": 0, "tables": 0}
 
     def counting(name, real):
@@ -406,7 +409,7 @@ def test_mask_pass_matches_oracle_on_midsize_hosts(seed, n_edged, p, header, wei
     upper = -(-SOURCE_BLOCK // piece) * piece if piece else n_edged // 2
     candidates = [
         range(g.m),
-        greedy_dr_spanner(plain, 2, 4).edge_set,
+        frozenset(greedy_dr_spanner(plain, 2, 4).edges),
         {e for e in range(g.m) if rng.random() < 0.6},
         {e for e, (u, v) in enumerate(compact) if min(u, v) < upper or rng.random() < 0.7},
     ]

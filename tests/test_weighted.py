@@ -90,7 +90,7 @@ def test_higher_k_parities(k):
 def test_unit_weight_host_without_weighted_flag():
     g = seeded_gnp(24, 0.3, 123)
     result = build_weighted_spanner(g, 2)
-    report = verify_weighted_bound(g, result, 2, max_hops=4, sample=100)
+    report = verify_weighted_bound(g, result.edges, 2, max_hops=4, sample=100)
     assert report.passed
 
 
@@ -132,7 +132,7 @@ def test_saturated_edges_have_clustered_endpoints():
         k = 2
         result = build_weighted_spanner(g, k)
         thresholds = result.saturation.thresholds
-        ids = result.edge_set
+        ids = result.edges
         for eid in result.saturation.saturated:
             u, v = g.endpoints(eid)
             w = g.weight(eid)
@@ -158,7 +158,7 @@ def test_phase4_offers_edges_far_in_thresholded_spanner():
                 assert (hop_distance(light, *g.endpoints(eid), k) > k) == (eid in logged)
                 if logged.get(eid) == "added":
                     spanner.add(eid)
-            assert spanner == result.edge_set - set(result.phase5)
+            assert spanner == set(result.edges) - set(result.phase5)
 
 
 def test_phase2_matches_full_rescan():
@@ -517,7 +517,7 @@ def test_verify_weighted_bound_single_edges_served():
     g = seeded_gnp(18, 0.3, 12, weighted=True)
     k = 2
     result = build_weighted_spanner(g, k)
-    ids = result.edge_set
+    ids = result.edges
     kept = [(g.endpoints(e)[0], g.endpoints(e)[1], g.weight(e)) for e in ids]
     dist = oracles.fw_weighted(g.n, kept)
     for e in g.edges():
@@ -536,7 +536,7 @@ def test_overflowing_bounds_keep_bridges_and_fail_unreached_pairs():
         for k in (2, 3):
             result = build_weighted_spanner(g, k)
             assert result.edges == result.phase1 == kept
-            assert verify_weighted_bound(g, result, k, max_hops=3, sample=5).passed
+            assert verify_weighted_bound(g, result.edges, k, max_hops=3, sample=5).passed
 
 
 def test_verify_weighted_bound_budget():
@@ -565,8 +565,8 @@ def test_verify_weighted_bound_rejects_foreign_subgraphs():
 def test_verify_weighted_bound_deterministic_sampling():
     g = seeded_gnp(20, 0.3, 13, weighted=True)
     result = build_weighted_spanner(g, 2)
-    a = verify_weighted_bound(g, result, 2, max_hops=4, sample=100, seed=5)
-    b = verify_weighted_bound(g, result, 2, max_hops=4, sample=100, seed=5)
+    a = verify_weighted_bound(g, result.edges, 2, max_hops=4, sample=100, seed=5)
+    b = verify_weighted_bound(g, result.edges, 2, max_hops=4, sample=100, seed=5)
     assert a == b
 
 
